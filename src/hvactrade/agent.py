@@ -4,9 +4,11 @@ Each user solves two related problems over the day-ahead horizon: a
 standalone schedule with no trading (`solve_emp`, the cost benchmark)
 and a trading subproblem (`solve_llp`) in which pairwise trades are
 pulled toward the coordinator's consensus values by a quadratic penalty
-plus a linear dual term.  The only data that ever leaves an agent is
-its trade matrix; `outbound_message` audits that before anything is
-serialized.
+plus a linear dual term.  The subproblem is solved for the net import
+per slot and the pairwise trades follow from it in closed form, so its
+size does not grow with the fleet.  The only data that ever leaves an
+agent is its trade matrix; `outbound_message` audits that before
+anything is serialized.
 """
 
 from __future__ import annotations
@@ -20,15 +22,50 @@ from .errors import InfeasibleError, NonConvergenceError, ProtocolViolation
 from .model import Schedule, Tariff, TimeGrid, UserParams
 
 
+def _exchange_terms(uid: int, price, aux, duals, rho: float):
+    """Per-partner linear trade cost, its partner mean, and the constant
+    left once the pairwise trades are minimized out for a fixed net import.
+
+    Each trade enters the objective as c_j p_j + (rho/2) p_j^2 plus the
+    constant (rho/2) aux_j^2, with c = price - dual - rho*aux.  At rho = 0
+    the split is free only when every partner's cost is the same; otherwise
+    the subproblem is unbounded.
+    """
+    c = price - duals - rho * aux
+    if rho == 0.0:
+        if np.any(c != c[0]):
+            raise NonConvergenceError(
+                f"user {uid}: trading subproblem is unbounded at rho=0 "
+                f"(partners' trade costs differ)")
+        return c, c[0].copy(), 0.0
+    cbar = c.mean(axis=0)
+    offset = (0.5 * rho * float(np.sum(aux * aux))
+              - float(np.sum((c - cbar) ** 2)) / (2.0 * rho))
+    return c, cbar, offset
+
+
+def _recover_trades(net_import, c, cbar, rho: float) -> np.ndarray:
+    """Pairwise rows that realize a net import at least cost:
+    p_j = s/M + (cbar - c_j)/rho, an equal split at rho = 0."""
+    share = net_import / c.shape[0]
+    if rho == 0.0:
+        return np.tile(share, (c.shape[0], 1))
+    return share + (cbar - c) / rho
+
+
 def build_user_qp(params: UserParams, tariff: Tariff, grid: TimeGrid,
                   partner_ids=(), aux=None, duals=None, rho: float = 0.0):
     """Assemble one user's scheduling QP.
 
-    With no partners this is the standalone problem.  With partners,
-    trade variables join the per-slot balance rows and the objective
-    gains the trade payment, the penalty (rho/2)(p - aux)^2 and the
-    dual term -dual*p.  Returns (problem, index) where index maps
-    variable groups to their positions in the primal vector.
+    With no partners this is the standalone problem.  With M partners
+    the pairwise trades are eliminated, following the exchange problem
+    of Boyd et al. (2011, section 7.3): one free net import s per slot
+    joins the balance row, priced cbar*s + (rho/2M) s^2, where cbar is
+    the partner mean of c = trade_price*slot_hours - dual - rho*aux.
+    The offset keeps the objective equal to the pairwise problem's, so
+    the size is 5H+1 variables (5H without a peak charge) at any M.
+    Returns (problem, index) where index maps variable groups to their
+    positions in the primal vector.
     """
     h = params.horizon
     if grid.horizon_len != h:
@@ -46,10 +83,7 @@ def build_user_qp(params: UserParams, tariff: Tariff, grid: TimeGrid,
     p_g = b.add_vars(h, "p_g", lb=0.0, ub=params.grid_cap)
     p_ac = b.add_vars(h, "p_ac", lb=0.0, ub=params.hvac_cap)
     t_in = b.add_vars(h, "t_in", lb=params.temp_min, ub=params.temp_max)
-    if npart:
-        trades = np.vstack([b.add_vars(h, f"p_et[{j}]") for j in partner_ids])
-    else:
-        trades = np.empty((0, h), dtype=int)
+    s = b.add_vars(h, "s") if npart else np.empty(0, dtype=int)
 
     # indoor temperature recursion as equality rows
     cr = params.thermal_capacitance * params.thermal_resistance
@@ -64,8 +98,8 @@ def build_user_qp(params: UserParams, tariff: Tariff, grid: TimeGrid,
 
     # per-slot supply/demand balance
     for t in range(h):
-        idx = [p_re[t], p_g[t], p_ac[t]] + list(trades[:, t])
-        coefs = [1.0, 1.0, -1.0] + [1.0] * npart
+        idx = [p_re[t], p_g[t], p_ac[t]] + ([s[t]] if npart else [])
+        coefs = [1.0, 1.0, -1.0] + ([1.0] if npart else [])
         b.add_eq(idx, coefs, params.inflexible_load[t])
 
     b.add_linear(p_g, tariff.energy_price * sh)
@@ -77,32 +111,30 @@ def build_user_qp(params: UserParams, tariff: Tariff, grid: TimeGrid,
         for t in range(h):
             b.add_square(t_in[t], params.comfort_weight, center=params.temp_ref)
     if npart:
+        shape = (npart, h)
+        _, cbar, offset = _exchange_terms(
+            params.id, tariff.trade_price * sh,
+            np.zeros(shape) if aux is None else np.asarray(aux, dtype=float),
+            np.zeros(shape) if duals is None else np.asarray(duals, dtype=float),
+            rho)
+        b.add_linear(s, cbar)
         for t in range(h):
-            b.add_linear(trades[:, t], tariff.trade_price[t] * sh)
-        if rho > 0.0:
-            centers = np.zeros((npart, h)) if aux is None else np.asarray(aux, dtype=float)
-            for r in range(npart):
-                for t in range(h):
-                    b.add_square(trades[r, t], 0.5 * rho, center=centers[r, t])
-        if duals is not None:
-            lam = np.asarray(duals, dtype=float)
-            for r in range(npart):
-                b.add_linear(trades[r], -lam[r])
+            b.add_square(s[t], 0.5 * rho / npart)
+        b.add_offset(offset)
 
     index = {"renewable": p_re, "grid": p_g, "hvac": p_ac, "temp": t_in,
-             "trades": trades, "peak": peak}
+             "net_import": s, "peak": peak}
     return b.build(), index
 
 
-def _extract_schedule(solution: qp.QpSolution, index, partner_ids) -> Schedule:
+def _extract_schedule(solution: qp.QpSolution, index, trades,
+                      partner_ids) -> Schedule:
     x = solution.primal
     return Schedule(renewable_use=x[index["renewable"]],
                     grid_draw=x[index["grid"]],
                     hvac_power=x[index["hvac"]],
                     indoor_temp=x[index["temp"]],
-                    trades=x[index["trades"]] if len(partner_ids)
-                    else np.empty((0, x[index["grid"]].shape[0])),
-                    partner_ids=partner_ids)
+                    trades=trades, partner_ids=partner_ids)
 
 
 def _check_status(solution: qp.QpSolution, uid: int, what: str):
@@ -125,7 +157,9 @@ def solve_emp(params: UserParams, tariff: Tariff, grid: TimeGrid | None = None):
     problem, index = build_user_qp(params, tariff, grid)
     solution = qp.solve(problem)
     _check_status(solution, params.id, "standalone problem")
-    return _extract_schedule(solution, index, ()), solution.objective
+    schedule = _extract_schedule(solution, index,
+                                 np.empty((0, params.horizon)), ())
+    return schedule, solution.objective
 
 
 class LocalAgent:
@@ -196,33 +230,39 @@ class LocalAgent:
 
     def solve_llp(self, rho: float | None = None) -> Schedule:
         """Solve the trading subproblem at the given penalty weight
-        (default: the last weight received) and cache the schedule."""
+        (default: the last weight received) and cache the schedule.
+
+        The QP is built once per penalty weight; each round then only
+        rewrites the net-import entries of the linear term and the
+        offset, reusing the factorization and warm start.  The pairwise
+        trades are recovered from the net import in closed form."""
         if rho is None:
             rho = self.rho
-        aux, duals = self.received_aux, self.received_duals
-        if self._ws is not None and self._ws_rho == rho:
-            # structure unchanged: refresh only the trade entries of the
-            # linear term and the penalty's constant part
-            c = self._base_linear.copy()
-            tv = self._index["trades"]
-            c[tv] = (self.tariff.trade_price * self.grid.slot_hours
-                     - duals - rho * aux)
-            off = self._base_offset + 0.5 * rho * float(np.sum(aux * aux))
-            self._ws.update(linear_term=c, offset=off)
-        else:
+        if self._ws is None or self._ws_rho != rho:
             problem, index = build_user_qp(
                 self.params, self.tariff, self.grid, self.partner_ids,
-                aux=aux, duals=duals, rho=rho)
+                rho=rho)
             self._ws = qp.Workspace(problem)
             self._ws_rho = rho
             self._index = index
             self._base_linear = problem.linear_term.copy()
-            self._base_linear[index["trades"]] = 0.0
-            self._base_offset = (problem.offset
-                                 - 0.5 * rho * float(np.sum(aux * aux)))
+            self._base_offset = problem.offset
+        s = self._index["net_import"]
+        if self.partner_ids:
+            c, cbar, offset = _exchange_terms(
+                self.user_id, self.tariff.trade_price * self.grid.slot_hours,
+                self.received_aux, self.received_duals, rho)
+            linear = self._base_linear.copy()
+            linear[s] = cbar
+            self._ws.update(linear_term=linear,
+                            offset=self._base_offset + offset)
         solution = self._ws.solve(tol=self.solver_tol)
         _check_status(solution, self.user_id, "trading subproblem")
-        schedule = _extract_schedule(solution, self._index,
+        if self.partner_ids:
+            trades = _recover_trades(solution.primal[s], c, cbar, rho)
+        else:
+            trades = np.empty((0, self.params.horizon))
+        schedule = _extract_schedule(solution, self._index, trades,
                                      self.partner_ids)
         self.last_schedule = schedule
         self.last_objective = solution.objective

@@ -17,6 +17,7 @@ from pathlib import Path
 from . import coordinator, reports, scenario
 from .agent import solve_emp
 from .errors import (
+    HvacTradeError,
     InfeasibleError,
     NonConvergenceError,
     ProtocolViolation,
@@ -236,6 +237,9 @@ def main(argv=None) -> int:
         return EXIT_NONCONVERGENCE
     except (ProtocolViolation, SynchronizationTimeout) as exc:
         print(f"protocol failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except HvacTradeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

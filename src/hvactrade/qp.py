@@ -246,12 +246,6 @@ class Workspace:
         if offset is not None:
             self.problem.offset = float(offset)
 
-    def reset(self):
-        self._x = np.zeros(self.problem.n)
-        self._z = np.clip(np.zeros(self._A.shape[0]), self._lower, self._upper)
-        self._y = np.zeros(self._A.shape[0])
-        self._have_solution = False
-
     def _adopt(self, cand):
         """Store a polished optimum as the warm-start state."""
         self._x = cand.primal.copy()

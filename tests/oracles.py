@@ -222,3 +222,52 @@ def solve_cemp(users, tariff, grid):
         trades[pos[a_id], pos[b_id]] = x[e]
         trades[pos[b_id], pos[a_id]] = -x[e]
     return solution.objective, schedules, trades
+
+
+def build_pairwise_llp(params, tariff, grid, aux, duals, rho):
+    """One user's trading subproblem with a variable per partner and slot.
+
+    The direct form of the subproblem: every pairwise trade is a free
+    variable in the per-slot balance row, priced at the trade tariff,
+    pulled toward its consensus value by (rho/2)(p - aux)^2 and shifted
+    by the dual term -dual*p.  Returns (problem, index) where index maps
+    "renewable", "grid", "hvac", "temp" and "trades" (M x H) to positions
+    in the primal vector.
+    """
+    h = params.horizon
+    sh = grid.slot_hours
+    aux = np.asarray(aux, dtype=float)
+    duals = np.asarray(duals, dtype=float)
+    b = qp.QpBuilder()
+    p_re = b.add_vars(h, "p_re", lb=0.0, ub=params.renewable_avail)
+    p_g = b.add_vars(h, "p_g", lb=0.0, ub=params.grid_cap)
+    p_ac = b.add_vars(h, "p_ac", lb=0.0, ub=params.hvac_cap)
+    t_in = b.add_vars(h, "t_in", lb=params.temp_min, ub=params.temp_max)
+    trades = np.vstack([b.add_vars(h, f"p_et[{r}]")
+                        for r in range(aux.shape[0])])
+    cr = params.thermal_capacitance * params.thermal_resistance
+    a = 1.0 - 1.0 / cr
+    k_ac = params.hvac_efficiency / params.thermal_capacitance
+    b.add_eq([t_in[0], p_ac[0]], [1.0, k_ac],
+             a * params.temp_initial + params.outdoor_temp[0] / cr)
+    for t in range(1, h):
+        b.add_eq([t_in[t], t_in[t - 1], p_ac[t]], [1.0, -a, k_ac],
+                 params.outdoor_temp[t] / cr)
+    for t in range(h):
+        b.add_eq([p_re[t], p_g[t], p_ac[t]] + list(trades[:, t]),
+                 [1.0, 1.0, -1.0] + [1.0] * trades.shape[0],
+                 params.inflexible_load[t])
+    b.add_linear(p_g, tariff.energy_price * sh)
+    if tariff.peak_price > 0.0:
+        m = qp.epigraph_max(b, p_g)
+        b.add_linear([m], [tariff.peak_price])
+    if params.comfort_weight > 0.0:
+        for t in range(h):
+            b.add_square(t_in[t], params.comfort_weight, center=params.temp_ref)
+    for r in range(trades.shape[0]):
+        b.add_linear(trades[r], tariff.trade_price * sh - duals[r])
+        for t in range(h):
+            b.add_square(trades[r, t], 0.5 * rho, center=aux[r, t])
+    index = {"renewable": p_re, "grid": p_g, "hvac": p_ac, "temp": t_in,
+             "trades": trades}
+    return b.build(), index

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hvactrade import qp
 from hvactrade.agent import LocalAgent, build_user_qp, solve_emp
-from hvactrade.errors import ProtocolViolation
+from hvactrade.errors import NonConvergenceError, ProtocolViolation
 from hvactrade.model import (
     Tariff,
     TimeGrid,
@@ -15,7 +16,7 @@ from hvactrade.model import (
 )
 from hvactrade.protocol import CoordinatorBroadcast
 
-from oracles import grid_search_schedule, solve_cemp
+from oracles import build_pairwise_llp, grid_search_schedule, solve_cemp
 
 
 def make_params(horizon=3, **over):
@@ -160,21 +161,100 @@ def test_llp_penalty_sweep_pins_trade_size():
     assert norms[0] > norms[1] > norms[2]
 
 
-def test_llp_zero_penalty_objective_identity():
-    import dataclasses
-
+def zero_penalty_agent(npart, duals=None):
     params = make_params(comfort_weight=0.3,
                          inflexible_load=np.array([1.0, 2.0, 0.5]),
                          outdoor_temp=np.array([27.0, 26.0, 28.0]))
     tariff = make_tariff(energy=0.25, peak=1.0, trade=0.3)
-    agent = LocalAgent(params, tariff, partner_ids=(4,))
+    agent = LocalAgent(params, tariff, partner_ids=range(4, 4 + npart))
+    if duals is not None:
+        agent.set_coupling(np.zeros((npart, 3)), duals)
+    return agent
+
+
+def test_llp_zero_penalty_objective_identity():
+    import dataclasses
+
+    agent = zero_penalty_agent(1)
     schedule = agent.solve_llp(rho=0.0)
     # shave solver dust off the active lower bound before re-pricing
     clean = dataclasses.replace(
         schedule, grid_draw=np.maximum(schedule.grid_draw, 0.0))
-    direct = (operating_cost(clean, params, tariff)
-              + trading_payment(clean.trades, tariff))
+    direct = (operating_cost(clean, agent.params, agent.tariff)
+              + trading_payment(clean.trades, agent.tariff))
     assert agent.last_objective == pytest.approx(direct, rel=1e-8)
+
+
+def test_llp_zero_penalty_equal_costs_split_equally():
+    """At rho = 0 with every partner priced alike, any split of the net
+    import costs the same; the agent splits it equally."""
+    single = zero_penalty_agent(1)
+    s_single = single.solve_llp(rho=0.0)
+    agent = zero_penalty_agent(3)
+    schedule = agent.solve_llp(rho=0.0)
+    assert schedule.trades == pytest.approx(
+        np.tile(s_single.trades[0] / 3.0, (3, 1)), abs=1e-9)
+    assert np.all(schedule.trades == schedule.trades[0])
+    assert agent.last_objective == pytest.approx(single.last_objective,
+                                                 rel=1e-12)
+
+
+def test_llp_zero_penalty_differing_costs_is_unbounded():
+    duals = np.zeros((2, 3))
+    duals[1, 0] = 0.05
+    agent = zero_penalty_agent(2, duals=duals)
+    with pytest.raises(NonConvergenceError, match="unbounded"):
+        agent.solve_llp(rho=0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), npart=st.sampled_from([1, 2, 5]),
+       rho=st.floats(0.1, 10.0))
+def test_llp_matches_pairwise_qp(data, npart, rho):
+    """The reduced subproblem and the one with a variable per partner
+    and slot have the same optimum, objective and trades."""
+    aux = data.draw(hnp.arrays(np.float64, (npart, 3),
+                               elements=st.floats(-1.0, 1.0)))
+    duals = data.draw(hnp.arrays(np.float64, (npart, 3),
+                                 elements=st.floats(-0.5, 0.5)))
+    params = make_params(comfort_weight=0.2,
+                         inflexible_load=np.array([1.0, 0.5, 1.5]),
+                         renewable_avail=np.array([0.5, 0.0, 0.25]),
+                         outdoor_temp=np.array([28.0, 27.0, 29.0]))
+    tariff = make_tariff()
+    agent = LocalAgent(params, tariff, partner_ids=range(2, 2 + npart))
+    agent.set_coupling(aux, duals, rho=rho)
+    schedule = agent.solve_llp()
+
+    problem, index = build_pairwise_llp(params, tariff, TimeGrid(3),
+                                        aux, duals, rho)
+    full = qp.solve(problem)
+    assert full.status is qp.QpStatus.OPTIMAL
+    x = full.primal
+    for got, key in ((schedule.renewable_use, "renewable"),
+                     (schedule.grid_draw, "grid"),
+                     (schedule.hvac_power, "hvac"),
+                     (schedule.indoor_temp, "temp"),
+                     (schedule.trades, "trades")):
+        assert got == pytest.approx(x[index[key]], abs=1e-6)
+    assert agent.last_objective == pytest.approx(full.objective, abs=1e-7)
+    balance = (schedule.renewable_use + schedule.grid_draw
+               + schedule.net_imports()
+               - params.inflexible_load - schedule.hvac_power)
+    assert np.max(np.abs(balance)) <= 1e-6
+
+
+@pytest.mark.parametrize("npart", [1, 5, 15])
+def test_build_user_qp_size_is_independent_of_partners(npart):
+    h = 4
+    params = make_params(horizon=h)
+    partners = tuple(range(2, 2 + npart))
+    problem, _ = build_user_qp(params, make_tariff(h), TimeGrid(h),
+                               partner_ids=partners)
+    assert problem.n == 5 * h + 1
+    problem, _ = build_user_qp(params, make_tariff(h, peak=0.0), TimeGrid(h),
+                               partner_ids=partners)
+    assert problem.n == 5 * h
 
 
 def test_llp_surplus_user_sells_in_centralized_plan():

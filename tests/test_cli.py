@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from hvactrade.agent import solve_emp
+from hvactrade.agent import LocalAgent, solve_emp
 from hvactrade.cli import main
 from hvactrade.scenario import load_scenario
 
@@ -101,6 +101,29 @@ def test_run_blocked_output_exits_12(tmp_path, capsys):
     code = main(["run", TWO_USER, "--out", str(blocker / "out")])
     assert code == 12
     assert "report" in capsys.readouterr().err
+
+
+def test_run_crashed_agent_exits_70_without_traceback(tmp_path, capsys,
+                                                     monkeypatch):
+    text = Path(TWO_USER).read_text().replace(
+        "max_iter: 1000", "max_iter: 1000\n  barrier_timeout: 0.5")
+    assert "barrier_timeout: 0.5" in text
+    path = tmp_path / "fragile.yaml"
+    path.write_text(text)
+    solve_llp = LocalAgent.solve_llp
+
+    def faulty(agent, *args, **kwargs):
+        if agent.user_id == 2 and agent.iteration == 3:
+            raise ValueError("injected fault")
+        return solve_llp(agent, *args, **kwargs)
+
+    monkeypatch.setattr(LocalAgent, "solve_llp", faulty)
+    code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 70
+    err = capsys.readouterr().err
+    assert "agent for user 2 failed: injected fault" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 # --- baseline ----------------------------------------------------------------
