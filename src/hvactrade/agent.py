@@ -268,6 +268,22 @@ class LocalAgent:
         self.last_objective = solution.objective
         return schedule
 
+    def step(self, broadcast=None):
+        """One negotiation round: apply the coordinator's broadcast (none
+        before the first round), then solve and return the next proposal,
+        or None once the broadcast closes the negotiation."""
+        if broadcast is not None:
+            if broadcast.iteration != self.iteration:
+                raise ProtocolViolation(
+                    f"user {self.user_id}: expected a broadcast for round "
+                    f"{self.iteration}, got round {broadcast.iteration}")
+            self.receive(broadcast)
+            if broadcast.done:
+                return None
+        self.iteration += 1
+        self.solve_llp()
+        return outbound_message(self)
+
     def solve_emp(self):
         return solve_emp(self.params, self.tariff, self.grid)
 

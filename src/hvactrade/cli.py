@@ -68,21 +68,16 @@ def cmd_baseline(args) -> int:
     scn = scenario.load_scenario(args.scenario, seed=args.seed)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    sched_lines = ["user,slot,p_RE,p_G,p_AC,T_IN"]
+    schedules = []
     cost_lines = ["user,emp_cost"]
     total = 0.0
     for user in scn.users:
         schedule, cost = solve_emp(user, scn.tariff, scn.grid)
         total += cost
         cost_lines.append(f"{user.id},{repr(float(cost))}")
-        for t in range(scn.grid.horizon_len):
-            sched_lines.append(
-                f"{user.id},{t},{repr(float(schedule.renewable_use[t]))},"
-                f"{repr(float(schedule.grid_draw[t]))},"
-                f"{repr(float(schedule.hvac_power[t]))},"
-                f"{repr(float(schedule.indoor_temp[t]))}")
+        schedules.append((user.id, schedule))
     cost_lines.append(f"system,{repr(float(total))}")
-    (out / "schedules.csv").write_text("\n".join(sched_lines) + "\n")
+    reports.write_schedules(schedules, out / "schedules.csv")
     (out / "costs.csv").write_text("\n".join(cost_lines) + "\n")
     print(f"{scn.name}: system baseline cost {total:.4f} "
           f"({len(scn.users)} users, no trading)")

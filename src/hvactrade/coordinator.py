@@ -11,8 +11,8 @@ construction.
 from __future__ import annotations
 
 import multiprocessing
-import threading
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .reports import ScenarioReport, UserResult
 class AdmmConfig:
     """Knobs of the negotiation loop."""
 
-    rho_mode: str = "decaying"
+    rho_mode: str = "fixed"
     rho0: float = 1.0
     tolerance: float = 1e-6
     norm: str = "l1"
@@ -247,10 +247,12 @@ def run(scenario, config: AdmmConfig | None = None,
         port: int = 0) -> ScenarioReport:
     """Run the full negotiation for a scenario and assemble the report.
 
-    `transport` selects in-process threads ("inproc") or one spawned
-    process per user over TCP ("socket"); both produce byte-identical
-    reports.  Raises NonConvergence (with the partial history attached)
-    if the disagreement never falls under tolerance.
+    `transport` selects the agents' home: the coordinator's own thread,
+    one agent after another ("inproc"), or one spawned process per user
+    over TCP ("socket"); both produce byte-identical reports.  Raises
+    NonConvergence (with the partial history attached) if the
+    disagreement never falls under tolerance, and HvacTradeError naming
+    the user when an agent fails.
     """
     cfg = config if config is not None else scenario.admm
     users = sorted(scenario.users, key=lambda u: u.id)
@@ -269,30 +271,13 @@ def run(scenario, config: AdmmConfig | None = None,
     prev_duals = state.duals.copy()
     final_rho = rho1
     converged = False
-
-    agent_errors: dict[int, BaseException] = {}
-    threads: list[threading.Thread] = []
     procs: list = []
 
     if transport == "inproc":
-        channel_of = {}
-        tr = InProcTransport(ids)
-        for u in users:
-            partners = tuple(j for j in ids if j != u.id)
-            agent = LocalAgent(u, scenario.tariff, scenario.grid,
-                               partner_ids=partners, solver_tol=cfg.solver_tol)
-            channel_of[u.id] = tr.channel(u.id)
-
-            def agent_main(a=agent, ch=channel_of[u.id]):
-                try:
-                    run_agent_loop(a, ch, rho1)
-                except BaseException as exc:
-                    agent_errors[a.user_id] = exc
-
-            threads.append(threading.Thread(target=agent_main, daemon=True,
-                                            name=f"agent-{u.id}"))
-        for t in threads:
-            t.start()
+        tr = InProcTransport(
+            [LocalAgent(u, scenario.tariff, scenario.grid,
+                        partner_ids=tuple(j for j in ids if j != u.id),
+                        solver_tol=cfg.solver_tol) for u in users], rho1)
     elif transport == "socket":
         if not getattr(scenario, "path", None):
             raise ValueError("socket transport needs a scenario loaded from a file")
@@ -309,7 +294,6 @@ def run(scenario, config: AdmmConfig | None = None,
     else:
         raise ValueError(f"unknown transport {transport!r}")
 
-    ok = False
     try:
         for k in range(1, cfg.max_iter + 1):
             rho_k = stepsize(k, cfg)
@@ -333,21 +317,10 @@ def run(scenario, config: AdmmConfig | None = None,
             if err <= cfg.tolerance:
                 converged = True
                 break
-        ok = True
-    except HvacTradeError:
-        _collect_agents(threads, procs, agent_errors, timeout=2.0)
-        if agent_errors:
-            uid, exc = sorted(agent_errors.items())[0]
-            raise HvacTradeError(f"agent for user {uid} failed: {exc}") from exc
+    except BaseException:
+        _end_agents(procs, tr, finished=False)
         raise
-    finally:
-        _collect_agents(threads, procs, agent_errors,
-                        timeout=30.0 if ok else 2.0)
-        tr.close()
-
-    if agent_errors:
-        uid, exc = sorted(agent_errors.items())[0]
-        raise HvacTradeError(f"agent for user {uid} failed: {exc}") from exc
+    _end_agents(procs, tr, finished=True)
 
     if not converged:
         raise NonConvergenceError(
@@ -363,15 +336,32 @@ def run(scenario, config: AdmmConfig | None = None,
     return report
 
 
-def _collect_agents(threads, procs, agent_errors, timeout: float):
-    for t in threads:
-        t.join(timeout=timeout)
-    for pr in procs:
-        pr.join(timeout=timeout)
-        if pr.is_alive():
-            pr.terminate()
-            pr.join(timeout=5.0)
-        elif pr.exitcode not in (0, None):
-            uid = int(pr.name.split("-")[1])
-            agent_errors.setdefault(
-                uid, RuntimeError(f"agent process exited with {pr.exitcode}"))
+def _end_agents(procs, tr, finished: bool):
+    """Stop the agent processes, close the transport, and raise
+    HvacTradeError for the first agent whose process failed on its own.
+
+    After a finished run every agent has been told to stop and gets 30 s
+    to exit.  After a failure only the first exit is awaited, briefly,
+    since a dropped connection means its process is ending; the rest are
+    then terminated together.
+    """
+    if finished:
+        for pr in procs:
+            pr.join(timeout=30.0)
+    elif procs:
+        ended = wait([pr.sentinel for pr in procs], timeout=2.0)
+        for pr in procs:
+            if pr.sentinel in ended:
+                pr.join()  # reap it: the sentinel can close first
+    failed = {int(pr.name.split("-")[1]): pr.exitcode for pr in procs
+              if pr.exitcode not in (0, None)}
+    survivors = [pr for pr in procs if pr.is_alive()]
+    for pr in survivors:
+        pr.terminate()
+    for pr in survivors:
+        pr.join(timeout=5.0)
+    tr.close()
+    if failed:
+        uid = min(failed)
+        raise HvacTradeError(f"agent for user {uid} failed: agent process "
+                             f"exited with {failed[uid]}")

@@ -7,15 +7,16 @@ completion flag.  Both serialize to length-prefixed binary frames
 (`[u32 length][u8 tag][payload]`, little-endian, length counting tag
 plus payload) so the privacy property can be checked on raw bytes.
 
-The in-process transport moves the same encoded frames through queues;
-the socket transport moves them over TCP.  Both capture every frame in
-`wire_frames` for auditing, and agents drive both through the same
-`run_agent_loop`, which keeps runs bit-identical across transports.
+Every agent advances through `LocalAgent.step`, one call per round.
+The in-process transport calls it directly in the coordinator's thread,
+passing each frame through the codec on the way; over TCP each agent
+process calls it from `run_agent_loop`.  Both transports capture every
+frame in `wire_frames` for auditing, and sharing one step keeps runs
+bit-identical across them.
 """
 
 from __future__ import annotations
 
-import queue
 import selectors
 import socket
 import struct
@@ -24,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecodeError, ProtocolViolation, SynchronizationTimeout
+from .errors import (DecodeError, HvacTradeError, ProtocolViolation,
+                     SynchronizationTimeout)
 
 TAG_PROPOSAL = 1
 TAG_BROADCAST = 2
@@ -198,75 +200,49 @@ def split_frames(buf: bytes):
     return frames, buf
 
 
-class QueueChannel:
-    """Agent endpoint of the in-process transport."""
-
-    def __init__(self, transport: "InProcTransport", user_id: int):
-        self._transport = transport
-        self._user_id = int(user_id)
-        self._inbox = transport._agent_inboxes[int(user_id)]
-
-    def send(self, message):
-        frame = encode(message)
-        self._transport.wire_frames.append(frame)
-        self._transport._proposal_queue.put(frame)
-
-    def recv(self, timeout: float = 300.0):
-        try:
-            frame = self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            raise SynchronizationTimeout(
-                f"user {self._user_id}: no broadcast within {timeout}s")
-        return decode(frame)
-
-    def close(self):
-        pass
-
-
 class InProcTransport:
-    """Queue-backed transport: same frames, no sockets.
+    """Transport that runs the agents in the caller's thread.
 
-    Agents obtain endpoints via `channel(user_id)`; the coordinator
-    polls proposals and sends per-user broadcasts.  Every frame that
-    crosses is recorded in `wire_frames`.
+    Each agent takes its first step on construction.  `send_to` hands a
+    broadcast to its agent, which answers at once with its next
+    proposal; `poll` returns the proposals in the order they were made.
+    Both directions still cross the codec, and every frame is recorded
+    in `wire_frames`.
     """
 
-    def __init__(self, expected_ids):
-        self.expected_ids = tuple(sorted(int(u) for u in expected_ids))
+    def __init__(self, agents, rho1: float):
+        self._agents = {a.user_id: a for a in agents}
+        self.expected_ids = tuple(sorted(self._agents))
         self.wire_frames: list[bytes] = []
-        self._proposal_queue: queue.Queue = queue.Queue()
-        self._agent_inboxes = {u: queue.Queue() for u in self.expected_ids}
-        self._last_broadcast: dict[int, bytes] = {}
+        self._ready: list[TradeProposal] = []
+        for uid in self.expected_ids:
+            self._agents[uid].rho = float(rho1)
+            self._step(uid, None)
 
-    def channel(self, user_id: int) -> QueueChannel:
-        if int(user_id) not in self._agent_inboxes:
-            raise ProtocolViolation(f"unknown user id {user_id}")
-        return QueueChannel(self, user_id)
+    def _step(self, user_id: int, frame: bytes | None):
+        agent = self._agents[user_id]
+        try:
+            message = agent.step(None if frame is None else decode(frame))
+        except Exception as exc:
+            raise HvacTradeError(f"agent for user {user_id} failed: {exc}") from exc
+        if message is not None:
+            frame = encode(message)
+            self.wire_frames.append(frame)
+            self._ready.append(decode(frame))
 
     def poll(self, timeout: float):
-        try:
-            frame = self._proposal_queue.get(timeout=max(timeout, 0.0))
-        except queue.Empty:
-            return None
-        message = decode(frame)
-        if not isinstance(message, TradeProposal):
-            raise ProtocolViolation(
-                f"expected a trade proposal, got {type(message).__name__}")
-        return message
+        return self._ready.pop(0) if self._ready else None
 
     def send_to(self, user_id: int, broadcast: CoordinatorBroadcast):
+        if int(user_id) not in self._agents:
+            raise ProtocolViolation(f"unknown user id {user_id}")
         frame = encode(broadcast)
         self.wire_frames.append(frame)
-        self._last_broadcast[int(user_id)] = frame
-        self._agent_inboxes[int(user_id)].put(frame)
+        self._step(int(user_id), frame)
 
     def rerequest(self, user_id: int) -> bool:
-        frame = self._last_broadcast.get(int(user_id))
-        if frame is None:
-            return False
-        self.wire_frames.append(frame)
-        self._agent_inboxes[int(user_id)].put(frame)
-        return True
+        # an agent answers each broadcast once, as it arrives
+        return False
 
     def close(self):
         pass
@@ -322,6 +298,7 @@ class SocketTransport:
     Single-threaded: `poll` pumps accepts and reads, returning decoded
     proposals one at a time.  A connection is bound to a user id by the
     first proposal it delivers; broadcasts go back over that connection.
+    An agent that closes its connection mid-run is a protocol violation.
     """
 
     def __init__(self, expected_ids, host: str = "127.0.0.1", port: int = 0):
@@ -374,11 +351,13 @@ class SocketTransport:
             except (BlockingIOError, InterruptedError):
                 continue
             except OSError:
-                self._drop(conn)
-                continue
+                chunk = b""
             if not chunk:
+                uid = self._conn_user.get(conn)
                 self._drop(conn)
-                continue
+                who = ("an agent before its first proposal" if uid is None
+                       else f"user {uid}")
+                raise ProtocolViolation(f"connection closed by {who}")
             self._bufs[conn] += chunk
             frames, self._bufs[conn] = split_frames(self._bufs[conn])
             for frame in frames:
@@ -477,28 +456,16 @@ def barrier_collect(transport, n_expected: int, iteration: int,
 
 
 def run_agent_loop(agent, channel, rho1: float):
-    """Drive one agent through the negotiation until the coordinator
-    signals completion.  Identical over both transports."""
-    from .agent import outbound_message
-
+    """Drive one agent over a channel until the coordinator signals
+    completion.  A broadcast of the previous round is an echo: the
+    current proposal is sent again."""
     agent.rho = float(rho1)
-    k = 1
-    while True:
-        agent.iteration = k
-        agent.solve_llp()
-        message = outbound_message(agent)
+    message = agent.step()
+    while message is not None:
         channel.send(message)
-        while True:
+        broadcast = channel.recv()
+        while broadcast.iteration == agent.iteration - 1:
+            channel.send(message)
             broadcast = channel.recv()
-            if broadcast.iteration == k:
-                break
-            if broadcast.iteration == k - 1:
-                channel.send(message)
-                continue
-            raise ProtocolViolation(
-                f"user {agent.user_id}: expected a broadcast for round {k}, "
-                f"got round {broadcast.iteration}")
-        agent.receive(broadcast)
-        if broadcast.done:
-            return agent
-        k += 1
+        message = agent.step(broadcast)
+    return agent

@@ -116,6 +116,17 @@ def write_convergence(history, path: Path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def write_schedules(schedules, path: Path):
+    """One row per user and slot from (user_id, Schedule) pairs."""
+    lines = ["user,slot,p_RE,p_G,p_AC,T_IN"]
+    for uid, s in schedules:
+        for t in range(s.grid_draw.shape[0]):
+            lines.append(f"{uid},{t},{_fmt(s.renewable_use[t])},"
+                         f"{_fmt(s.grid_draw[t])},{_fmt(s.hvac_power[t])},"
+                         f"{_fmt(s.indoor_temp[t])}")
+    path.write_text("\n".join(lines) + "\n")
+
+
 def write_costs(report: ScenarioReport, path: Path):
     lines = ["user,emp_cost,coop_cost,reduction_pct"]
     for r in report.users:
@@ -141,14 +152,8 @@ def write_report(report: ScenarioReport, out_dir) -> list[Path]:
         write_convergence(report.history, conv_path)
 
         sched_path = out / "schedules.csv"
-        lines = ["user,slot,p_RE,p_G,p_AC,T_IN"]
-        for r in report.users:
-            s = r.schedule
-            for t in range(report.horizon):
-                lines.append(f"{r.user_id},{t},{_fmt(s.renewable_use[t])},"
-                             f"{_fmt(s.grid_draw[t])},{_fmt(s.hvac_power[t])},"
-                             f"{_fmt(s.indoor_temp[t])}")
-        sched_path.write_text("\n".join(lines) + "\n")
+        write_schedules([(r.user_id, r.schedule) for r in report.users],
+                        sched_path)
 
         trades_path = out / "trades.csv"
         lines = ["buyer,seller,slot,kW"]

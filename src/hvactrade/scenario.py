@@ -304,7 +304,7 @@ def load_scenario(path, seed=None) -> ScenarioConfig:
         raise ScenarioError(f"admm: unknown fields {sorted(extra)}")
     try:
         admm = AdmmConfig(
-            rho_mode=str(ablock.get("rho_mode", "decaying")),
+            rho_mode=str(ablock.get("rho_mode", "fixed")),
             rho0=_number(ablock, "rho0", "admm", default=1.0),
             tolerance=_number(ablock, "tolerance", "admm", default=1e-6),
             norm=str(ablock.get("norm", "l1")),

@@ -1,4 +1,8 @@
+import dataclasses
+import socket
 import struct
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +12,7 @@ from hvactrade.agent import LocalAgent
 from hvactrade.coordinator import run
 from hvactrade.errors import (
     DecodeError,
+    HvacTradeError,
     ProtocolViolation,
     SynchronizationTimeout,
 )
@@ -18,6 +23,7 @@ from hvactrade.protocol import (
     TAG_PROPOSAL,
     CoordinatorBroadcast,
     InProcTransport,
+    SocketTransport,
     TradeProposal,
     barrier_collect,
     decode,
@@ -216,41 +222,86 @@ def test_split_frames_rejects_oversize_prefix():
 
 # --- in-process transport --------------------------------------------------
 
-def test_inproc_transport_routes_and_records():
-    tr = InProcTransport((1, 2))
-    ch1 = tr.channel(1)
-    ch1.send(proposal(uid=1))
-    got = tr.poll(0.1)
-    assert got.user_id == 1
+def pair_agents():
+    """Users 1 and 2 of a two-slot fleet, each trading with the other."""
+    return [loop_agent(uid=1, partner=2), loop_agent(uid=2, partner=1)]
+
+
+def test_inproc_agents_take_their_first_step_on_construction():
+    tr = InProcTransport(pair_agents(), rho1=2.0)
+    assert [frame[4] for frame in tr.wire_frames] == [TAG_PROPOSAL] * 2
+    got = [tr.poll(0.0), tr.poll(0.0)]
+    assert [(m.user_id, m.iteration) for m in got] == [(1, 1), (2, 1)]
     assert tr.poll(0.0) is None
 
-    reply = broadcast(ids=(2,))
+
+def test_inproc_broadcast_is_answered_by_one_proposal():
+    tr = InProcTransport(pair_agents(), rho1=1.0)
+    tr.poll(0.0), tr.poll(0.0)  # the first round
+    reply = broadcast(iteration=1, ids=(2,), h=2, rho=0.5)
     tr.send_to(1, reply)
-    back = ch1.recv(timeout=1.0)
-    assert np.array_equal(back.aux_row[2], reply.aux_row[2])
-    assert len(tr.wire_frames) == 2
+    assert len(tr.wire_frames) == 4
+    assert tr.wire_frames[2] == encode(reply)
+    answer = tr.poll(0.0)
+    assert tr.wire_frames[3] == encode(answer)
+    assert (answer.user_id, answer.iteration) == (1, 2)
+    assert tr.poll(0.0) is None
 
 
-def test_inproc_rerequest_replays_last_broadcast():
-    tr = InProcTransport((1, 2))
-    assert tr.rerequest(1) is False
-    tr.send_to(1, broadcast(ids=(2,)))
-    tr.channel(1).recv(timeout=1.0)
-    assert tr.rerequest(1) is True
-    again = tr.channel(1).recv(timeout=1.0)
-    assert again.iteration == 1
+def test_inproc_done_broadcast_yields_no_proposal():
+    tr = InProcTransport(pair_agents(), rho1=1.0)
+    tr.poll(0.0), tr.poll(0.0)  # the first round
+    tr.send_to(2, broadcast(iteration=1, ids=(1,), h=2, done=True))
+    assert len(tr.wire_frames) == 3
+    assert tr.wire_frames[2][4] == TAG_BROADCAST
+    assert tr.poll(0.0) is None
 
 
-def test_inproc_poll_rejects_broadcast_frames():
-    tr = InProcTransport((1, 2))
-    tr.channel(1).send(broadcast(ids=(2,)))
-    with pytest.raises(ProtocolViolation, match="proposal"):
-        tr.poll(0.1)
+def test_inproc_agent_exception_names_the_user(monkeypatch):
+    tr = InProcTransport(pair_agents(), rho1=1.0)
+
+    def faulty(agent, *args, **kwargs):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(LocalAgent, "solve_llp", faulty)
+    with pytest.raises(HvacTradeError, match="agent for user 2 failed: "
+                                             "injected fault"):
+        tr.send_to(2, broadcast(iteration=1, ids=(1,), h=2))
 
 
-def test_inproc_unknown_channel_rejected():
+def test_inproc_unknown_user_rejected():
+    tr = InProcTransport(pair_agents(), rho1=1.0)
     with pytest.raises(ProtocolViolation, match="unknown"):
-        InProcTransport((1, 2)).channel(5)
+        tr.send_to(5, broadcast(ids=(2,), h=2))
+
+
+# --- socket transport --------------------------------------------------------
+
+def test_socket_poll_raises_when_a_bound_agent_disconnects():
+    tr = SocketTransport((1, 2))
+    try:
+        client = socket.create_connection((tr.host, tr.port), timeout=5.0)
+        client.sendall(encode(proposal(uid=1)))
+        assert tr.poll(5.0).user_id == 1
+        client.close()
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolViolation, match="closed by user 1"):
+            tr.poll(5.0)
+        assert time.monotonic() - t0 < 1.0
+    finally:
+        tr.close()
+
+
+def test_socket_poll_raises_when_an_unbound_agent_disconnects():
+    tr = SocketTransport((1, 2))
+    try:
+        socket.create_connection((tr.host, tr.port), timeout=5.0).close()
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolViolation, match="before its first"):
+            tr.poll(5.0)
+        assert time.monotonic() - t0 < 1.0
+    finally:
+        tr.close()
 
 
 # --- collection barrier -----------------------------------------------------
@@ -330,16 +381,34 @@ class ScriptedChannel:
         return self.replies.pop(0)
 
 
-def loop_agent():
+def loop_agent(uid=1, partner=2):
     h = 2
     params = UserParams(
-        id=1, thermal_capacitance=3.3, thermal_resistance=1.35,
+        id=uid, thermal_capacitance=3.3, thermal_resistance=1.35,
         hvac_efficiency=2.5, comfort_weight=0.1, temp_ref=22.0,
         temp_min=20.0, temp_max=24.0, grid_cap=6.0,
         renewable_avail=np.zeros(h), inflexible_load=np.full(h, 1.0),
         outdoor_temp=np.full(h, 22.0))
     tariff = Tariff(0.25, 0.5, np.full(h, 0.1))
-    return LocalAgent(params, tariff, partner_ids=(2,))
+    return LocalAgent(params, tariff, partner_ids=(partner,))
+
+
+def test_agent_step_advances_one_round_per_broadcast():
+    agent = loop_agent()
+    first = agent.step()
+    assert (first.user_id, first.iteration) == (1, 1)
+    second = agent.step(broadcast(iteration=1, ids=(2,), h=2, rho=0.5))
+    assert second.iteration == 2 and agent.rho == 0.5
+    assert np.array_equal(agent.received_aux[0], np.full(2, 0.25))
+    assert agent.step(broadcast(iteration=2, ids=(2,), h=2, done=True)) is None
+    assert agent.iteration == 2
+
+
+def test_agent_step_rejects_a_broadcast_for_another_round():
+    agent = loop_agent()
+    agent.step()
+    with pytest.raises(ProtocolViolation, match="got round 3"):
+        agent.step(broadcast(iteration=3, ids=(2,), h=2))
 
 
 def test_agent_loop_resends_on_duplicate_broadcast():
@@ -382,3 +451,35 @@ def test_socket_run_matches_inproc_run():
     dump = lambda r: json.dumps(r.to_dict(), sort_keys=True)
     assert dump(a) == dump(b)
     assert a.iterations == b.iterations
+
+
+def test_inproc_run_starts_no_thread(monkeypatch):
+    solve_llp = LocalAgent.solve_llp
+    seen = set()
+
+    def recording(agent, *args, **kwargs):
+        seen.add((threading.current_thread().name, threading.active_count()))
+        return solve_llp(agent, *args, **kwargs)
+
+    monkeypatch.setattr(LocalAgent, "solve_llp", recording)
+    before = threading.active_count()
+    run(load_scenario(FIXTURES / "two_user_complementary.yaml"))
+    assert seen == {(threading.main_thread().name, before)}
+    assert threading.active_count() == before
+
+
+def test_socket_run_names_a_crashed_agent_at_once(tmp_path):
+    """An agent process that dies ends the run well before the 60 s
+    barrier timeout, and the error names its user."""
+    source = FIXTURES / "two_user_complementary.yaml"
+    scenario = load_scenario(source)
+    assert scenario.admm.barrier_timeout == 60.0
+    # the agents read a copy in which user 2 cannot cool its home
+    text = source.read_text().replace("hvac_cap: 9.0", "hvac_cap: 0.01")
+    assert "hvac_cap: 0.01" in text
+    (tmp_path / "broken.yaml").write_text(text)
+    scenario = dataclasses.replace(scenario, path=tmp_path / "broken.yaml")
+    t0 = time.monotonic()
+    with pytest.raises(HvacTradeError, match="agent for user 2 failed"):
+        run(scenario, transport="socket")
+    assert time.monotonic() - t0 < 15.0

@@ -79,7 +79,7 @@ def test_minimal_scenario_fills_defaults(tmp_path):
     # trade price defaults to half the energy price
     assert np.array_equal(config.tariff.trade_price, [0.1, 0.1])
     assert config.tariff.peak_price == 0.0
-    assert config.admm.rho_mode == "decaying"
+    assert config.admm.rho_mode == "fixed"
     assert config.admm.max_iter == 2000
     assert config.users[0].hvac_cap == 10.0
     assert config.users[0].temp_initial == 22.0
