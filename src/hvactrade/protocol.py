@@ -298,7 +298,8 @@ class SocketTransport:
     Single-threaded: `poll` pumps accepts and reads, returning decoded
     proposals one at a time.  A connection is bound to a user id by the
     first proposal it delivers; broadcasts go back over that connection.
-    An agent that closes its connection mid-run is a protocol violation.
+    An agent that closes its connection mid-run, or whose watched process
+    exits, is a protocol violation.
     """
 
     def __init__(self, expected_ids, host: str = "127.0.0.1", port: int = 0):
@@ -314,6 +315,11 @@ class SocketTransport:
         self._user_conn: dict[int, socket.socket] = {}
         self._ready: list[TradeProposal] = []
         self._last_broadcast: dict[int, bytes] = {}
+
+    def watch(self, user_id: int, sentinel):
+        """Treat the readiness of `sentinel` (a process sentinel) as the
+        exit of user_id's agent, even before it connects."""
+        self._sel.register(sentinel, selectors.EVENT_READ, ("exit", int(user_id)))
 
     def _admit(self, frame: bytes, conn: socket.socket):
         self.wire_frames.append(frame)
@@ -345,6 +351,9 @@ class SocketTransport:
                 self._sel.register(conn, selectors.EVENT_READ, "conn")
                 self._bufs[conn] = b""
                 continue
+            if isinstance(key.data, tuple):
+                raise ProtocolViolation(
+                    f"agent process for user {key.data[1]} exited")
             conn = key.fileobj
             try:
                 chunk = conn.recv(65536)

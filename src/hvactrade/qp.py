@@ -11,7 +11,8 @@ over-relaxed operator-splitting iteration on the stacked constraint
 system (a single indefinite KKT factorization, reused every step),
 then polishes the active set with a direct regularized KKT solve and
 iterative refinement.  Iterations start from zero, so repeated solves
-of the same problem are bit-identical.
+of the same problem are bit-identical.  A warm re-solve first polishes
+on the active set it last accepted, whose factorization is cached.
 
 Infeasibility is decided by a linear feasibility phase (smallest
 uniform constraint relaxation, solved via linprog) rather than from
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import linprog
 
 __all__ = [
     "QpStatus",
@@ -163,12 +163,38 @@ def check_kkt(problem: QpProblem, solution: QpSolution) -> float:
     return res
 
 
+_getrs, = sla.get_lapack_funcs(("getrs",), (np.zeros(1),))
+
+
+def _lu_solve(lu_and_piv, b: np.ndarray) -> np.ndarray:
+    """`sla.lu_solve` for a float64 factorization and one right-hand side.
+
+    Calls LAPACK getrs directly, skipping the wrapper's argument
+    conversion, and keeps its checks: the shapes must agree, a
+    non-finite right-hand side raises ValueError, and so does a nonzero
+    `info`.
+    """
+    lu, piv = lu_and_piv
+    if b.shape != (lu.shape[0],):
+        raise ValueError(f"Shapes of lu {lu.shape} and b {b.shape} are incompatible")
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = _getrs(lu, piv, b)
+    if info:
+        raise ValueError(f"illegal value in {-info}th argument of internal getrs")
+    return x
+
+
 def _feasibility_gap(problem: QpProblem) -> float:
     """Smallest uniform slack t with A_in x <= b_in + t, A_eq x = b_eq.
 
     Returns +inf when even the equality system is inconsistent.  A gap
     above tolerance certifies infeasibility of the original problem.
     """
+    # imported here: scipy.optimize adds about 40% to the package's
+    # import time, and only a declared infeasibility needs it
+    from scipy.optimize import linprog
+
     n = problem.n
     cost = np.zeros(n + 1)
     cost[-1] = 1.0
@@ -218,6 +244,7 @@ class Workspace:
         self._y = np.zeros(m)
         self._lu = None
         self._have_solution = False
+        self._active = None  # active-set mask of the last accepted polish
         self._polish_cache = {}  # active-set mask bytes -> (lu, rows) or None
 
     def _make_rho(self, base):
@@ -246,11 +273,13 @@ class Workspace:
         if offset is not None:
             self.problem.offset = float(offset)
 
-    def _adopt(self, cand):
-        """Store a polished optimum as the warm-start state."""
+    def _adopt(self, cand, mask):
+        """Store a polished optimum and its active set as the warm-start
+        state."""
         self._x = cand.primal.copy()
         self._z = np.clip(self._A @ cand.primal, self._lower, self._upper)
         self._y = np.concatenate([cand.eq_duals, cand.ineq_duals])
+        self._active = mask
         self._have_solution = True
 
     def solve(self, tol: float = 1e-8, max_iter: int = 20000) -> QpSolution:
@@ -265,10 +294,17 @@ class Workspace:
         if self._have_solution:
             # The previous optimum's active set usually survives a small
             # change in the linear term; a direct solve on it is far
-            # cheaper than splitting iterations.
-            cand = self._polish(self._x, self._y, good_enough=tol, limit=1)
+            # cheaper than splitting iterations.  The set last accepted
+            # comes first, as its factorization is already cached; then
+            # the set the previous iterates suggest.
+            if self._active is not None:
+                cand = self._polish_candidate(self._active)
+                if cand is not None and cand.kkt_residual <= tol:
+                    self._adopt(cand, self._active)
+                    return cand
+            cand, mask = self._polish(self._x, self._y, good_enough=tol, limit=1)
             if cand is not None and cand.kkt_residual <= tol:
-                self._adopt(cand)
+                self._adopt(cand, mask)
                 return cand
 
         if self._lu is None:
@@ -290,7 +326,7 @@ class Workspace:
         while k < max_iter:
             k += 1
             rhs = np.concatenate([sigma * x - c, z - y / rho])
-            sol = sla.lu_solve(self._lu, rhs)
+            sol = _lu_solve(self._lu, rhs)
             xt = sol[:n]
             nu = sol[n:]
             zt = z + (nu - y) / rho
@@ -311,9 +347,9 @@ class Workspace:
                          float(np.max(np.abs(c), initial=0.0)))
 
             if r_prim <= polish_gate * s_prim and r_dual <= polish_gate * s_dual:
-                cand = self._polish(x, y, good_enough=tol)
+                cand, mask = self._polish(x, y, good_enough=tol)
                 if cand is not None and cand.kkt_residual <= tol:
-                    self._adopt(cand)
+                    self._adopt(cand, mask)
                     cand.iterations = k
                     return cand
                 self._x, self._z, self._y = x, z, y
@@ -326,6 +362,7 @@ class Workspace:
                 raw.kkt_residual = check_kkt(prob, raw)
                 if raw.kkt_residual <= tol:
                     self._x, self._z, self._y = x, z, y
+                    self._active = None
                     self._have_solution = True
                     return raw
                 best = raw
@@ -421,22 +458,49 @@ class Workspace:
         self._polish_cache[key] = entry
         return entry
 
-    def _polish(self, x, y, good_enough=0.0, limit=None):
-        """Direct KKT solve on the detected active set.
+    def _polish_candidate(self, mask):
+        """Direct KKT solve on the active set `mask`.
 
         Regularized factorization plus iterative refinement against the
-        unregularized system; returns the best candidate or None.  Stops
+        unregularized system; returns None when the factorization fails
+        or the solve is not finite.
+        """
+        entry = self._polish_factor(mask)
+        if entry is None:
+            return None
+        lu, g = entry
+        prob = self.problem
+        n = prob.n
+        me = self._me
+        rhs = np.concatenate([-prob.linear_term, prob.eq_rhs, prob.ineq_rhs[mask]])
+        t = _lu_solve(lu, rhs)
+        for _ in range(3):  # refinement against the exact KKT system
+            r_top = rhs[:n] - (prob.quadratic_term @ t[:n] + g.T @ t[n:])
+            r_bot = rhs[n:] - g @ t[:n]
+            t = t + _lu_solve(lu, np.concatenate([r_top, r_bot]))
+        xp = t[:n]
+        if not np.all(np.isfinite(xp)):
+            return None
+        mu = np.zeros(prob.n_ineq)
+        mu[mask] = t[n + me:]
+        cand = QpSolution(xp, t[n:n + me], mu, prob.objective_value(xp),
+                          QpStatus.OPTIMAL, 0.0, 0)
+        cand.kkt_residual = check_kkt(prob, cand)
+        return cand
+
+    def _polish(self, x, y, good_enough=0.0, limit=None):
+        """Polish on the active set detected from the iterates (x, y).
+
+        Returns the best candidate and its mask, or (None, None).  Stops
         at the first candidate whose residual is at most `good_enough`;
         `limit` caps how many threshold variants are tried.
         """
         prob = self.problem
-        n = prob.n
-        me = self._me
         mi = prob.n_ineq
         if mi == 0:
             masks = [np.zeros(0, dtype=bool)]
         else:
-            y_in = y[me:]
+            y_in = y[self._me:]
             slack = prob.ineq_rhs - prob.ineq_matrix @ x
             sy = max(1.0, float(np.max(np.abs(y_in), initial=0.0)))
             ss = max(1.0, float(np.max(np.abs(prob.ineq_rhs), initial=0.0)))
@@ -446,36 +510,20 @@ class Workspace:
                 if not any(np.array_equal(mask, m) for m in masks):
                     masks.append(mask)
 
-        best = None
+        best = best_mask = None
         for mask in masks[:limit]:
             # A rank-deficient row set can yield a negative multiplier even
             # at the true optimum; dropping those rows and re-solving walks
             # to a sign-feasible assignment in a few steps.
             for _ in range(4):
-                entry = self._polish_factor(mask)
-                if entry is None:
+                cand = self._polish_candidate(mask)
+                if cand is None:
                     break
-                lu, g = entry
-                rhs = np.concatenate([-prob.linear_term, prob.eq_rhs,
-                                      prob.ineq_rhs[mask]])
-                t = sla.lu_solve(lu, rhs)
-                for _ in range(3):  # refinement against the exact KKT system
-                    r_top = rhs[:n] - (prob.quadratic_term @ t[:n] + g.T @ t[n:])
-                    r_bot = rhs[n:] - g @ t[:n]
-                    t = t + sla.lu_solve(lu, np.concatenate([r_top, r_bot]))
-                xp = t[:n]
-                if not np.all(np.isfinite(xp)):
-                    break
-                mu = np.zeros(mi)
-                mu_act = t[n + me:]
-                mu[mask] = mu_act
-                cand = QpSolution(xp, t[n:n + me], mu, prob.objective_value(xp),
-                                  QpStatus.OPTIMAL, 0.0, 0)
-                cand.kkt_residual = check_kkt(prob, cand)
                 if best is None or cand.kkt_residual < best.kkt_residual:
-                    best = cand
+                    best, best_mask = cand, mask
                 if best.kkt_residual <= good_enough:
-                    return best
+                    return best, best_mask
+                mu_act = cand.ineq_duals[mask]
                 scale = max(1.0, float(np.max(np.abs(mu_act), initial=0.0)))
                 neg = mu_act < -1e-9 * scale
                 if not neg.any():
@@ -483,7 +531,7 @@ class Workspace:
                 next_mask = mask.copy()
                 next_mask[np.flatnonzero(mask)[neg]] = False
                 mask = next_mask
-        return best
+        return best, best_mask
 
 
 def solve(problem: QpProblem, tol: float = 1e-8, max_iter: int = 20000) -> QpSolution:

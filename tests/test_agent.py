@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from hvactrade.model import (
     verify_schedule,
 )
 from hvactrade.protocol import CoordinatorBroadcast
+from hvactrade.scenario import load_scenario
 
 from oracles import build_pairwise_llp, grid_search_schedule, solve_cemp
 
@@ -318,6 +321,54 @@ def test_llp_warm_resolve_matches_cold():
     assert s_warm.trades == pytest.approx(s_cold.trades, abs=1e-6)
     assert s_warm.grid_draw == pytest.approx(s_cold.grid_draw, abs=1e-6)
     assert warm.last_objective == pytest.approx(cold.last_objective, abs=1e-7)
+
+
+def test_llp_warm_resolve_builds_one_polish_candidate(monkeypatch):
+    """In steady state a round's small change in the consensus values
+    keeps the last accepted active set: the warm re-solve builds one
+    polish candidate on it and runs no splitting iteration."""
+    scn = load_scenario(Path(__file__).resolve().parent.parent / "scenarios"
+                        / "reference_10user.yaml")
+    user = scn.users[0]
+    agent = LocalAgent(user, scn.tariff, scn.grid, partner_ids=tuple(
+        u.id for u in scn.users if u.id != user.id))
+    rng = np.random.default_rng(0)
+    shape = agent.received_aux.shape
+    aux = rng.normal(size=shape) * 0.5
+    duals = rng.normal(size=shape) * 0.05
+    agent.set_coupling(aux, duals, 1.0)
+    agent.solve_llp()
+
+    factors, kkts, solutions = [], [], []
+    polish_factor = qp.Workspace._polish_factor
+    check_kkt = qp.check_kkt
+    solve = qp.Workspace.solve
+
+    def counted_factor(ws, mask):
+        factors.append(mask)
+        return polish_factor(ws, mask)
+
+    def counted_kkt(prob, sol):
+        kkts.append(sol)
+        return check_kkt(prob, sol)
+
+    def recorded_solve(ws, **kwargs):
+        solutions.append(solve(ws, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(qp.Workspace, "_polish_factor", counted_factor)
+    monkeypatch.setattr(qp, "check_kkt", counted_kkt)
+    monkeypatch.setattr(qp.Workspace, "solve", recorded_solve)
+    for _ in range(6):
+        aux = aux + 1e-3 * rng.normal(size=shape)
+        duals = duals + 1e-4 * rng.normal(size=shape)
+        agent.set_coupling(aux, duals, 1.0)
+        factors.clear()
+        kkts.clear()
+        agent.solve_llp()
+        assert len(factors) == 1 and len(kkts) == 1
+        assert solutions[-1].iterations == 0  # no splitting iteration
+        assert solutions[-1].kkt_residual <= agent.solver_tol
 
 
 def test_llp_rho_change_rebuilds_cleanly():

@@ -126,6 +126,18 @@ def test_run_crashed_agent_exits_70_without_traceback(tmp_path, capsys,
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_run_unexpected_exception_exits_70_with_one_line(tmp_path, capsys,
+                                                        monkeypatch):
+    def broken(args):
+        raise RuntimeError("unforeseen")
+
+    monkeypatch.setattr("hvactrade.cli.cmd_run", broken)
+    code = main(["run", TWO_USER, "--out", str(tmp_path / "out")])
+    assert code == 70
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["internal error: RuntimeError: unforeseen"]
+
+
 # --- baseline ----------------------------------------------------------------
 
 def test_baseline_writes_costs_matching_direct_solves(tmp_path):

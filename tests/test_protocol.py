@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import socket
 import struct
 import threading
@@ -304,6 +305,23 @@ def test_socket_poll_raises_when_an_unbound_agent_disconnects():
         tr.close()
 
 
+def test_socket_poll_raises_when_a_watched_process_exits():
+    # a process sentinel is the read end of a pipe that closes on exit
+    read_end, write_end = os.pipe()
+    tr = SocketTransport((1, 2))
+    try:
+        tr.watch(2, read_end)
+        assert tr.poll(0.05) is None
+        os.close(write_end)
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolViolation, match="user 2 exited"):
+            tr.poll(5.0)
+        assert time.monotonic() - t0 < 1.0
+    finally:
+        tr.close()
+        os.close(read_end)
+
+
 # --- collection barrier -----------------------------------------------------
 
 class ScriptedTransport:
@@ -483,3 +501,19 @@ def test_socket_run_names_a_crashed_agent_at_once(tmp_path):
     with pytest.raises(HvacTradeError, match="agent for user 2 failed"):
         run(scenario, transport="socket")
     assert time.monotonic() - t0 < 15.0
+
+
+def test_socket_run_names_an_agent_that_dies_before_connecting(tmp_path):
+    """Agents that cannot read their scenario never connect; the run
+    still ends well before the 60 s barrier timeout, naming a user, and
+    leaves the caller's environment as it was."""
+    scenario = load_scenario(FIXTURES / "two_user_complementary.yaml")
+    assert scenario.admm.barrier_timeout == 60.0
+    (tmp_path / "broken.yaml").write_text("users: [unclosed\n")
+    scenario = dataclasses.replace(scenario, path=tmp_path / "broken.yaml")
+    env = dict(os.environ)
+    t0 = time.monotonic()
+    with pytest.raises(HvacTradeError, match="agent for user [12] failed"):
+        run(scenario, transport="socket")
+    assert time.monotonic() - t0 < 10.0
+    assert dict(os.environ) == env

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import hvactrade
+from hvactrade import qp
 from hvactrade.qp import (
     QpBuilder,
     QpProblem,
@@ -222,6 +230,81 @@ def test_workspace_linear_update_tracks_solution():
     assert second.status is QpStatus.OPTIMAL
     assert second.objective == pytest.approx(fresh.objective, abs=1e-7)
     assert second.kkt_residual <= 1e-8
+
+
+def strictly_convex_qp(rng, n):
+    """Box-constrained QP with Q positive definite: the optimum is unique."""
+    b = rng.normal(size=(n, n))
+    box = np.vstack([np.eye(n), -np.eye(n)])
+    return QpProblem(b @ b.T + np.eye(n), rng.normal(size=n) * 10.0,
+                     ineq_matrix=np.vstack([box, rng.normal(size=(2, n))]),
+                     ineq_rhs=np.concatenate([np.ones(2 * n), [1.5, 1.5]]))
+
+
+def active_rows(prob, x):
+    return prob.ineq_rhs - prob.ineq_matrix @ x < 1e-7
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_warm_resolve_with_a_stale_active_set_matches_cold(seed):
+    """A new linear term that moves the optimum to another active set
+    makes the remembered one fail; the warm solve still finds the
+    optimum."""
+    rng = np.random.default_rng(seed)
+    prob = strictly_convex_qp(rng, n=8)
+    ws = Workspace(prob)
+    first = ws.solve()
+    assert first.status is QpStatus.OPTIMAL
+    new_c = -prob.linear_term + rng.normal(size=8) * 5.0
+    ws.update(linear_term=new_c)
+    warm = ws.solve()
+    cold = solve(QpProblem(prob.quadratic_term, new_c,
+                           ineq_matrix=prob.ineq_matrix, ineq_rhs=prob.ineq_rhs))
+    assert not np.array_equal(active_rows(prob, first.primal),
+                              active_rows(prob, cold.primal))
+    assert warm.status is QpStatus.OPTIMAL
+    assert check_kkt(ws.problem, warm) <= 1e-8
+    assert warm.primal == pytest.approx(cold.primal, abs=1e-7)
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_warm_resolve_rejects_a_non_finite_linear_term(bad):
+    rng = np.random.default_rng(4)
+    prob = strictly_convex_qp(rng, n=5)
+    ws = Workspace(prob)
+    assert ws.solve().status is QpStatus.OPTIMAL
+    c = prob.linear_term.copy()
+    c[2] = bad
+    ws.update(linear_term=c)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        ws.solve()
+
+
+def test_lu_solve_matches_scipy_and_keeps_its_checks():
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(7, 7))
+    b = rng.normal(size=7)
+    factor = sla.lu_factor(a)
+    assert np.array_equal(qp._lu_solve(factor, b), sla.lu_solve(factor, b))
+    with pytest.raises(ValueError, match="incompatible"):
+        qp._lu_solve(factor, np.ones(6))
+    for bad in (np.nan, np.inf, -np.inf):
+        b[3] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            qp._lu_solve(factor, b)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """linprog runs only when infeasibility is declared, so importing
+    the package does not pay for scipy.optimize."""
+    src = str(Path(hvactrade.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hvactrade; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # --- builder and epigraph ----------------------------------------------
