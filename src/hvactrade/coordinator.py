@@ -10,9 +10,7 @@ construction.
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
-import os
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
 
@@ -291,9 +289,8 @@ def run(scenario, config: AdmmConfig | None = None,
                 args=(str(scenario.path), u.id, tr.host, tr.port,
                       rho1, cfg.solver_tol),
                 daemon=True, name=f"agent-{u.id}"))
-        with _one_blas_thread():
-            for pr in procs:
-                pr.start()
+        for pr in procs:
+            pr.start()
         for u, pr in zip(users, procs):
             tr.watch(u.id, pr.sentinel)
     else:
@@ -339,29 +336,6 @@ def run(scenario, config: AdmmConfig | None = None,
                               converged)
     report.wire_frames = list(tr.wire_frames)
     return report
-
-
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                     "MKL_NUM_THREADS")
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Set one BLAS thread for processes started inside the block,
-    where the caller left the thread count unset.
-
-    Each agent solves small dense systems, and many agents share the
-    cores, so threaded BLAS only oversubscribes them.  The caller's
-    environment is restored on exit.
-    """
-    unset = [name for name in _BLAS_THREAD_VARS if name not in os.environ]
-    for name in unset:
-        os.environ[name] = "1"
-    try:
-        yield
-    finally:
-        for name in unset:
-            os.environ.pop(name, None)
 
 
 def _end_agents(procs, tr, finished: bool):

@@ -320,3 +320,20 @@ def test_criterion_9_reports_are_byte_identical(tmp_path):
     assert doc["converged"] is True
     print(f"criterion 9 PASS: report.json byte-identical over "
           f"2 repeats x 2 transports ({len(blobs[0])} bytes)")
+
+
+def test_criterion_9_holds_on_the_ten_home_fixture(tmp_path):
+    """The ten-home factorizations are large enough (a few hundred rows)
+    for a multi-threaded BLAS to round them differently from a
+    single-threaded one, so agents in spawned processes and agents in the
+    coordinator's process must run under the same thread counts.  The
+    runs inherit the suite's environment unchanged."""
+    scenario = load_scenario(FIXTURES / "reference_10user.yaml")
+    blobs = []
+    for transport in ("inproc", "socket"):
+        report = run(scenario, transport=transport)
+        write_report(report, tmp_path / transport)
+        blobs.append((tmp_path / transport / "report.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    print(f"criterion 9 PASS: reference_10user report.json byte-identical "
+          f"across transports ({len(blobs[0])} bytes)")

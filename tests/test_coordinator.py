@@ -1,16 +1,13 @@
 import dataclasses
-import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hvactrade.coordinator import (
-    _BLAS_THREAD_VARS,
     AdmmConfig,
     CoordinatorState,
     convergence_error,
-    _one_blas_thread,
     dual_update,
     hlp_update,
     run,
@@ -293,20 +290,3 @@ def test_run_reports_partial_history_on_iteration_cap():
     assert len(exc.value.history) == 1
     assert exc.value.history[0][0] == 1
 
-
-# --- agent process environment -------------------------------------------
-
-def test_one_blas_thread_fills_unset_counts_and_restores(monkeypatch):
-    for name in _BLAS_THREAD_VARS:
-        monkeypatch.delenv(name, raising=False)
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    before = dict(os.environ)
-    with _one_blas_thread():
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-        assert os.environ["MKL_NUM_THREADS"] == "1"
-        assert os.environ["OMP_NUM_THREADS"] == "3"  # the caller's choice
-    assert dict(os.environ) == before
-    with pytest.raises(RuntimeError):
-        with _one_blas_thread():
-            raise RuntimeError("start failed")
-    assert dict(os.environ) == before
