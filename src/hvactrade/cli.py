@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import coordinator, reports, scenario
+from . import blas, coordinator, reports, scenario
 from .agent import solve_emp
 from .errors import (
     HvacTradeError,
@@ -71,11 +71,14 @@ def cmd_baseline(args) -> int:
     schedules = []
     cost_lines = ["user,emp_cost"]
     total = 0.0
-    for user in scn.users:
-        schedule, cost = solve_emp(user, scn.tariff, scn.grid)
-        total += cost
-        cost_lines.append(f"{user.id},{repr(float(cost))}")
-        schedules.append((user.id, schedule))
+    # the thread count `coordinator.run` uses, so these costs match the
+    # baselines in report.json bit for bit
+    with blas.single_thread():
+        for user in scn.users:
+            schedule, cost = solve_emp(user, scn.tariff, scn.grid)
+            total += cost
+            cost_lines.append(f"{user.id},{repr(float(cost))}")
+            schedules.append((user.id, schedule))
     cost_lines.append(f"system,{repr(float(total))}")
     reports.write_schedules(schedules, out / "schedules.csv")
     (out / "costs.csv").write_text("\n".join(cost_lines) + "\n")

@@ -16,6 +16,7 @@ from multiprocessing.connection import wait
 
 import numpy as np
 
+from . import blas
 from .agent import LocalAgent, solve_emp
 from .errors import (HvacTradeError, NonConvergenceError, ProtocolViolation,
                      SynchronizationTimeout)
@@ -167,7 +168,9 @@ def agent_worker_main(scenario_path: str, user_id: int, host: str, port: int,
     """Entry point of one agent process in socket mode.
 
     Loads its own parameters from the scenario file, so private data
-    never passes through the coordinator process.
+    never passes through the coordinator process.  Agents fork from the
+    forkserver, not from the coordinator, so they set their own single
+    BLAS thread.
     """
     from .scenario import load_scenario
 
@@ -178,7 +181,8 @@ def agent_worker_main(scenario_path: str, user_id: int, host: str, port: int,
                        partner_ids=partners, solver_tol=solver_tol)
     channel = SocketChannel(host, port)
     try:
-        run_agent_loop(agent, channel, rho1)
+        with blas.single_thread():
+            run_agent_loop(agent, channel, rho1)
     finally:
         channel.close()
 
@@ -242,18 +246,34 @@ def _assemble_report(scenario, cfg: AdmmConfig, state: CoordinatorState,
         payment_total=sum(r.payment for r in users))
 
 
+# Modules the agents' forkserver imports once, so that each agent forks
+# with them loaded.  Python 3.11's forkserver ignores the caller's
+# sys.path: from a source checkout that is not on PYTHONPATH the
+# hvactrade entries fail to import, quietly, and each agent imports the
+# package itself.
+_AGENT_PRELOAD = ["numpy", "scipy.linalg", "yaml",
+                  "hvactrade.coordinator", "hvactrade.scenario"]
+
+
 def run(scenario, config: AdmmConfig | None = None,
         transport: str = "inproc", host: str = "127.0.0.1",
         port: int = 0) -> ScenarioReport:
     """Run the full negotiation for a scenario and assemble the report.
 
     `transport` selects the agents' home: the coordinator's own thread,
-    one agent after another ("inproc"), or one spawned process per user
-    over TCP ("socket"); both produce byte-identical reports.  Raises
-    NonConvergence (with the partial history attached) if the
+    one agent after another ("inproc"), or one process per user, forked
+    from a preloaded forkserver, over TCP ("socket"); both produce
+    byte-identical reports.  Every OpenBLAS runs on one thread for the
+    whole run and gets the caller's thread count back afterwards.
+    Raises NonConvergence (with the partial history attached) if the
     disagreement never falls under tolerance, and HvacTradeError naming
     the user when an agent fails.
     """
+    with blas.single_thread():
+        return _negotiate(scenario, config, transport, host, port)
+
+
+def _negotiate(scenario, config, transport, host, port) -> ScenarioReport:
     cfg = config if config is not None else scenario.admm
     users = sorted(scenario.users, key=lambda u: u.id)
     ids = tuple(u.id for u in users)
@@ -282,7 +302,8 @@ def run(scenario, config: AdmmConfig | None = None,
         if not getattr(scenario, "path", None):
             raise ValueError("socket transport needs a scenario loaded from a file")
         tr = SocketTransport(ids, host=host, port=port)
-        ctx = multiprocessing.get_context("spawn")
+        ctx = multiprocessing.get_context("forkserver")
+        ctx.set_forkserver_preload(_AGENT_PRELOAD)
         for u in users:
             procs.append(ctx.Process(
                 target=agent_worker_main,

@@ -216,6 +216,23 @@ def _feasibility_gap(problem: QpProblem) -> float:
     return float(res.fun)
 
 
+def _variable_bounds(problem: QpProblem):
+    """Per-variable (lower, upper) bounds stated by the inequality rows
+    with one nonzero coefficient, such as those QpBuilder makes from
+    variable bounds; +-inf where a variable has none."""
+    a = problem.ineq_matrix
+    lower = np.full(problem.n, -np.inf)
+    upper = np.full(problem.n, np.inf)
+    rows = np.flatnonzero(np.count_nonzero(a, axis=1) == 1)
+    cols = np.nonzero(a[rows])[1]
+    coef = a[rows, cols]
+    bound = problem.ineq_rhs[rows] / coef
+    up = coef > 0
+    np.minimum.at(upper, cols[up], bound[up])
+    np.maximum.at(lower, cols[~up], bound[~up])
+    return lower, upper
+
+
 class Workspace:
     """Reusable solve state for one problem structure.
 
@@ -246,6 +263,7 @@ class Workspace:
         self._have_solution = False
         self._active = None  # active-set mask of the last accepted polish
         self._polish_cache = {}  # active-set mask bytes -> (lu, rows) or None
+        self._var_lower, self._var_upper = _variable_bounds(problem)
 
     def _make_rho(self, base):
         rho = np.full(self._A.shape[0], base)
@@ -283,6 +301,24 @@ class Workspace:
         self._have_solution = True
 
     def solve(self, tol: float = 1e-8, max_iter: int = 20000) -> QpSolution:
+        """Solve the current problem.
+
+        A primal coordinate that lies outside a single-variable row (a
+        bound) by at most `tol` is returned on the bound, so an optimum
+        with an active bound never sits a rounding error outside it.
+        The objective is that of the returned point; the KKT residual
+        and the warm-start state are those of the solver's own iterate.
+        """
+        sol = self._solve(tol, max_iter)
+        x, lower, upper = sol.primal, self._var_lower, self._var_upper
+        outside = (((x < lower) & (x >= lower - tol))
+                   | ((x > upper) & (x <= upper + tol)))
+        if outside.any():
+            sol.primal = np.where(outside, np.clip(x, lower, upper), x)
+            sol.objective = self.problem.objective_value(sol.primal)
+        return sol
+
+    def _solve(self, tol, max_iter) -> QpSolution:
         prob = self.problem
         n = prob.n
         if n == 0:

@@ -8,7 +8,10 @@ verdicts.
 
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -337,3 +340,46 @@ def test_criterion_9_holds_on_the_ten_home_fixture(tmp_path):
     assert blobs[0] == blobs[1]
     print(f"criterion 9 PASS: reference_10user report.json byte-identical "
           f"across transports ({len(blobs[0])} bytes)")
+
+
+_CLI_RUNS = """\
+import sys
+from hvactrade.cli import main
+
+scenario, out = sys.argv[1], sys.argv[2]
+for command in (["run", "--transport", "inproc", "--out", out + "/inproc"],
+                ["run", "--transport", "socket", "--out", out + "/socket"],
+                ["baseline", "--out", out + "/baseline"]):
+    code = main([command[0], scenario] + command[1:])
+    if code:
+        sys.exit(code)
+"""
+
+
+def test_criterion_9_holds_whatever_the_callers_blas_threads(tmp_path):
+    """Reports do not depend on the caller's BLAS thread variables:
+    `reference_10user` over both transports, with the variables unset
+    and with all three at 1, gives one report.json, and `hvactrade
+    baseline` writes the same baseline costs as the report."""
+    src = str(Path(qp.__file__).resolve().parent.parent)
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    blobs = []
+    for setting in ("unset", "one"):
+        env = {k: v for k, v in os.environ.items() if k not in threads}
+        if setting == "one":
+            env.update({k: "1" for k in threads})
+        env["PYTHONPATH"] = src
+        out = tmp_path / setting
+        subprocess.run([sys.executable, "-c", _CLI_RUNS,
+                        str(FIXTURES / "reference_10user.yaml"), str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        for transport in ("inproc", "socket"):
+            blobs.append((out / transport / "report.json").read_bytes())
+        rows = (out / "baseline" / "costs.csv").read_text().splitlines()[1:-1]
+        baseline = {int(u): float(c) for u, c in
+                    (row.split(",") for row in rows)}
+        doc = json.loads(blobs[-1])
+        assert baseline == {u["id"]: u["baseline_cost"] for u in doc["users"]}
+    assert all(b == blobs[0] for b in blobs[1:])
+    print(f"criterion 9 PASS: reference_10user report.json byte-identical "
+          f"over 2 transports x 2 thread settings ({len(blobs[0])} bytes)")

@@ -458,3 +458,18 @@ def test_build_user_qp_checks_trade_price_length():
     bad = Tariff(0.25, 0.5, np.full(5, 0.1))
     with pytest.raises(ValueError, match="trade_price"):
         build_user_qp(params, bad, TimeGrid(3), partner_ids=(2,))
+
+
+@pytest.mark.parametrize("name", ["two_user_complementary", "csv_reference",
+                                  "reference_10user"])
+def test_standalone_schedules_lie_within_their_bounds_exactly(name):
+    """An active bound is returned exactly: a solver iterate a rounding
+    error outside it (a grid draw of -1e-25, say) is put back on it."""
+    scn = load_scenario(Path(__file__).resolve().parent.parent / "scenarios"
+                        / f"{name}.yaml")
+    for user in scn.users:
+        problem, _ = build_user_qp(user, scn.tariff, scn.grid)
+        x = qp.solve(problem).primal
+        bound_rows = np.count_nonzero(problem.ineq_matrix, axis=1) == 1
+        assert np.all(problem.ineq_matrix[bound_rows] @ x
+                      <= problem.ineq_rhs[bound_rows])

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hvactrade.coordinator import (
     AdmmConfig,
@@ -19,7 +20,8 @@ from hvactrade.errors import (
     SynchronizationTimeout,
 )
 from hvactrade.protocol import TradeProposal
-from hvactrade.scenario import load_scenario
+from hvactrade.reports import write_report
+from hvactrade.scenario import build_synth_scenario, load_scenario
 
 from oracles import solve_cemp
 
@@ -290,3 +292,31 @@ def test_run_reports_partial_history_on_iteration_cap():
     assert len(exc.value.history) == 1
     assert exc.value.history[0][0] == 1
 
+
+
+def test_ten_home_run_at_rho0_3_writes_a_report(tmp_path):
+    """The final cold re-solves used to return a grid draw a rounding
+    error below zero at this penalty, which the cost model rejects."""
+    scenario = load_scenario(FIXTURES / "reference_10user.yaml")
+    config = dataclasses.replace(scenario.admm, rho0=3.0)
+    report = run(scenario, config=config)
+    assert report.converged
+    assert report.iterations == 205
+    write_report(report, tmp_path)
+    assert (tmp_path / "report.json").exists()
+
+
+@settings(max_examples=12, deadline=None)
+@given(n_users=st.integers(2, 4), horizon=st.integers(2, 8),
+       seed=st.integers(0, 10_000), rho0=st.floats(0.3, 10.0))
+def test_every_converged_run_assembles_a_report(n_users, horizon, seed, rho0):
+    scenario = build_synth_scenario(n_users, horizon, seed=seed)
+    config = dataclasses.replace(scenario.admm, rho0=rho0, max_iter=400)
+    try:
+        report = run(scenario, config=config)
+    except NonConvergenceError:
+        return
+    assert report.converged
+    for user in report.users:
+        for name in ("renewable_use", "grid_draw", "hvac_power"):
+            assert np.all(getattr(user.schedule, name) >= 0.0)

@@ -295,6 +295,24 @@ def test_lu_solve_matches_scipy_and_keeps_its_checks():
             qp._lu_solve(factor, b)
 
 
+def test_solve_puts_a_primal_within_tol_of_a_bound_on_it(monkeypatch):
+    b = QpBuilder()
+    x = b.add_vars(4, "x", lb=0.0, ub=1.0)
+    b.add_ineq([x[3]], [-2.0], 1.0)  # x3 >= -0.5, a scaled bound row
+    b.add_linear(x, [1.0, -1.0, 0.5, 0.25])
+    prob = b.build()
+    ws = Workspace(prob)
+    raw = np.array([-1e-12, 1.0 + 1e-12, -1e-3, 0.5])
+    monkeypatch.setattr(ws, "_solve", lambda tol, max_iter: QpSolution(
+        raw.copy(), np.zeros(0), np.zeros(prob.n_ineq), 0.0,
+        QpStatus.OPTIMAL, 0.0, 1))
+    sol = ws.solve(tol=1e-8)
+    # x2 is 1e-3 outside its bound, far beyond tol: left for the caller
+    # to see, not hidden
+    assert sol.primal.tolist() == [0.0, 1.0, -1e-3, 0.5]
+    assert sol.objective == prob.objective_value(sol.primal)
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     """linprog runs only when infeasibility is declared, so importing
     the package does not pay for scipy.optimize."""
