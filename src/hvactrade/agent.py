@@ -218,14 +218,16 @@ class LocalAgent:
     def receive(self, broadcast):
         """Apply a coordinator broadcast: per-counterparty consensus and
         dual rows, plus the penalty weight for the next round."""
-        aux = np.zeros_like(self.received_aux)
-        duals = np.zeros_like(self.received_duals)
-        for r, j in enumerate(self.partner_ids):
-            if j not in broadcast.aux_row or j not in broadcast.dual_row:
+        aux_row, dual_row = broadcast.aux_row, broadcast.dual_row
+        for j in self.partner_ids:
+            if j not in aux_row or j not in dual_row:
                 raise ProtocolViolation(
                     f"user {self.user_id}: broadcast missing counterparty {j}")
-            aux[r] = np.asarray(broadcast.aux_row[j], dtype=np.float64)
-            duals[r] = np.asarray(broadcast.dual_row[j], dtype=np.float64)
+        if self.partner_ids:
+            aux = np.stack([aux_row[j] for j in self.partner_ids])
+            duals = np.stack([dual_row[j] for j in self.partner_ids])
+        else:
+            aux, duals = self.received_aux, self.received_duals
         self.set_coupling(aux, duals, broadcast.rho)
 
     def solve_llp(self, rho: float | None = None) -> Schedule:
@@ -305,10 +307,9 @@ def outbound_message(state: LocalAgent):
     if state.last_schedule is None:
         raise ProtocolViolation(
             f"user {state.user_id}: no schedule solved this round")
-    trades = {int(j): state.last_schedule.trades[r].copy()
-              for r, j in enumerate(state.partner_ids)}
-    message = TradeProposal(user_id=state.user_id,
-                            iteration=state.iteration, trades=trades)
+    trades = state.last_schedule.trades.copy()
+    message = TradeProposal(user_id=state.user_id, iteration=state.iteration,
+                            trades=dict(zip(state.partner_ids, trades)))
     present = {f.name for f in dataclasses.fields(message)}
     if present != _OUTBOUND_FIELDS:
         raise ProtocolViolation(

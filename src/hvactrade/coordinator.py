@@ -10,7 +10,9 @@ construction.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
 
@@ -70,6 +72,10 @@ class CoordinatorState:
     rho: float = 1.0
     iteration: int = 0
     history: list[tuple[int, float, float]] = field(default_factory=list)
+    index: dict[int, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.index = {u: i for i, u in enumerate(self.ids)}
 
     @classmethod
     def initial(cls, ids, horizon: int) -> "CoordinatorState":
@@ -78,35 +84,38 @@ class CoordinatorState:
         return cls(ids=ids, aux_trades=np.zeros((n, n, horizon)),
                    duals=np.zeros((n, n, horizon)))
 
-    @property
-    def index(self) -> dict[int, int]:
-        return {u: i for i, u in enumerate(self.ids)}
 
-
-def _proposal_tensor(proposals, state: CoordinatorState) -> np.ndarray:
-    """Stack proposals into an N x N x H tensor, checking completeness."""
+def proposal_tensor(proposals, state: CoordinatorState) -> np.ndarray:
+    """Stack one round's proposals into the N x N x H tensor the updates
+    take, checking that every user proposed once, for every counterparty
+    and every slot."""
     n = len(state.ids)
     h = state.aux_trades.shape[2]
     index = state.index
     p = np.zeros((n, n, h))
     seen = set()
     for msg in proposals:
-        if msg.user_id not in index:
+        i = index.get(msg.user_id)
+        if i is None:
             raise ProtocolViolation(f"proposal from unknown user {msg.user_id}")
         if msg.user_id in seen:
             raise ProtocolViolation(f"duplicate proposal from user {msg.user_id}")
         seen.add(msg.user_id)
+        trades = msg.trades
         expected = set(state.ids) - {msg.user_id}
-        if set(msg.trades) != expected:
+        if trades.keys() != expected:
             raise ProtocolViolation(
                 f"user {msg.user_id}: proposal covers counterparties "
-                f"{sorted(msg.trades)}, expected {sorted(expected)}")
-        for j, vec in msg.trades.items():
-            if vec.shape[0] != h:
-                raise ProtocolViolation(
-                    f"user {msg.user_id}: trade row for {j} has "
-                    f"{vec.shape[0]} slots, expected {h}")
-            p[index[msg.user_id], index[j]] = vec
+                f"{sorted(trades)}, expected {sorted(expected)}")
+        if not trades:
+            continue
+        # a message's rows share one length
+        j, vec = next(iter(trades.items()))
+        if vec.shape[0] != h:
+            raise ProtocolViolation(
+                f"user {msg.user_id}: trade row for {j} has "
+                f"{vec.shape[0]} slots, expected {h}")
+        p[i, [index[j] for j in trades]] = list(trades.values())
     if len(seen) != n:
         missing = tuple(u for u in state.ids if u not in seen)
         raise SynchronizationTimeout(
@@ -114,14 +123,13 @@ def _proposal_tensor(proposals, state: CoordinatorState) -> np.ndarray:
     return p
 
 
-def hlp_update(proposals, state: CoordinatorState) -> np.ndarray:
-    """Closed-form consensus update.
+def hlp_update(p: np.ndarray, state: CoordinatorState) -> np.ndarray:
+    """Closed-form consensus update from the round's proposal tensor.
 
     For each ordered pair the new value averages the two endpoints'
     positions, shifted by their dual gap, and is antisymmetric by
     construction; the diagonal stays zero.
     """
-    p = _proposal_tensor(proposals, state)
     rho = state.rho
     pt = np.swapaxes(p, 0, 1)
     lt = np.swapaxes(state.duals, 0, 1)
@@ -132,18 +140,16 @@ def hlp_update(proposals, state: CoordinatorState) -> np.ndarray:
     return aux
 
 
-def dual_update(state: CoordinatorState, proposals) -> np.ndarray:
+def dual_update(state: CoordinatorState, p: np.ndarray) -> np.ndarray:
     """Dual ascent on the agreement gap, after the consensus update."""
-    p = _proposal_tensor(proposals, state)
     state.duals = state.duals + state.rho * (state.aux_trades - p)
     return state.duals
 
 
-def convergence_error(state: CoordinatorState, proposals,
+def convergence_error(state: CoordinatorState, p: np.ndarray,
                       norm: str = "l1") -> float:
-    """Total disagreement between consensus values and proposals,
-    summed per user so each pair counts from both endpoints."""
-    p = _proposal_tensor(proposals, state)
+    """Total disagreement between consensus values and the proposal
+    tensor, summed per user so each pair counts from both endpoints."""
     r = state.aux_trades - p
     if norm == "l1":
         return float(np.abs(r).sum())
@@ -154,13 +160,14 @@ def convergence_error(state: CoordinatorState, proposals,
 
 
 def _row_dicts(state: CoordinatorState, uid: int):
-    idx = state.index
-    i = idx[uid]
-    aux_row = {j: state.aux_trades[i, idx[j]].copy()
-               for j in state.ids if j != uid}
-    dual_row = {j: state.duals[i, idx[j]].copy()
-                for j in state.ids if j != uid}
-    return aux_row, dual_row
+    """One user's consensus and dual rows, keyed by counterparty.  The
+    values are rows of fresh copies, so a broadcast built from them
+    shares no array with the state."""
+    i = state.index[uid]
+    partners = state.ids[:i] + state.ids[i + 1:]
+    cols = [c for c in range(len(state.ids)) if c != i]
+    return (dict(zip(partners, state.aux_trades[i, cols])),
+            dict(zip(partners, state.duals[i, cols])))
 
 
 def agent_worker_main(scenario_path: str, user_id: int, host: str, port: int,
@@ -247,12 +254,32 @@ def _assemble_report(scenario, cfg: AdmmConfig, state: CoordinatorState,
 
 
 # Modules the agents' forkserver imports once, so that each agent forks
-# with them loaded.  Python 3.11's forkserver ignores the caller's
-# sys.path: from a source checkout that is not on PYTHONPATH the
-# hvactrade entries fail to import, quietly, and each agent imports the
-# package itself.
+# with them loaded.
 _AGENT_PRELOAD = ["numpy", "scipy.linalg", "yaml",
                   "hvactrade.coordinator", "hvactrade.scenario"]
+
+
+@contextlib.contextmanager
+def _this_package_first():
+    """Put the directory holding this hvactrade package at the front of
+    PYTHONPATH, and restore the variable afterwards.
+
+    Python 3.11's forkserver ignores the caller's sys.path, so it would
+    preload hvactrade from its own path: from a source checkout that is
+    not on PYTHONPATH the preload fails quietly and every agent imports
+    the package itself, and another copy on PYTHONPATH would be the one
+    the agents run.  The forkserver reads the variable once, when the
+    first agent start launches it."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    old = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (root, old)))
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = old
 
 
 def run(scenario, config: AdmmConfig | None = None,
@@ -310,8 +337,9 @@ def _negotiate(scenario, config, transport, host, port) -> ScenarioReport:
                 args=(str(scenario.path), u.id, tr.host, tr.port,
                       rho1, cfg.solver_tol),
                 daemon=True, name=f"agent-{u.id}"))
-        for pr in procs:
-            pr.start()
+        with _this_package_first():
+            for pr in procs:
+                pr.start()
         for u, pr in zip(users, procs):
             tr.watch(u.id, pr.sentinel)
     else:
@@ -326,9 +354,10 @@ def _negotiate(scenario, config, transport, host, port) -> ScenarioReport:
             proposals = barrier_collect(tr, n, k, cfg.barrier_timeout)
             state.iteration = k
             state.rho = rho_k
-            hlp_update(proposals, state)
-            dual_update(state, proposals)
-            err = convergence_error(state, proposals, cfg.norm)
+            p = proposal_tensor(proposals, state)
+            hlp_update(p, state)
+            dual_update(state, p)
+            err = convergence_error(state, p, cfg.norm)
             state.history.append((k, err, rho_k))
             done = err <= cfg.tolerance or k == cfg.max_iter
             rho_next = stepsize(k + 1, cfg)

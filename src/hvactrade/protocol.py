@@ -7,16 +7,24 @@ completion flag.  Both serialize to length-prefixed binary frames
 (`[u32 length][u8 tag][payload]`, little-endian, length counting tag
 plus payload) so the privacy property can be checked on raw bytes.
 
+A frame's rows travel as one block: each row is a u32 counterparty id
+followed by the row's doubles (trades, or consensus then duals), and the
+codec reads or writes the whole block as one numpy structured array.
+
 Every agent advances through `LocalAgent.step`, one call per round.
-The in-process transport calls it directly in the coordinator's thread,
-passing each frame through the codec on the way; over TCP each agent
+The in-process transport calls it directly in the coordinator's thread
+and hands each message object across as it is; over TCP each agent
 process calls it from `run_agent_loop`.  Both transports capture every
-frame in `wire_frames` for auditing, and sharing one step keeps runs
-bit-identical across them.
+frame in `wire_frames` for auditing.  In-process frames are the recorded
+encodings of the messages passed, never decoded: the codec carries
+float64 exactly, so the message an agent gets is the one a decode would
+have produced, and sharing one step keeps runs bit-identical across the
+transports.
 """
 
 from __future__ import annotations
 
+import functools
 import selectors
 import socket
 import struct
@@ -88,37 +96,42 @@ class CoordinatorBroadcast:
             raise ValueError("aux_row and dual_row must cover the same ids")
 
 
-def _encode_rows(rows: dict[int, np.ndarray]) -> tuple[bytes, int]:
-    ids = sorted(rows)
-    h = rows[ids[0]].shape[0] if ids else 0
-    parts = []
-    for j in ids:
-        parts.append(struct.pack("<I", j))
-        parts.append(rows[j].astype("<f8").tobytes())
-    return b"".join(parts), h
+@functools.lru_cache(maxsize=64)
+def _row_dtype(n_vecs: int, h: int) -> np.dtype:
+    """One wire row: a u32 counterparty id, then n_vecs runs of h doubles."""
+    return np.dtype([("id", "<u4"), ("v", "<f8", (n_vecs, h))])
+
+
+def _encode_rows(*fields: dict[int, np.ndarray]) -> tuple[bytes, int, int]:
+    """Serialize rows that share their ids, in id order, as one block.
+
+    Returns (block bytes, row count, slots per vector)."""
+    ids = sorted(fields[0])
+    if not ids:
+        return b"", 0, 0
+    h = fields[0][ids[0]].shape[0]
+    block = np.empty(len(ids), dtype=_row_dtype(len(fields), h))
+    block["id"] = ids
+    for f, rows in enumerate(fields):
+        block["v"][:, f] = [rows[j] for j in ids]
+    return block.tobytes(), len(ids), h
 
 
 def encode(message) -> bytes:
     """Serialize a message to one wire frame (length prefix included)."""
     if isinstance(message, TradeProposal):
-        rows, h = _encode_rows(message.trades)
-        payload = struct.pack("<IIII", message.user_id, message.iteration,
-                              len(message.trades), h) + rows
+        rows, n_rows, h = _encode_rows(message.trades)
+        head = struct.pack("<IIII", message.user_id, message.iteration,
+                           n_rows, h)
         tag = TAG_PROPOSAL
     elif isinstance(message, CoordinatorBroadcast):
-        ids = sorted(message.aux_row)
-        h = message.aux_row[ids[0]].shape[0] if ids else 0
-        parts = [struct.pack("<IdBII", message.iteration, message.rho,
-                             int(message.done), len(ids), h)]
-        for j in ids:
-            parts.append(struct.pack("<I", j))
-            parts.append(message.aux_row[j].astype("<f8").tobytes())
-            parts.append(message.dual_row[j].astype("<f8").tobytes())
-        payload = b"".join(parts)
+        rows, n_rows, h = _encode_rows(message.aux_row, message.dual_row)
+        head = struct.pack("<IdBII", message.iteration, message.rho,
+                           int(message.done), n_rows, h)
         tag = TAG_BROADCAST
     else:
         raise TypeError(f"cannot encode {type(message).__name__}")
-    body = struct.pack("<B", tag) + payload
+    body = struct.pack("<B", tag) + head + rows
     if len(body) > MAX_FRAME:
         raise ValueError(f"frame body of {len(body)} bytes exceeds {MAX_FRAME}")
     return struct.pack("<I", len(body)) + body
@@ -131,12 +144,46 @@ def _take(frame: bytes, offset: int, fmt: str):
     return struct.unpack_from(fmt, frame, offset), offset + size
 
 
-def _take_floats(frame: bytes, offset: int, count: int) -> tuple[np.ndarray, int]:
-    size = 8 * count
-    if offset + size > len(frame):
-        raise DecodeError(f"truncated float block at offset {offset}")
-    vec = np.frombuffer(frame, dtype="<f8", count=count, offset=offset)
-    return vec.astype(np.float64), offset + size
+def _decode_rows(frame: bytes, off: int, n_rows: int, h: int,
+                 n_vecs: int) -> tuple[list[int], np.ndarray]:
+    """Read a row block: (ids, values of shape rows x n_vecs x h).
+
+    The values are one aligned float64 copy of the block.  A malformed
+    block raises the DecodeError, and names the offset, that reading it
+    row by row would have met first; the sizes are checked against the
+    bytes left before any array is built.
+    """
+    row = 4 + 8 * n_vecs * h
+    left = len(frame) - off
+    whole = min(n_rows, left // row)
+    ids: list[int] = []
+    values = np.empty((0, n_vecs, h))
+    if whole:
+        block = np.frombuffer(frame, dtype=_row_dtype(n_vecs, h),
+                              count=whole, offset=off)
+        ids = block["id"].tolist()
+        if len(set(ids)) < whole:
+            seen = set()
+            for r, j in enumerate(ids):
+                if j in seen:
+                    raise DecodeError(f"repeated counterparty {j} at offset "
+                                      f"{off + r * row + 4}")
+                seen.add(j)
+        values = block["v"].astype(np.float64)
+    end = off + whole * row
+    if whole < n_rows:
+        if len(frame) - end < 4:
+            raise DecodeError(f"truncated payload at offset {end}")
+        (j,) = struct.unpack_from("<I", frame, end)
+        if j in ids:
+            raise DecodeError(f"repeated counterparty {j} at offset {end + 4}")
+        # the bytes left hold an id but not the whole row, so h > 0
+        done = (len(frame) - end - 4) // (8 * h)
+        raise DecodeError(f"truncated float block at offset "
+                          f"{end + 4 + 8 * h * done}")
+    if end != len(frame):
+        raise DecodeError(f"{len(frame) - end} trailing bytes at offset {end}")
+    return ids, values
 
 
 def decode(frame: bytes):
@@ -152,36 +199,20 @@ def decode(frame: bytes):
         raise DecodeError(f"length prefix {length} at offset 0 does not match "
                           f"body of {len(frame) - 4} bytes")
     tag = frame[4]
-    off = 5
-    if tag == TAG_PROPOSAL:
-        (user_id, iteration, n_rows, h), off = _take(frame, off, "<IIII")
-        trades = {}
-        for _ in range(n_rows):
-            (j,), off = _take(frame, off, "<I")
-            if j in trades:
-                raise DecodeError(f"repeated counterparty {j} at offset {off}")
-            trades[j], off = _take_floats(frame, off, h)
-        if off != len(frame):
-            raise DecodeError(f"{len(frame) - off} trailing bytes at offset {off}")
-        try:
-            return TradeProposal(user_id, iteration, trades)
-        except ValueError as exc:
-            raise DecodeError(str(exc)) from exc
-    if tag == TAG_BROADCAST:
-        (iteration, rho, done, n_rows, h), off = _take(frame, off, "<IdBII")
-        aux, duals = {}, {}
-        for _ in range(n_rows):
-            (j,), off = _take(frame, off, "<I")
-            if j in aux:
-                raise DecodeError(f"repeated counterparty {j} at offset {off}")
-            aux[j], off = _take_floats(frame, off, h)
-            duals[j], off = _take_floats(frame, off, h)
-        if off != len(frame):
-            raise DecodeError(f"{len(frame) - off} trailing bytes at offset {off}")
-        try:
-            return CoordinatorBroadcast(iteration, aux, duals, rho, bool(done))
-        except ValueError as exc:
-            raise DecodeError(str(exc)) from exc
+    try:
+        if tag == TAG_PROPOSAL:
+            (user_id, iteration, n_rows, h), off = _take(frame, 5, "<IIII")
+            ids, values = _decode_rows(frame, off, n_rows, h, 1)
+            return TradeProposal(user_id, iteration,
+                                 dict(zip(ids, values[:, 0])))
+        if tag == TAG_BROADCAST:
+            (iteration, rho, done, n_rows, h), off = _take(frame, 5, "<IdBII")
+            ids, values = _decode_rows(frame, off, n_rows, h, 2)
+            return CoordinatorBroadcast(
+                iteration, dict(zip(ids, values[:, 0])),
+                dict(zip(ids, values[:, 1])), rho, bool(done))
+    except ValueError as exc:
+        raise DecodeError(str(exc)) from exc
     raise DecodeError(f"unknown message tag {tag} at offset 4")
 
 
@@ -206,8 +237,9 @@ class InProcTransport:
     Each agent takes its first step on construction.  `send_to` hands a
     broadcast to its agent, which answers at once with its next
     proposal; `poll` returns the proposals in the order they were made.
-    Both directions still cross the codec, and every frame is recorded
-    in `wire_frames`.
+    Every message is encoded into `wire_frames` and then handed over as
+    the object itself: a sender builds each message from fresh arrays,
+    so the receiver shares nothing mutable with it.
     """
 
     def __init__(self, agents, rho1: float):
@@ -219,16 +251,15 @@ class InProcTransport:
             self._agents[uid].rho = float(rho1)
             self._step(uid, None)
 
-    def _step(self, user_id: int, frame: bytes | None):
+    def _step(self, user_id: int, broadcast: CoordinatorBroadcast | None):
         agent = self._agents[user_id]
         try:
-            message = agent.step(None if frame is None else decode(frame))
+            message = agent.step(broadcast)
         except Exception as exc:
             raise HvacTradeError(f"agent for user {user_id} failed: {exc}") from exc
         if message is not None:
-            frame = encode(message)
-            self.wire_frames.append(frame)
-            self._ready.append(decode(frame))
+            self.wire_frames.append(encode(message))
+            self._ready.append(message)
 
     def poll(self, timeout: float):
         return self._ready.pop(0) if self._ready else None
@@ -236,9 +267,8 @@ class InProcTransport:
     def send_to(self, user_id: int, broadcast: CoordinatorBroadcast):
         if int(user_id) not in self._agents:
             raise ProtocolViolation(f"unknown user id {user_id}")
-        frame = encode(broadcast)
-        self.wire_frames.append(frame)
-        self._step(int(user_id), frame)
+        self.wire_frames.append(encode(broadcast))
+        self._step(int(user_id), broadcast)
 
     def rerequest(self, user_id: int) -> bool:
         # an agent answers each broadcast once, as it arrives

@@ -25,6 +25,7 @@ from hvactrade.coordinator import (
     convergence_error,
     dual_update,
     hlp_update,
+    proposal_tensor,
     run,
     stepsize,
 )
@@ -122,7 +123,7 @@ def test_criterion_3_update_rules_exact_and_antisymmetric():
     state = CoordinatorState.initial((1, 2), horizon=1)
     props = [TradeProposal(1, 1, {2: np.array([1.0])}),
              TradeProposal(2, 1, {1: np.array([0.0])})]
-    aux = hlp_update(props, state)
+    aux = hlp_update(proposal_tensor(props, state), state)
     assert aux[0, 1, 0] == 0.5 and aux[1, 0, 0] == -0.5
     # hand case: residual of 0.5 at unit weight moves the dual by 0.5
     state = CoordinatorState.initial((1, 2), horizon=1)
@@ -130,7 +131,7 @@ def test_criterion_3_update_rules_exact_and_antisymmetric():
     state.aux_trades[1, 0, 0] = -0.5
     zeros = [TradeProposal(1, 1, {2: np.array([0.0])}),
              TradeProposal(2, 1, {1: np.array([0.0])})]
-    duals = dual_update(state, zeros)
+    duals = dual_update(state, proposal_tensor(zeros, state))
     assert duals[0, 1, 0] == 0.5 and duals[1, 0, 0] == -0.5
 
     # consensus stays antisymmetric through a full ten-user negotiation
@@ -157,12 +158,13 @@ def test_criterion_3_update_rules_exact_and_antisymmetric():
             agent.solve_llp()
             proposals.append(agent.outbound_message())
         state.rho = rho_k
-        aux = hlp_update(proposals, state)
+        p = proposal_tensor(proposals, state)
+        aux = hlp_update(p, state)
         asym = float(np.max(np.abs(aux + aux.swapaxes(0, 1))))
         assert asym <= 1e-12, f"round {k}"
         worst = max(worst, asym)
-        dual_update(state, proposals)
-        if convergence_error(state, proposals, cfg.norm) <= cfg.tolerance:
+        dual_update(state, p)
+        if convergence_error(state, p, cfg.norm) <= cfg.tolerance:
             converged = True
             break
     assert converged

@@ -1,16 +1,21 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hvactrade import coordinator
 from hvactrade.coordinator import (
     AdmmConfig,
     CoordinatorState,
     convergence_error,
     dual_update,
     hlp_update,
+    proposal_tensor,
     run,
     stepsize,
 )
@@ -45,7 +50,7 @@ def test_hlp_hand_case_half_split():
     state = CoordinatorState.initial((1, 2), horizon=1)
     p = np.zeros((2, 2, 1))
     p[0, 1, 0] = 1.0
-    aux = hlp_update(proposals_from(state, p), state)
+    aux = hlp_update(proposal_tensor(proposals_from(state, p), state), state)
     assert aux[0, 1, 0] == 0.5
     assert aux[1, 0, 0] == -0.5
     assert aux[0, 0, 0] == 0.0 and aux[1, 1, 0] == 0.0
@@ -55,7 +60,7 @@ def test_hlp_hand_case_dual_gap_shifts_consensus():
     state = CoordinatorState.initial((1, 2), horizon=1)
     state.duals[0, 1, 0] = 0.2
     p = np.zeros((2, 2, 1))
-    aux = hlp_update(proposals_from(state, p), state)
+    aux = hlp_update(proposal_tensor(proposals_from(state, p), state), state)
     assert aux[0, 1, 0] == -0.1
     assert aux[1, 0, 0] == 0.1
 
@@ -65,7 +70,7 @@ def test_hlp_agreeing_proposals_are_a_fixed_point():
     p = np.zeros((2, 2, 2))
     p[0, 1] = [0.7306, -0.25]
     p[1, 0] = -p[0, 1]
-    aux = hlp_update(proposals_from(state, p), state)
+    aux = hlp_update(proposal_tensor(proposals_from(state, p), state), state)
     assert np.array_equal(aux, p)
 
 
@@ -75,12 +80,14 @@ def test_hlp_equal_duals_cancel():
     p[np.arange(2), np.arange(2)] = 0.0
 
     plain = CoordinatorState.initial((1, 2), horizon=3)
-    aux_plain = hlp_update(proposals_from(plain, p), plain)
+    aux_plain = hlp_update(proposal_tensor(proposals_from(plain, p), plain),
+                           plain)
 
     shifted = CoordinatorState.initial((1, 2), horizon=3)
     shifted.duals[0, 1] = 0.37
     shifted.duals[1, 0] = 0.37
-    aux_shifted = hlp_update(proposals_from(shifted, p), shifted)
+    aux_shifted = hlp_update(
+        proposal_tensor(proposals_from(shifted, p), shifted), shifted)
     assert np.array_equal(aux_plain, aux_shifted)
 
 
@@ -94,7 +101,7 @@ def test_hlp_antisymmetric_bitwise(seed):
     state.duals = rng.normal(size=(4, 4, 3))
     p = rng.normal(size=(4, 4, 3))
     p[np.arange(4), np.arange(4)] = 0.0
-    aux = hlp_update(proposals_from(state, p), state)
+    aux = hlp_update(proposal_tensor(proposals_from(state, p), state), state)
     assert np.all(aux + aux.swapaxes(0, 1) == 0.0)
     assert np.all(aux[np.arange(4), np.arange(4)] == 0.0)
 
@@ -106,7 +113,7 @@ def test_dual_hand_case():
     state.aux_trades[0, 1, 0] = 0.5
     state.aux_trades[1, 0, 0] = -0.5
     p = np.zeros((2, 2, 1))
-    duals = dual_update(state, proposals_from(state, p))
+    duals = dual_update(state, proposal_tensor(proposals_from(state, p), state))
     assert duals[0, 1, 0] == 0.5
     assert duals[1, 0, 0] == -0.5
 
@@ -120,7 +127,7 @@ def test_dual_unchanged_at_zero_residual():
     state.aux_trades = p.copy()
     before = rng.normal(size=(2, 2, 3))
     state.duals = before.copy()
-    duals = dual_update(state, proposals_from(state, p))
+    duals = dual_update(state, proposal_tensor(proposals_from(state, p), state))
     assert np.array_equal(duals, before)
 
 
@@ -128,7 +135,8 @@ def test_dual_scales_with_rho():
     state = CoordinatorState.initial((1, 2), horizon=1)
     state.rho = 4.0
     state.aux_trades[0, 1, 0] = 0.5
-    duals = dual_update(state, proposals_from(state, np.zeros((2, 2, 1))))
+    p = np.zeros((2, 2, 1))
+    duals = dual_update(state, proposal_tensor(proposals_from(state, p), state))
     assert duals[0, 1, 0] == 2.0
 
 
@@ -146,13 +154,15 @@ def disagreement_state():
 
 def test_error_l1_counts_both_endpoints():
     state, props = disagreement_state()
-    assert convergence_error(state, props) == pytest.approx(0.4, abs=1e-14)
+    err = convergence_error(state, proposal_tensor(props, state))
+    assert err == pytest.approx(0.4, abs=1e-14)
 
 
 def test_error_l2_sums_per_user_norms():
     state, props = disagreement_state()
     expected = 2.0 * np.sqrt(2 * 0.1 ** 2)
-    err = convergence_error(state, props, norm="l2")
+    err = convergence_error(state, proposal_tensor(props, state),
+                            norm="l2")
     assert err == pytest.approx(expected, abs=1e-14)
 
 
@@ -162,13 +172,15 @@ def test_error_zero_when_consensus_matches():
     p[0, 1] = [0.25, -1.0]
     p[1, 0] = -p[0, 1]
     state.aux_trades = p.copy()
-    assert convergence_error(state, proposals_from(state, p)) == 0.0
+    assert convergence_error(state, proposal_tensor(
+        proposals_from(state, p), state)) == 0.0
 
 
 def test_error_rejects_unknown_norm():
     state, props = disagreement_state()
     with pytest.raises(ValueError, match="norm"):
-        convergence_error(state, props, norm="linf")
+        convergence_error(state, proposal_tensor(props, state),
+                          norm="linf")
 
 
 # --- penalty schedule ----------------------------------------------------
@@ -208,14 +220,14 @@ def test_duplicate_proposal_rejected():
     msg = TradeProposal(1, 1, {2: np.zeros(1)})
     other = TradeProposal(2, 1, {1: np.zeros(1)})
     with pytest.raises(ProtocolViolation, match="duplicate"):
-        hlp_update([msg, msg, other], state)
+        proposal_tensor([msg, msg, other], state)
 
 
 def test_missing_proposal_times_out_with_names():
     state = CoordinatorState.initial((1, 2), horizon=1)
     msg = TradeProposal(1, 1, {2: np.zeros(1)})
     with pytest.raises(SynchronizationTimeout) as exc:
-        hlp_update([msg], state)
+        proposal_tensor([msg], state)
     assert exc.value.missing == (2,)
 
 
@@ -223,7 +235,7 @@ def test_unknown_sender_rejected():
     state = CoordinatorState.initial((1, 2), horizon=1)
     msg = TradeProposal(7, 1, {1: np.zeros(1)})
     with pytest.raises(ProtocolViolation, match="unknown"):
-        hlp_update([msg], state)
+        proposal_tensor([msg], state)
 
 
 def test_partial_counterparty_coverage_rejected():
@@ -232,7 +244,7 @@ def test_partial_counterparty_coverage_rejected():
             TradeProposal(2, 1, {1: np.zeros(1), 3: np.zeros(1)}),
             TradeProposal(3, 1, {1: np.zeros(1), 2: np.zeros(1)})]
     with pytest.raises(ProtocolViolation, match="covers"):
-        hlp_update(msgs, state)
+        proposal_tensor(msgs, state)
 
 
 def test_wrong_row_length_rejected():
@@ -240,7 +252,7 @@ def test_wrong_row_length_rejected():
     msgs = [TradeProposal(1, 1, {2: np.zeros(3)}),
             TradeProposal(2, 1, {1: np.zeros(2)})]
     with pytest.raises(ProtocolViolation, match="slots"):
-        hlp_update(msgs, state)
+        proposal_tensor(msgs, state)
 
 
 # --- full negotiation ----------------------------------------------------
@@ -282,6 +294,54 @@ def test_two_user_run_matches_centralized_plan():
             mine = u.trades[r]
             theirs = back.trades[back.partner_ids.index(u.user_id)]
             assert np.array_equal(mine, -theirs)
+
+
+def test_run_builds_one_proposal_tensor_per_round(monkeypatch):
+    calls = []
+    build = coordinator.proposal_tensor
+
+    def counting(proposals, state):
+        calls.append(state.iteration)
+        return build(proposals, state)
+
+    monkeypatch.setattr(coordinator, "proposal_tensor", counting)
+    report = run(load_scenario(FIXTURES / "two_user_complementary.yaml"))
+    assert calls == list(range(1, report.iterations + 1))
+
+
+_DECOY = """\
+import pathlib
+pathlib.Path(__file__).parent.parent.joinpath("imported").write_text("yes")
+"""
+
+_SOCKET_RUN = """\
+import os
+import sys
+sys.path.insert(0, sys.argv[1])
+from hvactrade.coordinator import run
+from hvactrade.scenario import load_scenario
+before = os.environ["PYTHONPATH"]
+if not run(load_scenario(sys.argv[2]), transport="socket").converged:
+    sys.exit("no agreement")
+if os.environ["PYTHONPATH"] != before:
+    sys.exit("PYTHONPATH not restored")
+"""
+
+
+def test_socket_agents_run_the_callers_package(tmp_path):
+    """A caller that reaches hvactrade through sys.path, with another
+    copy on PYTHONPATH, gets agents that preload and run its own copy."""
+    decoy = tmp_path / "decoy"
+    (decoy / "hvactrade").mkdir(parents=True)
+    (decoy / "hvactrade" / "__init__.py").write_text(_DECOY)
+    src = str(Path(coordinator.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=str(decoy))
+    done = subprocess.run(
+        [sys.executable, "-c", _SOCKET_RUN, src,
+         str(FIXTURES / "two_user_complementary.yaml")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert not (decoy / "imported").exists()
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_run_reports_partial_history_on_iteration_cap():

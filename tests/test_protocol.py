@@ -4,11 +4,14 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from hvactrade import protocol
 from hvactrade.agent import LocalAgent
 from hvactrade.coordinator import run
 from hvactrade.errors import (
@@ -120,6 +123,79 @@ def test_rows_serialize_in_id_order():
     a = encode(TradeProposal(1, 1, {5: np.ones(1), 2: np.zeros(1)}))
     b = encode(TradeProposal(1, 1, {2: np.zeros(1), 5: np.ones(1)}))
     assert a == b
+
+
+@st.composite
+def row_blocks(draw, n_vecs):
+    """Distinct u32 ids and n_vecs blocks of M x H arbitrary doubles, NaN
+    payloads and signed zeros included, for M in {0, 1, 15}, H in {0, 1, 24}."""
+    m = draw(st.sampled_from([0, 1, 15]))
+    h = draw(st.sampled_from([0, 1, 24]))
+    ids = draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=m, max_size=m,
+                        unique=True))
+    blocks = [np.frombuffer(draw(st.binary(min_size=8 * m * h,
+                                           max_size=8 * m * h)),
+                            dtype="<f8").reshape(m, h) for _ in range(n_vecs)]
+    return ids, blocks
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=row_blocks(1), user_id=st.integers(0, 2 ** 32 - 1),
+       iteration=st.integers(1, 2 ** 32 - 1))
+def test_proposal_roundtrip_any_rows_is_bit_exact(rows, user_id, iteration):
+    ids, (trades,) = rows
+    assume(user_id not in ids)
+    msg = TradeProposal(user_id, iteration, dict(zip(ids, trades)))
+    frame = encode(msg)
+    back = decode(frame)
+    assert (back.user_id, back.iteration) == (user_id, iteration)
+    assert list(back.trades) == sorted(ids)
+    for j, row in zip(ids, trades):
+        assert same_bits(back.trades[j], row)
+    assert encode(back) == frame
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=row_blocks(2), iteration=st.integers(0, 2 ** 32 - 1),
+       rho=st.floats(min_value=5e-324, allow_infinity=False),
+       done=st.booleans())
+def test_broadcast_roundtrip_any_rows_is_bit_exact(rows, iteration, rho, done):
+    ids, (aux, dual) = rows
+    msg = CoordinatorBroadcast(iteration, dict(zip(ids, aux)),
+                               dict(zip(ids, dual)), rho, done)
+    frame = encode(msg)
+    back = decode(frame)
+    assert (back.iteration, back.rho, back.done) == (iteration, rho, done)
+    assert list(back.aux_row) == list(back.dual_row) == sorted(ids)
+    for j, a, d in zip(ids, aux, dual):
+        assert same_bits(back.aux_row[j], a)
+        assert same_bits(back.dual_row[j], d)
+    assert encode(back) == frame
+
+
+@pytest.mark.parametrize("tag,head", [
+    (TAG_PROPOSAL, struct.pack("<IIII", 1, 1, 2 ** 32 - 1, 24)),
+    (TAG_PROPOSAL, struct.pack("<IIII", 1, 1, 1, 2 ** 32 - 1)),
+    (TAG_BROADCAST, struct.pack("<IdBII", 1, 1.0, 0, 2 ** 32 - 1, 24)),
+    (TAG_BROADCAST, struct.pack("<IdBII", 1, 1.0, 0, 1, 2 ** 32 - 1)),
+])
+def test_decode_rejects_sizes_beyond_the_frame_without_allocating(tag, head):
+    """A header promising more rows or slots than the frame holds is a
+    DecodeError, raised before any block of that size is built."""
+    body = struct.pack("<B", tag) + head + struct.pack("<I", 2) + b"\x00" * 64
+    frame = struct.pack("<I", len(body)) + body
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecodeError, match="truncated"):
+            decode(frame)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- decode failure modes -------------------------------------------------
@@ -268,6 +344,30 @@ def test_inproc_agent_exception_names_the_user(monkeypatch):
     with pytest.raises(HvacTradeError, match="agent for user 2 failed: "
                                              "injected fault"):
         tr.send_to(2, broadcast(iteration=1, ids=(1,), h=2))
+
+
+def test_inproc_run_never_decodes(monkeypatch):
+    """In-process frames are recorded encodings; the messages themselves
+    cross the transport, so no frame is parsed back."""
+    def refuse(frame):
+        raise AssertionError("decode called in an in-process run")
+
+    monkeypatch.setattr(protocol, "decode", refuse)
+    report = run(load_scenario(FIXTURES / "two_user_complementary.yaml"))
+    assert report.converged
+    assert len(report.wire_frames) == 4 * report.iterations
+
+
+def test_inproc_messages_share_no_array_with_their_sender():
+    agents = pair_agents()
+    tr = InProcTransport(agents, rho1=1.0)
+    first = tr.poll(0.0)
+    assert not np.shares_memory(first.trades[2],
+                                agents[0].last_schedule.trades)
+    reply = broadcast(iteration=1, ids=(2,), h=2, rho=0.5)
+    tr.send_to(1, reply)
+    reply.aux_row[2][:] = 99.0
+    assert np.array_equal(agents[0].received_aux[0], np.full(2, 0.25))
 
 
 def test_inproc_unknown_user_rejected():

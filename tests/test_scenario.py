@@ -2,7 +2,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from hvactrade import scenario
 from hvactrade.agent import solve_emp
 from hvactrade.errors import ScenarioError
 from hvactrade.model import TimeGrid
@@ -51,6 +53,36 @@ def write(tmp_path, text, name="case.yaml"):
 def test_bundled_fixtures_are_clean(fname):
     config = load_scenario(FIXTURES / fname)
     assert validate_scenario(config) == []
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                    reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("fname", [
+    "two_user_complementary.yaml",
+    "reference_10user.yaml",
+    "csv_reference.yaml",
+])
+def test_fixtures_load_alike_under_both_yaml_loaders(fname, tmp_path,
+                                                     monkeypatch):
+    text = (FIXTURES / fname).read_text()
+    assert (yaml.load(text, Loader=yaml.SafeLoader)
+            == yaml.load(text, Loader=yaml.CSafeLoader))
+    assert scenario._YamlLoader is yaml.CSafeLoader
+    fast = save_scenario(load_scenario(FIXTURES / fname), tmp_path / "c.yaml")
+    monkeypatch.setattr(scenario, "_YamlLoader", yaml.SafeLoader)
+    slow = save_scenario(load_scenario(FIXTURES / fname), tmp_path / "py.yaml")
+    assert fast.read_bytes() == slow.read_bytes()
+
+
+@pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+def test_parse_error_position_does_not_depend_on_the_loader(
+        loader, tmp_path, monkeypatch):
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML built without libyaml")
+    monkeypatch.setattr(scenario, "_YamlLoader", getattr(yaml, loader))
+    path = write(tmp_path, "grid: {horizon: 2}\nusers: [\n")
+    with pytest.raises(ScenarioError, match="parse error at line 3, column 1"):
+        load_scenario(path)
 
 
 def test_reference_fixture_shape():
