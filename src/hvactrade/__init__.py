@@ -45,7 +45,6 @@ from .scenario import (
     load_scenario,
     save_scenario,
     synth_traces,
-    validate_scenario,
 )
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ import numpy as np
 from . import qp
 from .errors import InfeasibleError, NonConvergenceError, ProtocolViolation
 from .model import Schedule, Tariff, TimeGrid, UserParams
+from .protocol import Rows, TradeProposal
 
 
 def _exchange_terms(uid: int, price, aux, duals, rho: float):
@@ -205,6 +206,9 @@ class LocalAgent:
         shape = self.received_aux.shape
         aux = np.asarray(aux, dtype=np.float64)
         duals = np.asarray(duals, dtype=np.float64)
+        if not shape[0] and aux.size == duals.size == 0:
+            # no partners: an empty block of any width carries no coupling
+            aux, duals = self.received_aux, self.received_duals
         if aux.shape != shape or duals.shape != shape:
             raise ValueError(
                 f"user {self.user_id}: coupling arrays must have shape {shape}")
@@ -218,17 +222,14 @@ class LocalAgent:
     def receive(self, broadcast):
         """Apply a coordinator broadcast: per-counterparty consensus and
         dual rows, plus the penalty weight for the next round."""
-        aux_row, dual_row = broadcast.aux_row, broadcast.dual_row
-        for j in self.partner_ids:
-            if j not in aux_row or j not in dual_row:
-                raise ProtocolViolation(
-                    f"user {self.user_id}: broadcast missing counterparty {j}")
-        if self.partner_ids:
-            aux = np.stack([aux_row[j] for j in self.partner_ids])
-            duals = np.stack([dual_row[j] for j in self.partner_ids])
-        else:
-            aux, duals = self.received_aux, self.received_duals
-        self.set_coupling(aux, duals, broadcast.rho)
+        aux, duals = broadcast.aux_row, broadcast.dual_row
+        if aux.ids != self.partner_ids:
+            missing = sorted(set(self.partner_ids) - set(aux.ids))
+            extra = sorted(set(aux.ids) - set(self.partner_ids))
+            what = (f"missing counterparty {missing[0]}" if missing
+                    else f"names counterparty {extra[0]}, not a partner")
+            raise ProtocolViolation(f"user {self.user_id}: broadcast {what}")
+        self.set_coupling(aux.block, duals.block, broadcast.rho)
 
     def solve_llp(self, rho: float | None = None) -> Schedule:
         """Solve the trading subproblem at the given penalty weight
@@ -284,34 +285,25 @@ class LocalAgent:
                 return None
         self.iteration += 1
         self.solve_llp()
-        return outbound_message(self)
-
-    def solve_emp(self):
-        return solve_emp(self.params, self.tariff, self.grid)
+        return self.outbound_message()
 
     def outbound_message(self):
-        return outbound_message(self)
+        """Package the current round's trades for the coordinator.
+
+        The message is audited against a field whitelist so nothing beyond
+        {user_id, iteration, trades} can be serialized.
+        """
+        if self.last_schedule is None:
+            raise ProtocolViolation(
+                f"user {self.user_id}: no schedule solved this round")
+        message = TradeProposal(
+            user_id=self.user_id, iteration=self.iteration,
+            trades=Rows(self.partner_ids, self.last_schedule.trades.copy()))
+        present = {f.name for f in dataclasses.fields(message)}
+        if present != _OUTBOUND_FIELDS:
+            raise ProtocolViolation(
+                f"outbound schema mismatch: {sorted(present)}")
+        return message
 
 
 _OUTBOUND_FIELDS = frozenset({"user_id", "iteration", "trades"})
-
-
-def outbound_message(state: LocalAgent):
-    """Package the current round's trades for the coordinator.
-
-    The message is audited against a field whitelist so nothing beyond
-    {user_id, iteration, trades} can be serialized.
-    """
-    from .protocol import TradeProposal
-
-    if state.last_schedule is None:
-        raise ProtocolViolation(
-            f"user {state.user_id}: no schedule solved this round")
-    trades = state.last_schedule.trades.copy()
-    message = TradeProposal(user_id=state.user_id, iteration=state.iteration,
-                            trades=dict(zip(state.partner_ids, trades)))
-    present = {f.name for f in dataclasses.fields(message)}
-    if present != _OUTBOUND_FIELDS:
-        raise ProtocolViolation(
-            f"outbound schema mismatch: {sorted(present)}")
-    return message

@@ -130,13 +130,6 @@ def cmd_validate(args) -> int:
         print(f"{args.scenario}: {len(exc.findings)} problem(s)",
               file=sys.stderr)
         return EXIT_INVALID_SCENARIO
-    findings = scenario.validate_scenario(config)
-    if findings:
-        for finding in findings:
-            print(f"  {finding}", file=sys.stderr)
-        print(f"{args.scenario}: {len(findings)} problem(s)",
-              file=sys.stderr)
-        return EXIT_INVALID_SCENARIO
     print(f"{args.scenario}: ok ({len(config.users)} users, "
           f"{config.grid.horizon_len} slots)")
     return EXIT_OK

@@ -23,8 +23,9 @@ from .agent import LocalAgent, solve_emp
 from .errors import (HvacTradeError, NonConvergenceError, ProtocolViolation,
                      SynchronizationTimeout)
 from .model import operating_cost, trading_payment
-from .protocol import (CoordinatorBroadcast, InProcTransport, SocketChannel,
-                       SocketTransport, barrier_collect, run_agent_loop)
+from .protocol import (CoordinatorBroadcast, InProcTransport, Rows,
+                       SocketChannel, SocketTransport, barrier_collect,
+                       run_agent_loop)
 from .reports import ScenarioReport, UserResult
 
 
@@ -73,9 +74,16 @@ class CoordinatorState:
     iteration: int = 0
     history: list[tuple[int, float, float]] = field(default_factory=list)
     index: dict[int, int] = field(init=False, repr=False)
+    counterparties: list[tuple[tuple[int, ...], np.ndarray]] = field(
+        init=False, repr=False)
 
     def __post_init__(self):
         self.index = {u: i for i, u in enumerate(self.ids)}
+        # per user: the other users' ids, ascending, and their positions
+        everyone = np.arange(len(self.ids))
+        self.counterparties = [(self.ids[:i] + self.ids[i + 1:],
+                                np.delete(everyone, i))
+                               for i in range(len(self.ids))]
 
     @classmethod
     def initial(cls, ids, horizon: int) -> "CoordinatorState":
@@ -91,31 +99,28 @@ def proposal_tensor(proposals, state: CoordinatorState) -> np.ndarray:
     and every slot."""
     n = len(state.ids)
     h = state.aux_trades.shape[2]
-    index = state.index
     p = np.zeros((n, n, h))
     seen = set()
     for msg in proposals:
-        i = index.get(msg.user_id)
+        i = state.index.get(msg.user_id)
         if i is None:
             raise ProtocolViolation(f"proposal from unknown user {msg.user_id}")
         if msg.user_id in seen:
             raise ProtocolViolation(f"duplicate proposal from user {msg.user_id}")
         seen.add(msg.user_id)
         trades = msg.trades
-        expected = set(state.ids) - {msg.user_id}
-        if trades.keys() != expected:
+        partners, cols = state.counterparties[i]
+        if trades.ids != partners:
             raise ProtocolViolation(
                 f"user {msg.user_id}: proposal covers counterparties "
-                f"{sorted(trades)}, expected {sorted(expected)}")
-        if not trades:
+                f"{list(trades.ids)}, expected {list(partners)}")
+        if not partners:
             continue
-        # a message's rows share one length
-        j, vec = next(iter(trades.items()))
-        if vec.shape[0] != h:
+        if trades.block.shape[1] != h:
             raise ProtocolViolation(
-                f"user {msg.user_id}: trade row for {j} has "
-                f"{vec.shape[0]} slots, expected {h}")
-        p[i, [index[j] for j in trades]] = list(trades.values())
+                f"user {msg.user_id}: trade rows have "
+                f"{trades.block.shape[1]} slots, expected {h}")
+        p[i, cols] = trades.block
     if len(seen) != n:
         missing = tuple(u for u in state.ids if u not in seen)
         raise SynchronizationTimeout(
@@ -159,17 +164,6 @@ def convergence_error(state: CoordinatorState, p: np.ndarray,
     raise ValueError(f"unknown norm {norm!r}")
 
 
-def _row_dicts(state: CoordinatorState, uid: int):
-    """One user's consensus and dual rows, keyed by counterparty.  The
-    values are rows of fresh copies, so a broadcast built from them
-    shares no array with the state."""
-    i = state.index[uid]
-    partners = state.ids[:i] + state.ids[i + 1:]
-    cols = [c for c in range(len(state.ids)) if c != i]
-    return (dict(zip(partners, state.aux_trades[i, cols])),
-            dict(zip(partners, state.duals[i, cols])))
-
-
 def agent_worker_main(scenario_path: str, user_id: int, host: str, port: int,
                       rho1: float, solver_tol: float):
     """Entry point of one agent process in socket mode.
@@ -200,14 +194,12 @@ def _reconstruct_schedules(scenario, cfg: AdmmConfig, state: CoordinatorState,
 
     Uses exactly the coupling values each agent held in the last round,
     so the result is deterministic and transport-independent."""
-    idx = state.index
     schedules = {}
     for u in scenario.users:
-        i = idx[u.id]
-        partners = tuple(j for j in state.ids if j != u.id)
+        i = state.index[u.id]
+        partners, cols = state.counterparties[i]
         agent = LocalAgent(u, scenario.tariff, scenario.grid,
                            partner_ids=partners, solver_tol=cfg.solver_tol)
-        cols = [idx[j] for j in partners]
         agent.set_coupling(prev_aux[i, cols], prev_duals[i, cols], rho_k)
         schedules[u.id] = agent.solve_llp()
     return schedules
@@ -216,13 +208,11 @@ def _reconstruct_schedules(scenario, cfg: AdmmConfig, state: CoordinatorState,
 def _assemble_report(scenario, cfg: AdmmConfig, state: CoordinatorState,
                      emp_costs, schedules, converged: bool) -> ScenarioReport:
     sh = scenario.grid.slot_hours
-    idx = state.index
     users = []
     for u in scenario.users:
-        i = idx[u.id]
-        partners = tuple(j for j in state.ids if j != u.id)
-        cols = [idx[j] for j in partners]
-        trades = state.aux_trades[i, cols].copy()
+        i = state.index[u.id]
+        partners, cols = state.counterparties[i]
+        trades = state.aux_trades[i, cols]
         payment = trading_payment(trades, scenario.tariff, sh)
         coop = operating_cost(schedules[u.id], u, scenario.tariff, sh) + payment
         base = emp_costs[u.id]
@@ -314,9 +304,6 @@ def _negotiate(scenario, config, transport, host, port) -> ScenarioReport:
 
     rho1 = stepsize(1, cfg)
     state = CoordinatorState.initial(ids, horizon)
-    prev_aux = state.aux_trades.copy()
-    prev_duals = state.duals.copy()
-    final_rho = rho1
     converged = False
     procs: list = []
 
@@ -348,8 +335,8 @@ def _negotiate(scenario, config, transport, host, port) -> ScenarioReport:
     try:
         for k in range(1, cfg.max_iter + 1):
             rho_k = stepsize(k, cfg)
-            prev_aux = state.aux_trades.copy()
-            prev_duals = state.duals.copy()
+            # the updates replace these arrays and never write into them
+            prev_aux, prev_duals = state.aux_trades, state.duals
             final_rho = rho_k
             proposals = barrier_collect(tr, n, k, cfg.barrier_timeout)
             state.iteration = k
@@ -361,10 +348,11 @@ def _negotiate(scenario, config, transport, host, port) -> ScenarioReport:
             state.history.append((k, err, rho_k))
             done = err <= cfg.tolerance or k == cfg.max_iter
             rho_next = stepsize(k + 1, cfg)
-            for uid in ids:
-                aux_row, dual_row = _row_dicts(state, uid)
-                tr.send_to(uid, CoordinatorBroadcast(
-                    iteration=k, aux_row=aux_row, dual_row=dual_row,
+            for i, (partners, cols) in enumerate(state.counterparties):
+                tr.send_to(ids[i], CoordinatorBroadcast(
+                    iteration=k,
+                    aux_row=Rows(partners, state.aux_trades[i, cols]),
+                    dual_row=Rows(partners, state.duals[i, cols]),
                     rho=rho_next, done=done))
             if err <= cfg.tolerance:
                 converged = True

@@ -101,6 +101,9 @@ class UserParams:
             (self.temp_min <= self.temp_max, "temp_min must not exceed temp_max"),
             (self.temp_min <= self.temp_ref <= self.temp_max,
              "temp_ref must lie inside [temp_min, temp_max]"),
+            (self.temp_min <= self.temp_initial <= self.temp_max,
+             f"temp_initial {self.temp_initial} must lie inside "
+             f"[{self.temp_min}, {self.temp_max}]"),
             (self.grid_cap >= 0, "grid_cap must be nonnegative"),
             (self.hvac_cap >= 0, "hvac_cap must be nonnegative"),
             (bool(np.all(self.renewable_avail >= 0)), "renewable_avail must be nonnegative"),

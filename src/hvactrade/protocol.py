@@ -7,9 +7,11 @@ completion flag.  Both serialize to length-prefixed binary frames
 (`[u32 length][u8 tag][payload]`, little-endian, length counting tag
 plus payload) so the privacy property can be checked on raw bytes.
 
-A frame's rows travel as one block: each row is a u32 counterparty id
-followed by the row's doubles (trades, or consensus then duals), and the
-codec reads or writes the whole block as one numpy structured array.
+A message's rows are one `Rows` value: the counterparty ids in
+ascending order and one float64 block with a row per id.  The wire
+carries the same block: each row is a u32 counterparty id followed by
+the row's doubles (trades, or consensus then duals), and the codec
+reads or writes the whole block as one numpy structured array.
 
 Every agent advances through `LocalAgent.step`, one call per round.
 The in-process transport calls it directly in the coordinator's thread
@@ -24,11 +26,13 @@ transports.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import selectors
 import socket
 import struct
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,46 +45,81 @@ TAG_BROADCAST = 2
 MAX_FRAME = 1 << 26
 
 
-def _check_rows(rows, what) -> dict[int, np.ndarray]:
-    out = {}
-    length = None
-    for j, vec in rows.items():
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.ndim != 1:
-            raise ValueError(f"{what}[{j}] must be a vector")
-        if length is None:
-            length = vec.shape[0]
-        elif vec.shape[0] != length:
-            raise ValueError(f"{what} rows must share one length")
-        out[int(j)] = vec
-    return out
+class Rows(Mapping):
+    """One message's rows: ascending counterparty ids and one float64
+    block with a row per id.  Reads as the mapping {id: row}, each row a
+    view into the block."""
+
+    __slots__ = ("ids", "block")
+
+    def __init__(self, ids, block):
+        ids = tuple(map(int, ids))
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim != 2 or block.shape[0] != len(ids):
+            raise ValueError(f"{len(ids)} ids need a block of {len(ids)} "
+                             f"rows, got shape {block.shape}")
+        if ids != tuple(sorted(set(ids))):
+            raise ValueError("counterparty ids must be distinct and ascending")
+        self.ids = ids
+        self.block = block
+
+    @classmethod
+    def of(cls, rows) -> "Rows":
+        """`rows` itself if it is a Rows, else the Rows of a mapping
+        {id: vector}."""
+        if isinstance(rows, Rows):
+            return rows
+        ids = sorted(rows)
+        vecs = [np.asarray(rows[j], dtype=np.float64) for j in ids]
+        if any(v.ndim != 1 for v in vecs) or len({v.shape for v in vecs}) > 1:
+            raise ValueError("rows must be vectors of one length")
+        return cls(ids, np.array(vecs) if vecs else np.empty((0, 0)))
+
+    def __getitem__(self, j) -> np.ndarray:
+        pos = bisect.bisect_left(self.ids, j)
+        if pos == len(self.ids) or self.ids[pos] != j:
+            raise KeyError(j)
+        return self.block[pos]
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __repr__(self) -> str:
+        return f"Rows({self.ids}, block of shape {self.block.shape})"
 
 
 @dataclass
 class TradeProposal:
-    """One user's trade vectors for one round, keyed by counterparty id."""
+    """One user's trade vectors for one round, one row per counterparty.
+
+    `trades` may be given as a mapping {id: vector}; it is held as Rows."""
 
     user_id: int
     iteration: int
-    trades: dict[int, np.ndarray] = field(default_factory=dict)
+    trades: Rows = field(default_factory=dict)
 
     def __post_init__(self):
         self.user_id = int(self.user_id)
         self.iteration = int(self.iteration)
         if self.iteration < 1:
             raise ValueError("iteration counts from 1")
-        self.trades = _check_rows(self.trades, "trades")
+        self.trades = Rows.of(self.trades)
         if self.user_id in self.trades:
             raise ValueError(f"user {self.user_id} cannot trade with itself")
 
 
 @dataclass
 class CoordinatorBroadcast:
-    """Per-user reply: consensus row, dual row, next penalty weight, done."""
+    """Per-user reply: consensus row, dual row, next penalty weight, done.
+
+    The rows may be given as mappings {id: vector}; they are held as Rows."""
 
     iteration: int
-    aux_row: dict[int, np.ndarray]
-    dual_row: dict[int, np.ndarray]
+    aux_row: Rows
+    dual_row: Rows
     rho: float
     done: bool
 
@@ -90,10 +129,12 @@ class CoordinatorBroadcast:
         self.done = bool(self.done)
         if self.rho <= 0:
             raise ValueError("rho must be positive")
-        self.aux_row = _check_rows(self.aux_row, "aux_row")
-        self.dual_row = _check_rows(self.dual_row, "dual_row")
-        if set(self.aux_row) != set(self.dual_row):
-            raise ValueError("aux_row and dual_row must cover the same ids")
+        self.aux_row = Rows.of(self.aux_row)
+        self.dual_row = Rows.of(self.dual_row)
+        if (self.aux_row.ids != self.dual_row.ids
+                or self.aux_row.block.shape != self.dual_row.block.shape):
+            raise ValueError("aux_row and dual_row must cover the same ids "
+                             "and slots")
 
 
 @functools.lru_cache(maxsize=64)
@@ -102,18 +143,17 @@ def _row_dtype(n_vecs: int, h: int) -> np.dtype:
     return np.dtype([("id", "<u4"), ("v", "<f8", (n_vecs, h))])
 
 
-def _encode_rows(*fields: dict[int, np.ndarray]) -> tuple[bytes, int, int]:
-    """Serialize rows that share their ids, in id order, as one block.
-
-    Returns (block bytes, row count, slots per vector)."""
-    ids = sorted(fields[0])
+def _encode_rows(*fields: Rows) -> tuple[bytes, int, int]:
+    """Serialize Rows that share their ids as one block; no rows write
+    zero slots.  Returns (block bytes, row count, slots per vector)."""
+    ids = fields[0].ids
     if not ids:
         return b"", 0, 0
-    h = fields[0][ids[0]].shape[0]
+    h = fields[0].block.shape[1]
     block = np.empty(len(ids), dtype=_row_dtype(len(fields), h))
     block["id"] = ids
     for f, rows in enumerate(fields):
-        block["v"][:, f] = [rows[j] for j in ids]
+        block["v"][:, f] = rows.block
     return block.tobytes(), len(ids), h
 
 
@@ -203,14 +243,13 @@ def decode(frame: bytes):
         if tag == TAG_PROPOSAL:
             (user_id, iteration, n_rows, h), off = _take(frame, 5, "<IIII")
             ids, values = _decode_rows(frame, off, n_rows, h, 1)
-            return TradeProposal(user_id, iteration,
-                                 dict(zip(ids, values[:, 0])))
+            return TradeProposal(user_id, iteration, Rows(ids, values[:, 0]))
         if tag == TAG_BROADCAST:
             (iteration, rho, done, n_rows, h), off = _take(frame, 5, "<IdBII")
             ids, values = _decode_rows(frame, off, n_rows, h, 2)
-            return CoordinatorBroadcast(
-                iteration, dict(zip(ids, values[:, 0])),
-                dict(zip(ids, values[:, 1])), rho, bool(done))
+            return CoordinatorBroadcast(iteration, Rows(ids, values[:, 0]),
+                                        Rows(ids, values[:, 1]), rho,
+                                        bool(done))
     except ValueError as exc:
         raise DecodeError(str(exc)) from exc
     raise DecodeError(f"unknown message tag {tag} at offset 4")

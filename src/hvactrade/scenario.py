@@ -339,26 +339,6 @@ def load_scenario(path, seed=None) -> ScenarioConfig:
                           admm=admm, seed=seed, path=path)
 
 
-def validate_scenario(config: ScenarioConfig) -> list[str]:
-    """Cross-checks beyond per-object construction; returns findings."""
-    findings = []
-    h = config.grid.horizon_len
-    if config.tariff.trade_price.shape[0] != h:
-        findings.append(f"trade_price covers "
-                        f"{config.tariff.trade_price.shape[0]} slots, "
-                        f"grid has {h}")
-    for u in config.users:
-        if u.horizon != h:
-            findings.append(f"user {u.id}: traces cover {u.horizon} slots, "
-                            f"grid has {h}")
-        if not (u.temp_min <= u.temp_initial <= u.temp_max):
-            findings.append(f"user {u.id}: temp_initial {u.temp_initial} "
-                            f"outside [{u.temp_min}, {u.temp_max}]")
-        if not np.all(np.isfinite(u.outdoor_temp)):
-            findings.append(f"user {u.id}: outdoor_temp has non-finite values")
-    return findings
-
-
 def build_synth_scenario(n_users: int, horizon: int, seed: int = 0,
                          slot_hours: float = 1.0,
                          name: str = "synthetic") -> ScenarioConfig:

@@ -427,6 +427,22 @@ def test_receive_missing_counterparty_raises():
         agent.receive(broadcast)
 
 
+def test_receive_rejects_a_counterparty_it_does_not_have():
+    agent = LocalAgent(make_params(), make_tariff(), partner_ids=(2,))
+    broadcast = CoordinatorBroadcast(
+        iteration=1, aux_row={2: np.zeros(3), 7: np.zeros(3)},
+        dual_row={2: np.zeros(3), 7: np.zeros(3)}, rho=1.0, done=False)
+    with pytest.raises(ProtocolViolation, match="counterparty 7"):
+        agent.receive(broadcast)
+
+
+def test_receive_without_partners_accepts_an_empty_broadcast():
+    agent = LocalAgent(make_params(), make_tariff())
+    agent.receive(CoordinatorBroadcast(1, {}, {}, rho=0.5, done=False))
+    assert agent.received_aux.shape == (0, 3)
+    assert agent.rho == 0.5
+
+
 # --- outbound messages ---------------------------------------------------
 
 def test_outbound_requires_a_solved_round():

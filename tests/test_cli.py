@@ -203,6 +203,15 @@ def test_validate_broken_file_exits_13(tmp_path, capsys):
     assert "1 problem(s)" in err
 
 
+def test_validate_initial_temp_outside_band_exits_13(tmp_path, capsys):
+    bad = tmp_path / "hot_start.yaml"
+    bad.write_text(INFEASIBLE + "    temp_initial: 25\n")
+    assert main(["validate", str(bad)]) == 13
+    err = capsys.readouterr().err
+    assert "user 1: temp_initial 25.0 must lie inside [20.0, 24.0]" in err
+    assert "1 problem(s)" in err
+
+
 def test_validate_missing_file_exits_13(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "gone.yaml")]) == 13
     assert "not found" in capsys.readouterr().err

@@ -140,6 +140,24 @@ def test_dual_scales_with_rho():
     assert duals[0, 1, 0] == 2.0
 
 
+def test_updates_leave_the_arrays_they_replace_unchanged():
+    """The round loop keeps the previous round's consensus and duals by
+    reference for the final re-solve, so neither update may write into
+    the arrays it replaces."""
+    rng = np.random.default_rng(3)
+    state = CoordinatorState.initial((1, 2, 3), horizon=2)
+    state.aux_trades = rng.normal(size=(3, 3, 2))
+    state.duals = rng.normal(size=(3, 3, 2))
+    aux, duals = state.aux_trades, state.duals
+    kept_aux, kept_duals = aux.copy(), duals.copy()
+    p = rng.normal(size=(3, 3, 2))
+    hlp_update(p, state)
+    dual_update(state, p)
+    assert state.aux_trades is not aux and state.duals is not duals
+    assert np.array_equal(aux, kept_aux)
+    assert np.array_equal(duals, kept_duals)
+
+
 # --- disagreement measure ------------------------------------------------
 
 def disagreement_state():

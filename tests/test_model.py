@@ -62,6 +62,13 @@ def test_params_reject_inverted_band():
         make_params(temp_min=27.0, temp_max=25.0, temp_ref=26.0)
 
 
+def test_params_reject_initial_temp_outside_band():
+    with pytest.raises(ValueError, match="user 1: temp_initial 27.0"):
+        make_params(temp_initial=27.0)
+    with pytest.raises(ValueError, match="temp_initial 18.5"):
+        make_params(temp_initial=18.5)
+
+
 def test_params_reject_trace_length_mismatch():
     with pytest.raises(ValueError, match="inflexible_load"):
         make_params(inflexible_load=np.zeros(5))

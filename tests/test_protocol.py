@@ -252,6 +252,40 @@ def test_decode_rejects_repeated_counterparty():
         decode(frame)
 
 
+def test_decode_rejects_out_of_order_counterparties():
+    rows = struct.pack("<I", 5) + b"\x00" * 8 + struct.pack("<I", 2) + b"\x00" * 8
+    payload = struct.pack("<IIII", 1, 1, 2, 1) + rows
+    body = struct.pack("<B", TAG_PROPOSAL) + payload
+    frame = struct.pack("<I", len(body)) + body
+    with pytest.raises(DecodeError, match="ascending"):
+        decode(frame)
+
+
+def test_decode_names_the_offset_of_a_repeated_counterparty():
+    # ids 3, 1, 3: the repeat is reported where the third row's values start
+    rows = b"".join(struct.pack("<I", j) + b"\x00" * 8 for j in (3, 1, 3))
+    payload = struct.pack("<IIII", 1, 1, 3, 1) + rows
+    body = struct.pack("<B", TAG_PROPOSAL) + payload
+    frame = struct.pack("<I", len(body)) + body
+    with pytest.raises(DecodeError, match="repeated counterparty 3 at "
+                                          "offset 49$"):
+        decode(frame)
+
+
+def test_rows_hold_one_block_in_id_order():
+    rows = protocol.Rows.of({5: np.ones(2), 2: np.zeros(2)})
+    assert rows.ids == (2, 5)
+    assert rows.block.dtype == np.float64 and rows.block.shape == (2, 2)
+    assert np.shares_memory(rows[5], rows.block)
+    assert 3 not in rows and list(rows) == [2, 5]
+    with pytest.raises(ValueError, match="one length"):
+        protocol.Rows.of({2: np.zeros(2), 5: np.zeros(3)})
+    with pytest.raises(ValueError, match="ascending"):
+        protocol.Rows((5, 2), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="block"):
+        protocol.Rows((2, 5), np.zeros((3, 2)))
+
+
 def test_decode_rejects_self_trade():
     payload = (struct.pack("<IIII", 2, 1, 1, 1)
                + struct.pack("<I", 2) + b"\x00" * 8)
