@@ -13,6 +13,7 @@ from .coordinator import (
     convergence_error,
     dual_update,
     hlp_update,
+    relaxed_proposals,
     run,
     stepsize,
 )

@@ -155,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="convergence tolerance override")
     solver.add_argument("--max-iter", type=int, default=None, dest="max_iter",
                         help="iteration cap override")
-    solver.add_argument("--rho-mode", choices=("fixed", "decaying"),
+    solver.add_argument("--rho-mode", choices=("fixed",),
                         default=None, dest="rho_mode",
                         help="penalty stepsize mode override")
     solver.add_argument("--rho0", type=float, default=None,

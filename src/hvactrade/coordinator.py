@@ -1,11 +1,11 @@
 """Negotiation coordinator.
 
 Runs the synchronous consensus loop: collect every user's trade
-proposal, close the pairwise consensus values in closed form, step the
-dual variables, measure disagreement, and broadcast each user's rows
-back until the disagreement falls under tolerance.  Final trades are
-the antisymmetric consensus values, so matched pairs net to zero by
-construction.
+proposal, over-relax it against the consensus the users answered, close
+the pairwise consensus values in closed form, step the dual variables,
+measure disagreement, and broadcast each user's rows back until the
+disagreement falls under tolerance.  Final trades are the antisymmetric
+consensus values, so matched pairs net to zero by construction.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class AdmmConfig:
     solver_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.rho_mode not in ("fixed", "decaying"):
+        if self.rho_mode != "fixed":
             raise ValueError(f"unknown rho_mode {self.rho_mode!r}")
         if self.norm not in ("l1", "l2"):
             raise ValueError(f"unknown norm {self.norm!r}")
@@ -58,9 +58,7 @@ def stepsize(k: int, config: AdmmConfig) -> float:
     """Penalty weight for round k (counting from 1)."""
     if k < 1:
         raise ValueError("rounds count from 1")
-    if config.rho_mode == "fixed":
-        return config.rho0
-    return config.rho0 / k
+    return config.rho0
 
 
 @dataclass
@@ -126,6 +124,24 @@ def proposal_tensor(proposals, state: CoordinatorState) -> np.ndarray:
         raise SynchronizationTimeout(
             f"missing proposals from users {list(missing)}", missing=missing)
     return p
+
+
+# Over-relaxation factor of the consensus and dual updates (Eckstein &
+# Bertsekas, Math. Programming 55, 1992; Boyd et al. 2011, section 3.4.3,
+# which suggests 1.5 to 1.8).  At the default penalty it cuts the rounds
+# to agreement on every bundled fixture; at rho0 >= 3 the two small
+# fixtures need more rounds with it than without.
+RELAXATION = 1.5
+
+
+def relaxed_proposals(p: np.ndarray, prev_aux: np.ndarray) -> np.ndarray:
+    """Over-relaxed proposal tensor RELAXATION * p + (1 - RELAXATION) *
+    prev_aux, where prev_aux is the consensus the users just answered.
+
+    Written as a step from p, so proposals that already equal the
+    consensus come back bit for bit and the fixed point is kept; a zero
+    diagonal stays zero."""
+    return p + (RELAXATION - 1.0) * (p - prev_aux)
 
 
 def hlp_update(p: np.ndarray, state: CoordinatorState) -> np.ndarray:
@@ -342,8 +358,10 @@ def _negotiate(scenario, config, transport, host, port) -> ScenarioReport:
             state.iteration = k
             state.rho = rho_k
             p = proposal_tensor(proposals, state)
-            hlp_update(p, state)
-            dual_update(state, p)
+            p_hat = relaxed_proposals(p, prev_aux)
+            hlp_update(p_hat, state)
+            dual_update(state, p_hat)
+            # the stop rule measures the raw proposals' disagreement
             err = convergence_error(state, p, cfg.norm)
             state.history.append((k, err, rho_k))
             done = err <= cfg.tolerance or k == cfg.max_iter

@@ -212,6 +212,14 @@ def test_validate_initial_temp_outside_band_exits_13(tmp_path, capsys):
     assert "1 problem(s)" in err
 
 
+def test_validate_decaying_rho_mode_exits_13(tmp_path, capsys):
+    bad = tmp_path / "decaying.yaml"
+    bad.write_text(INFEASIBLE.replace(
+        "grid:", "admm: {rho_mode: decaying}\ngrid:"))
+    assert main(["validate", str(bad)]) == 13
+    assert "unknown rho_mode 'decaying'" in capsys.readouterr().err
+
+
 def test_validate_missing_file_exits_13(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "gone.yaml")]) == 13
     assert "not found" in capsys.readouterr().err
@@ -232,6 +240,7 @@ def test_unknown_subcommand_is_a_usage_error():
 
 
 def test_bad_choice_is_a_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["run", TWO_USER, "--rho-mode", "linear"])
-    assert exc.value.code == 2
+    for mode in ("linear", "decaying"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", TWO_USER, "--rho-mode", mode])
+        assert exc.value.code == 2
