@@ -309,10 +309,6 @@ class InProcTransport:
         self.wire_frames.append(encode(broadcast))
         self._step(int(user_id), broadcast)
 
-    def rerequest(self, user_id: int) -> bool:
-        # an agent answers each broadcast once, as it arrives
-        return False
-
     def close(self):
         pass
 
@@ -383,7 +379,6 @@ class SocketTransport:
         self._conn_user: dict[socket.socket, int] = {}
         self._user_conn: dict[int, socket.socket] = {}
         self._ready: list[TradeProposal] = []
-        self._last_broadcast: dict[int, bytes] = {}
 
     def watch(self, user_id: int, sentinel):
         """Treat the readiness of `sentinel` (a process sentinel) as the
@@ -466,25 +461,11 @@ class SocketTransport:
             raise ProtocolViolation(f"no connection bound to user {user_id}")
         frame = encode(broadcast)
         self.wire_frames.append(frame)
-        self._last_broadcast[int(user_id)] = frame
         conn.setblocking(True)
         try:
             conn.sendall(frame)
         finally:
             conn.setblocking(False)
-
-    def rerequest(self, user_id: int) -> bool:
-        frame = self._last_broadcast.get(int(user_id))
-        conn = self._user_conn.get(int(user_id))
-        if frame is None or conn is None:
-            return False
-        self.wire_frames.append(frame)
-        conn.setblocking(True)
-        try:
-            conn.sendall(frame)
-        finally:
-            conn.setblocking(False)
-        return True
 
     def close(self):
         for conn in list(self._bufs):
@@ -497,14 +478,14 @@ def barrier_collect(transport, n_expected: int, iteration: int,
                     timeout: float = 60.0) -> list[TradeProposal]:
     """Collect exactly one proposal per user for the given round.
 
-    Proposals tagged with another round trigger one re-send of that
-    user's last broadcast; a second bad tag or any duplicate is a
-    protocol violation.  Running out of time names the silent users.
+    A proposal tagged for another round, or a second proposal from one
+    user, is a protocol violation: a connection neither loses nor
+    reorders frames, so an agent that answers each broadcast once never
+    sends either.  Running out of time names the silent users.
     """
     if n_expected < 1:
         raise ValueError("n_expected must be at least 1")
     proposals: dict[int, TradeProposal] = {}
-    retried: set[int] = set()
     deadline = time.monotonic() + timeout
     while len(proposals) < n_expected:
         left = deadline - time.monotonic()
@@ -523,27 +504,21 @@ def barrier_collect(transport, n_expected: int, iteration: int,
                 f"round {iteration}: duplicate proposal from user "
                 f"{message.user_id}")
         if message.iteration != iteration:
-            if message.user_id in retried or not transport.rerequest(message.user_id):
-                raise ProtocolViolation(
-                    f"round {iteration}: user {message.user_id} sent a "
-                    f"proposal tagged for round {message.iteration}")
-            retried.add(message.user_id)
-            continue
+            raise ProtocolViolation(
+                f"round {iteration}: user {message.user_id} sent a "
+                f"proposal tagged for round {message.iteration}")
         proposals[message.user_id] = message
     return [proposals[u] for u in sorted(proposals)]
 
 
 def run_agent_loop(agent, channel, rho1: float):
     """Drive one agent over a channel until the coordinator signals
-    completion.  A broadcast of the previous round is an echo: the
-    current proposal is sent again."""
+    completion: send a proposal, answer the broadcast it gets back with
+    the next one.  A broadcast for any round but the agent's own is a
+    protocol violation (raised by `agent.step`)."""
     agent.rho = float(rho1)
     message = agent.step()
     while message is not None:
         channel.send(message)
-        broadcast = channel.recv()
-        while broadcast.iteration == agent.iteration - 1:
-            channel.send(message)
-            broadcast = channel.recv()
-        message = agent.step(broadcast)
+        message = agent.step(channel.recv())
     return agent

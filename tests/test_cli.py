@@ -53,6 +53,12 @@ def test_run_iteration_cap_exits_10_with_partial_trace(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_run_at_a_high_penalty_agrees_within_the_cap(tmp_path):
+    """At --rho0 10 the two-home fixture agrees well inside its
+    max_iter of 1000 (1183 rounds without acceleration)."""
+    assert main(["run", TWO_USER, "--out", str(tmp_path), "--rho0", "10"]) == 0
+
+
 def test_run_transports_write_identical_reports(tmp_path):
     assert main(["run", TWO_USER, "--out", str(tmp_path / "a")]) == 0
     assert main(["run", TWO_USER, "--out", str(tmp_path / "b"),

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hvactrade import coordinator
 from hvactrade.coordinator import (
     AdmmConfig,
+    Anderson,
     CoordinatorState,
     convergence_error,
     dual_update,
@@ -25,7 +26,8 @@ from hvactrade.errors import (
     ProtocolViolation,
     SynchronizationTimeout,
 )
-from hvactrade.protocol import TradeProposal
+from hvactrade.model import operating_cost
+from hvactrade.protocol import InProcTransport, TradeProposal
 from hvactrade.reports import write_report
 from hvactrade.scenario import build_synth_scenario, load_scenario
 
@@ -187,6 +189,144 @@ def test_relaxation_keeps_the_fixed_point():
     aux = aux - aux.swapaxes(0, 1)
     p = aux.copy()
     assert np.array_equal(relaxed_proposals(p, aux), p)
+
+
+# --- Anderson acceleration -----------------------------------------------
+
+def test_anderson_reaches_a_linear_fixed_point_in_fewer_steps():
+    """A contraction x -> Ax + b (eigenvalues 0.5 to 0.95) stands in for
+    a round; the accelerated iteration reaches its fixed point in a
+    fraction of the plain steps."""
+    rng = np.random.default_rng(7)
+    n = 30
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = q @ np.diag(np.linspace(0.5, 0.95, n)) @ q.T
+    b = rng.normal(size=n)
+    fixed = np.linalg.solve(np.eye(n) - a, b)
+
+    def steps(accelerate):
+        accel, x = Anderson(), np.zeros(n)
+        for k in range(1, 2000):
+            g = a @ x + b
+            if np.linalg.norm(g - x) <= 1e-10:
+                return k, x
+            x = accel.step(x, g) if accelerate else g
+        raise AssertionError("no fixed point in 2000 steps")
+
+    plain, x_plain = steps(False)
+    fast, x_fast = steps(True)
+    assert fast < plain / 4
+    assert np.allclose(x_fast, fixed, atol=1e-8)
+    assert np.allclose(x_plain, fixed, atol=1e-8)
+
+
+def test_anderson_returns_g_until_it_holds_two_pairs():
+    accel = Anderson()
+    g = np.array([1.0, 2.0])
+    assert accel.step(np.zeros(2), g) is g
+    assert accel.accepted == 0
+
+
+def test_safeguard_rejection_returns_the_plain_point():
+    """A residual far above D |f_0| is refused: the plain g comes back
+    unchanged and no extrapolation is counted."""
+    accel = Anderson()
+    accel.step(np.zeros(2), np.array([1e-9, 0.0]))
+    g = np.array([0.5, -0.25])
+    assert accel.step(np.array([2.0, 1.0]), g) is g
+    assert accel.accepted == 0
+    # a residual under the bound is extrapolated
+    x = np.array([0.4, -0.2])
+    out = accel.step(x, x + 1e-9)
+    assert accel.accepted == 1 and not np.array_equal(out, x + 1e-9)
+
+
+def test_run_with_every_candidate_refused_is_the_plain_iteration(monkeypatch):
+    """D = 0 makes the safeguard refuse every extrapolation: each round
+    then broadcasts exactly the plain update, and the run takes the
+    relaxed iteration's 158 rounds."""
+    monkeypatch.setattr(coordinator, "SAFEGUARD_D", 0.0)
+    steps = []
+    step = Anderson.step
+
+    def record(self, x, g):
+        out = step(self, x, g)
+        steps.append(out is g)
+        return out
+
+    monkeypatch.setattr(Anderson, "step", record)
+    report = run(load_scenario(FIXTURES / "two_user_complementary.yaml"))
+    assert report.iterations == 158
+    assert len(steps) == 157 and all(steps)
+
+
+def test_accelerated_broadcasts_stay_antisymmetric(monkeypatch):
+    """Every point the accelerator hands on has an antisymmetric aux
+    with a zero diagonal, and the next broadcast carries it."""
+    sent = {}
+    send = InProcTransport.send_to
+
+    def capture(self, user_id, broadcast):
+        sent.setdefault(broadcast.iteration, {})[user_id] = broadcast
+        return send(self, user_id, broadcast)
+
+    points = []
+    step = Anderson.step
+
+    def record(self, x, g):
+        out = step(self, x, g)
+        points.append((g, out))
+        return out
+
+    monkeypatch.setattr(InProcTransport, "send_to", capture)
+    monkeypatch.setattr(Anderson, "step", record)
+    scenario = build_synth_scenario(4, 6, seed=3)
+    run(scenario)
+    ids = tuple(sorted(u.id for u in scenario.users))
+    n = len(ids)
+    assert any(not np.array_equal(g, out) for g, out in points)
+    for k, (_, out) in enumerate(points, start=1):
+        aux, duals = out.reshape(2, n, n, 6)
+        assert np.all(aux == -aux.swapaxes(0, 1))
+        assert np.all(aux[np.arange(n), np.arange(n)] == 0.0)
+        for i, uid in enumerate(ids):
+            msg = sent[k][uid]
+            cols = [ids.index(j) for j in msg.aux_row.ids]
+            assert np.array_equal(msg.aux_row.block, aux[i, cols])
+            assert np.array_equal(msg.dual_row.block, duals[i, cols])
+
+
+def test_converged_round_reports_the_plain_update(monkeypatch):
+    """The last round is not extrapolated: the reported trades and the
+    closing broadcast are the consensus update itself."""
+    updates = []
+    update = coordinator.hlp_update
+
+    def record(p, state):
+        updates.append(update(p, state))
+        return updates[-1]
+
+    closing = {}
+    send = InProcTransport.send_to
+
+    def capture(self, user_id, broadcast):
+        if broadcast.done:
+            closing[user_id] = broadcast
+        return send(self, user_id, broadcast)
+
+    monkeypatch.setattr(coordinator, "hlp_update", record)
+    monkeypatch.setattr(InProcTransport, "send_to", capture)
+    scenario = build_synth_scenario(4, 6, seed=3)
+    report = run(scenario)
+    assert len(updates) == report.iterations
+    last = updates[-1]
+    ids = sorted(u.user_id for u in report.users)
+    for user in report.users:
+        i = ids.index(user.user_id)
+        cols = [ids.index(j) for j in user.partner_ids]
+        assert np.array_equal(user.trades, last[i, cols])
+        assert np.array_equal(closing[user.user_id].aux_row.block,
+                              last[i, cols])
 
 
 # --- disagreement measure ------------------------------------------------
@@ -389,13 +529,72 @@ def test_socket_agents_run_the_callers_package(tmp_path):
 
 
 @pytest.mark.parametrize("name, rounds", [
-    ("two_user_complementary", 158),  # 191 without over-relaxation
-    ("csv_reference", 123),           # 132 without
+    ("two_user_complementary", 25),  # 158 without acceleration, 191 plain
+    ("csv_reference", 20),           # 123 without, 132 plain
 ])
 def test_fixture_agrees_in_fewer_rounds_with_over_relaxation(name, rounds):
     report = run(load_scenario(FIXTURES / f"{name}.yaml"))
     assert report.converged
     assert report.iterations == rounds
+
+
+# Rounds to agreement at rho0 = 0.1, 0.3, 1, 3 and 10 with over-relaxation
+# and without acceleration (cap 1500): accelerated runs take no more.
+RHO0_SWEEP = (0.1, 0.3, 1.0, 3.0, 10.0)
+RELAXED_ROUNDS = {
+    "reference_10user": (165, 56, 61, 162, 492),
+    "csv_reference": (25, 43, 123, 328, 954),
+    "two_user_complementary": (27, 42, 158, 415, 1183),
+}
+
+
+@pytest.mark.parametrize("name, rho0, bound", [
+    (name, rho0, bound) for name, rounds in RELAXED_ROUNDS.items()
+    for rho0, bound in zip(RHO0_SWEEP, rounds)])
+def test_rho0_sweep_agrees_in_no_more_rounds(name, rho0, bound):
+    scenario = load_scenario(FIXTURES / f"{name}.yaml")
+    report = run(scenario, config=dataclasses.replace(scenario.admm,
+                                                      rho0=rho0))
+    assert report.converged
+    assert report.iterations <= min(bound, scenario.admm.max_iter)
+
+
+@pytest.mark.parametrize("name", list(RELAXED_ROUNDS))
+def test_negotiated_point_solves_the_pooled_problem(name):
+    """The pooled optimum's split between homes need not be unique, so
+    per-home results are checked as a whole: the negotiated schedules
+    and trades are a feasible point of the pooled problem (criterion 4's
+    checks plus the thermal recursion) whose operating cost is the
+    report's system cost and the pooled optimum."""
+    scenario = load_scenario(FIXTURES / f"{name}.yaml")
+    report = run(scenario)
+    params = {u.id: u for u in scenario.users}
+    by_id = {r.user_id: r for r in report.users}
+    total = 0.0
+    for r in report.users:
+        u, s = params[r.user_id], r.schedule
+        balance = (s.renewable_use + s.grid_draw + r.trades.sum(axis=0)
+                   - u.inflexible_load - s.hvac_power)
+        assert np.abs(balance).max() <= 1e-5, r.user_id
+        for row, j in enumerate(r.partner_ids):
+            back = by_id[j].trades[by_id[j].partner_ids.index(r.user_id)]
+            assert np.abs(r.trades[row] + back).max() <= 1e-5, (r.user_id, j)
+        for vals, lo, hi in ((s.renewable_use, 0.0, u.renewable_avail),
+                             (s.grid_draw, 0.0, u.grid_cap),
+                             (s.hvac_power, 0.0, u.hvac_cap),
+                             (s.indoor_temp, u.temp_min, u.temp_max)):
+            assert np.all(vals >= lo - 1e-8) and np.all(vals <= hi + 1e-8)
+        cr = u.thermal_capacitance * u.thermal_resistance
+        a = 1.0 - 1.0 / cr
+        before = np.concatenate(([u.temp_initial], s.indoor_temp[:-1]))
+        recursion = (s.indoor_temp - a * before - u.outdoor_temp / cr
+                     + u.hvac_efficiency / u.thermal_capacitance * s.hvac_power)
+        assert np.abs(recursion).max() <= 1e-6, r.user_id
+        total += operating_cost(s, u, scenario.tariff,
+                                scenario.grid.slot_hours)
+    assert total == pytest.approx(report.system_cost, rel=1e-12, abs=1e-8)
+    pooled, _, _ = solve_cemp(scenario.users, scenario.tariff, scenario.grid)
+    assert total == pytest.approx(pooled, rel=1e-6)
 
 
 def test_run_reports_partial_history_on_iteration_cap():
@@ -415,7 +614,7 @@ def test_ten_home_run_at_rho0_3_writes_a_report(tmp_path):
     config = dataclasses.replace(scenario.admm, rho0=3.0)
     report = run(scenario, config=config)
     assert report.converged
-    assert report.iterations == 162
+    assert report.iterations == 47
     write_report(report, tmp_path)
     assert (tmp_path / "report.json").exists()
 

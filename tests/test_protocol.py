@@ -459,20 +459,14 @@ def test_socket_poll_raises_when_a_watched_process_exits():
 # --- collection barrier -----------------------------------------------------
 
 class ScriptedTransport:
-    """Feeds a fixed poll script; records rerequests."""
+    """Feeds a fixed poll script."""
 
-    def __init__(self, script, expected_ids=(1, 2), allow_rerequest=True):
+    def __init__(self, script, expected_ids=(1, 2)):
         self.script = list(script)
         self.expected_ids = tuple(expected_ids)
-        self.rerequests = []
-        self.allow_rerequest = allow_rerequest
 
     def poll(self, timeout):
         return self.script.pop(0) if self.script else None
-
-    def rerequest(self, user_id):
-        self.rerequests.append(user_id)
-        return self.allow_rerequest
 
 
 def p_for(uid, iteration):
@@ -491,24 +485,22 @@ def test_barrier_flags_duplicates():
         barrier_collect(tr, 2, 1, timeout=1.0)
 
 
-def test_barrier_retries_stale_sender_once():
-    tr = ScriptedTransport([p_for(1, 1), p_for(2, 2), p_for(1, 2)])
-    got = barrier_collect(tr, 2, 2, timeout=1.0)
-    assert tr.rerequests == [1]
-    assert [m.iteration for m in got] == [2, 2]
-
-
 def test_barrier_second_stale_message_is_fatal():
+    """The first stale proposal already ends the round; the second is
+    never read."""
     tr = ScriptedTransport([p_for(1, 1), p_for(1, 1)])
     with pytest.raises(ProtocolViolation, match="round 1"):
         barrier_collect(tr, 2, 2, timeout=1.0)
-    assert tr.rerequests == [1]
+    assert len(tr.script) == 1
 
 
 def test_barrier_stale_without_replay_is_fatal():
-    tr = ScriptedTransport([p_for(1, 1)], allow_rerequest=False)
+    """A stale proposal after a current one from the other user is
+    fatal at once, with nothing re-sent."""
+    tr = ScriptedTransport([p_for(2, 2), p_for(1, 1), p_for(1, 2)])
     with pytest.raises(ProtocolViolation, match="tagged for round 1"):
         barrier_collect(tr, 2, 2, timeout=1.0)
+    assert len(tr.script) == 1
 
 
 def test_barrier_timeout_names_silent_users():
@@ -563,21 +555,18 @@ def test_agent_step_rejects_a_broadcast_for_another_round():
         agent.step(broadcast(iteration=3, ids=(2,), h=2))
 
 
-def test_agent_loop_resends_on_duplicate_broadcast():
-    final = broadcast(iteration=1, ids=(2,), h=2, rho=0.5, done=True)
-    stale = broadcast(iteration=0, ids=(2,), h=2)
-    channel = ScriptedChannel([stale, final])
-    agent = run_agent_loop(loop_agent(), channel, rho1=2.0)
-    # the stale echo triggered one re-send of the same round-1 proposal
-    assert [m.iteration for m in channel.sent] == [1, 1]
-    assert np.array_equal(channel.sent[0].trades[2], channel.sent[1].trades[2])
-    assert agent.rho == 0.5
-
-
 def test_agent_loop_rejects_broadcast_from_the_future():
     channel = ScriptedChannel([broadcast(iteration=7, ids=(2,), h=2)])
     with pytest.raises(ProtocolViolation, match="round 7"):
         run_agent_loop(loop_agent(), channel, rho1=1.0)
+
+
+def test_agent_loop_rejects_a_repeated_broadcast():
+    """A broadcast of the round before is fatal, not answered again."""
+    channel = ScriptedChannel([broadcast(iteration=0, ids=(2,), h=2)])
+    with pytest.raises(ProtocolViolation, match="got round 0"):
+        run_agent_loop(loop_agent(), channel, rho1=1.0)
+    assert [m.iteration for m in channel.sent] == [1]
 
 
 def test_agent_loop_advances_until_done():
