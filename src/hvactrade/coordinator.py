@@ -330,8 +330,7 @@ def _assemble_report(scenario, cfg: AdmmConfig, state: CoordinatorState,
 
 # Modules the agents' forkserver imports once, so that each agent forks
 # with them loaded.
-_AGENT_PRELOAD = ["numpy", "scipy.linalg", "yaml",
-                  "hvactrade.coordinator", "hvactrade.scenario"]
+_AGENT_PRELOAD = ["numpy", "yaml", "hvactrade.coordinator", "hvactrade.scenario"]
 
 
 @contextlib.contextmanager

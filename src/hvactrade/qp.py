@@ -7,12 +7,18 @@ Problems have the form
                 A_in x <= b_in
 
 with Q symmetric positive semidefinite.  The solver runs an
-over-relaxed operator-splitting iteration on the stacked constraint
-system (a single indefinite KKT factorization, reused every step),
-then polishes the active set with a direct regularized KKT solve and
-iterative refinement.  Iterations start from zero, so repeated solves
-of the same problem are bit-identical.  A warm re-solve first polishes
-on the active set it last accepted, whose factorization is cached.
+over-relaxed operator-splitting iteration in the reduced form of
+Stellato et al. (*OSQP*, 2020, section 3.1): each step applies the
+inverse of the n x n positive definite matrix
+Q + sigma I + A' diag(rho) A, formed once per penalty.  It then
+polishes the active set: active variable bounds fix their variables,
+and a regularized KKT system over the free variables, the equality
+rows and the active general rows is solved with iterative refinement,
+after free variables with a diagonal row of Q are eliminated from it
+in closed form.  Iterations start from zero, so repeated solves of the
+same problem are bit-identical.  A warm re-solve first polishes on the
+active set it last accepted, whose inverse is cached.  The kernels use
+numpy alone.
 
 Infeasibility is decided by a linear feasibility phase (smallest
 uniform constraint relaxation, solved via linprog) rather than from
@@ -22,10 +28,11 @@ the splitting iterates, so the Infeasible status is definitive.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 __all__ = [
     "QpStatus",
@@ -141,48 +148,40 @@ def check_kkt(problem: QpProblem, solution: QpSolution) -> float:
 
     Covers stationarity, primal feasibility, dual sign, and
     complementary slackness; uses only the problem data and the
-    candidate point, no solver internals.
+    candidate point, no solver internals.  A non-finite input or term
+    scores +inf, never as optimal.
     """
     x = np.asarray(solution.primal, dtype=np.float64)
+    lam = np.asarray(solution.eq_duals, dtype=np.float64)
+    mu = np.asarray(solution.ineq_duals, dtype=np.float64)
+    if not (np.isfinite(x).all() and np.isfinite(lam).all()
+            and np.isfinite(mu).all()):
+        return float("inf")
     grad = problem.quadratic_term @ x + problem.linear_term
+    terms = []
     if problem.n_eq:
-        grad = grad + problem.eq_matrix.T @ solution.eq_duals
-    res = 0.0
+        grad = grad + problem.eq_matrix.T @ lam
+        terms.append(np.abs(problem.eq_matrix @ x - problem.eq_rhs))
     if problem.n_ineq:
-        mu = np.asarray(solution.ineq_duals, dtype=np.float64)
         grad = grad + problem.ineq_matrix.T @ mu
         viol = problem.ineq_matrix @ x - problem.ineq_rhs
-        res = max(res,
-                  float(np.max(np.maximum(viol, 0.0), initial=0.0)),
-                  float(np.max(-mu, initial=0.0)),
-                  float(np.max(np.abs(mu * viol), initial=0.0)))
-    if problem.n_eq:
-        res = max(res, float(np.max(np.abs(problem.eq_matrix @ x - problem.eq_rhs))))
-    if problem.n:
-        res = max(res, float(np.max(np.abs(grad))))
-    return res
+        terms += [np.maximum(viol, 0.0), -mu, np.abs(mu * viol)]
+    terms.append(np.abs(grad))
+    # np.max propagates a NaN, where Python's max(0.0, nan) is 0.0
+    res = float(np.max(np.concatenate(terms), initial=0.0))
+    return float("inf") if math.isnan(res) else res
 
 
-_getrs, = sla.get_lapack_funcs(("getrs",), (np.zeros(1),))
-
-
-def _lu_solve(lu_and_piv, b: np.ndarray) -> np.ndarray:
-    """`sla.lu_solve` for a float64 factorization and one right-hand side.
-
-    Calls LAPACK getrs directly, skipping the wrapper's argument
-    conversion, and keeps its checks: the shapes must agree, a
-    non-finite right-hand side raises ValueError, and so does a nonzero
-    `info`.
-    """
-    lu, piv = lu_and_piv
-    if b.shape != (lu.shape[0],):
-        raise ValueError(f"Shapes of lu {lu.shape} and b {b.shape} are incompatible")
+def _apply(inverse: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`inverse @ b` for one right-hand side, with the checks of a LAPACK
+    solve: the shapes must agree, and a non-finite right-hand side
+    raises ValueError."""
+    if b.shape != (inverse.shape[1],):
+        raise ValueError(
+            f"Shapes of inverse {inverse.shape} and b {b.shape} are incompatible")
     if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
-    x, info = _getrs(lu, piv, b)
-    if info:
-        raise ValueError(f"illegal value in {-info}th argument of internal getrs")
-    return x
+    return inverse @ b
 
 
 def _feasibility_gap(problem: QpProblem) -> float:
@@ -191,8 +190,8 @@ def _feasibility_gap(problem: QpProblem) -> float:
     Returns +inf when even the equality system is inconsistent.  A gap
     above tolerance certifies infeasibility of the original problem.
     """
-    # imported here: scipy.optimize adds about 40% to the package's
-    # import time, and only a declared infeasibility needs it
+    # imported here: scipy about doubles the package's import time and
+    # memory, and only a declared infeasibility needs it
     from scipy.optimize import linprog
 
     n = problem.n
@@ -216,30 +215,60 @@ def _feasibility_gap(problem: QpProblem) -> float:
     return float(res.fun)
 
 
-def _variable_bounds(problem: QpProblem):
-    """Per-variable (lower, upper) bounds stated by the inequality rows
-    with one nonzero coefficient, such as those QpBuilder makes from
-    variable bounds; +-inf where a variable has none."""
+def _bound_rows(problem: QpProblem):
+    """The inequality rows with one nonzero coefficient, such as those
+    QpBuilder makes from variable bounds: (rows, their variables, their
+    coefficients)."""
     a = problem.ineq_matrix
-    lower = np.full(problem.n, -np.inf)
-    upper = np.full(problem.n, np.inf)
     rows = np.flatnonzero(np.count_nonzero(a, axis=1) == 1)
     cols = np.nonzero(a[rows])[1]
-    coef = a[rows, cols]
-    bound = problem.ineq_rhs[rows] / coef
-    up = coef > 0
-    np.minimum.at(upper, cols[up], bound[up])
-    np.maximum.at(lower, cols[~up], bound[~up])
-    return lower, upper
+    return rows, cols, a[rows, cols]
+
+
+class _PolishFactor(NamedTuple):
+    """The reduced KKT system of one active set.
+
+    The variables of the active bound rows are fixed at `x_fixed`.  The
+    unknowns t are the free variables, in the order `free` (first the
+    core ones, then the separable ones), and the multipliers of the
+    equality rows and the active general rows `g`.  The regularized
+    system is solved in two parts: the separable variables are
+    eliminated in closed form, and `inverse` is that of the remaining
+    core."""
+
+    free: np.ndarray  # indices of the free variables
+    x_fixed: np.ndarray  # fixed values, zero at the free variables
+    general: np.ndarray  # indices of the active general inequality rows
+    g: np.ndarray  # equality rows, then the active general rows
+    bound: np.ndarray  # indices of the active bound rows
+    bound_col: np.ndarray  # their variables
+    bound_scale: np.ndarray  # coef / (sum of coef^2 on the row's variable)
+    kkt: np.ndarray  # [[Q_FF, G_F'], [G_F, 0]], for refinement
+    h_sep: np.ndarray  # Q_jj + delta of the separable free variables
+    g_sep: np.ndarray  # their columns of g
+    inverse: np.ndarray  # of the regularized core system
+    rhs_top: np.ndarray  # -(Q x_fixed)[free]; the solve subtracts c[free]
+    rhs_bottom: np.ndarray  # b_G - G x_fixed
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """The regularized system's solution for the right-hand side r."""
+        nf = self.free.size
+        nc = nf - self.h_sep.size
+        v = r[nc:nf] / self.h_sep
+        core = _apply(self.inverse,
+                      np.concatenate([r[:nc], r[nf:] - self.g_sep @ v]))
+        lam = core[nc:]
+        return np.concatenate(
+            [core[:nc], v - (self.g_sep.T @ lam) / self.h_sep, lam])
 
 
 class Workspace:
     """Reusable solve state for one problem structure.
 
-    Keeps the KKT factorization and the last iterates, so a sequence of
-    solves that only change the linear term (the trading subproblem
-    across iterations) pays for one factorization and warm-starts each
-    subsequent solve.
+    Keeps the inverse of the splitting matrix Q + sigma I + A' diag(rho) A
+    and the last iterates, so a sequence of solves that only change the
+    linear term (the trading subproblem across iterations) forms it once
+    and warm-starts each subsequent solve.
     """
 
     def __init__(self, problem: QpProblem, rho: float = 0.1,
@@ -259,11 +288,32 @@ class Workspace:
         self._x = np.zeros(n)
         self._z = np.clip(np.zeros(m), self._lower, self._upper)
         self._y = np.zeros(m)
-        self._lu = None
+        self._inverse = None
         self._have_solution = False
         self._active = None  # active-set mask of the last accepted polish
-        self._polish_cache = {}  # active-set mask bytes -> (lu, rows) or None
-        self._var_lower, self._var_upper = _variable_bounds(problem)
+        self._polish_cache = {}  # active-set mask bytes -> _PolishFactor or None
+        rows, cols, coef = _bound_rows(problem)
+        self._is_bound = np.zeros(problem.n_ineq, dtype=bool)
+        self._is_bound[rows] = True
+        self._bound_col = np.zeros(problem.n_ineq, dtype=int)
+        self._bound_col[rows] = cols
+        self._bound_coef = np.zeros(problem.n_ineq)
+        self._bound_coef[rows] = coef
+        # per-variable bounds the rows state; +-inf where there is none
+        bound = problem.ineq_rhs[rows] / coef
+        up = coef > 0
+        self._var_lower = np.full(n, -np.inf)
+        self._var_upper = np.full(n, np.inf)
+        np.minimum.at(self._var_upper, cols[up], bound[up])
+        np.maximum.at(self._var_lower, cols[~up], bound[~up])
+        # Variables whose row of Q holds only a diagonal entry that is not
+        # small next to the constraint coefficients: the polish eliminates
+        # them in closed form, and each pivot adds entries of at most 1e3
+        # to the system that remains.
+        q = problem.quadratic_term
+        a_max = max(1.0, float(np.max(np.abs(self._A), initial=0.0)))
+        self._separable = ((np.count_nonzero(q, axis=1) == 1)
+                           & (np.diag(q) >= 1e-3 * a_max ** 2))
 
     def _make_rho(self, base):
         rho = np.full(self._A.shape[0], base)
@@ -271,15 +321,21 @@ class Workspace:
         return np.clip(rho, 1e-6, 1e6)
 
     def _factorize(self):
-        n = self.problem.n
-        m = self._A.shape[0]
-        kkt = np.zeros((n + m, n + m))
-        kkt[:n, :n] = self.problem.quadratic_term
-        kkt[:n, :n] += self._sigma * np.eye(n)
-        kkt[:n, n:] = self._A.T
-        kkt[n:, :n] = self._A
-        kkt[n:, n:] = -np.diag(1.0 / self._rho)
-        self._lu = sla.lu_factor(kkt)
+        a = self._A
+        m = self.problem.quadratic_term + a.T @ (self._rho[:, None] * a)
+        m[np.diag_indices_from(m)] += self._sigma
+        self._inverse = np.linalg.inv(m)
+
+    def _split_step(self, x, z, y):
+        """The splitting subproblem at (x, z, y), in reduced form:
+        x~ = M^-1 (sigma x - c + A'(rho z - y)) and z~ = A x~, the same
+        point as the stacked KKT system [[Q + sigma I, A'], [A, -1/rho]]
+        gives."""
+        a = self._A
+        rhs = (self._sigma * x - self.problem.linear_term
+               + a.T @ (self._rho * z - y))
+        xt = _apply(self._inverse, rhs)
+        return xt, a @ xt
 
     def update(self, linear_term=None, offset=None):
         """Swap the linear objective without touching the factorization."""
@@ -343,7 +399,7 @@ class Workspace:
                 self._adopt(cand, mask)
                 return cand
 
-        if self._lu is None:
+        if self._inverse is None:
             self._factorize()
         q = prob.quadratic_term
         c = prob.linear_term
@@ -351,7 +407,6 @@ class Workspace:
         rho = self._rho
         x, z, y = self._x, self._z, self._y
         alpha = self._alpha
-        sigma = self._sigma
 
         check_every = 10
         polish_gate = max(1e-4, tol)
@@ -361,11 +416,7 @@ class Workspace:
         k = 0
         while k < max_iter:
             k += 1
-            rhs = np.concatenate([sigma * x - c, z - y / rho])
-            sol = _lu_solve(self._lu, rhs)
-            xt = sol[:n]
-            nu = sol[n:]
-            zt = z + (nu - y) / rho
+            xt, zt = self._split_step(x, z, y)
             x = alpha * xt + (1.0 - alpha) * x
             ztmp = alpha * zt + (1.0 - alpha) * z + y / rho
             z = np.clip(ztmp, self._lower, self._upper)
@@ -467,27 +518,60 @@ class Workspace:
         return None
 
     def _polish_factor(self, mask):
-        """LU of the regularized active-set KKT matrix, cached by mask.
+        """The reduced KKT system of the active set `mask`, cached by mask.
 
-        The matrix only involves the quadratic term and constraint rows,
-        so entries survive linear-term updates across repeated solves.
+        An active bound row fixes its variable; where several do, the
+        variable takes their least-squares value.  Only the free
+        variables, the equality rows and the active general rows remain.
+        The system involves only the quadratic term and the constraint
+        rows, so it survives linear-term updates across repeated solves.
         """
         key = mask.tobytes()
         if key in self._polish_cache:
             return self._polish_cache[key]
         prob = self.problem
         n = prob.n
-        g = np.vstack([prob.eq_matrix, prob.ineq_matrix[mask]])
+        bound = np.flatnonzero(mask & self._is_bound)
+        general = np.flatnonzero(mask & ~self._is_bound)
+        cols = self._bound_col[bound]
+        coef = self._bound_coef[bound]
+        weight = np.bincount(cols, coef * coef, minlength=n)
+        fixed = weight > 0.0
+        x_fixed = np.zeros(n)
+        x_fixed[fixed] = (np.bincount(cols, coef * prob.ineq_rhs[bound],
+                                      minlength=n)[fixed] / weight[fixed])
+        sep = self._separable & ~fixed
+        free = np.concatenate([np.flatnonzero(~(fixed | sep)),
+                               np.flatnonzero(sep)])
+        q = prob.quadratic_term
+        g = np.vstack([prob.eq_matrix, prob.ineq_matrix[general]])
+        g_free = g[:, free]
+        nf = free.size
         ma = g.shape[0]
+        kkt = np.zeros((nf + ma, nf + ma))
+        kkt[:nf, :nf] = q[np.ix_(free, free)]
+        kkt[:nf, nf:] = g_free.T
+        kkt[nf:, :nf] = g_free
         delta = 1e-8
-        kreg = np.zeros((n + ma, n + ma))
-        kreg[:n, :n] = prob.quadratic_term + delta * np.eye(n)
-        kreg[:n, n:] = g.T
-        kreg[n:, :n] = g
-        kreg[n:, n:] = -delta * np.eye(ma)
+        # Eliminating the separable free variables S, with H_S = Q_SS +
+        # delta I diagonal, leaves the core over the other free variables
+        # C and the rows: [[Q_CC + delta I, G_C'], [G_C, -delta I - G_S
+        # H_S^-1 G_S']].
+        nc = nf - np.count_nonzero(sep)
+        h_sep = np.diag(q)[sep] + delta
+        g_sep = g_free[:, nc:]
+        kreg = np.empty((nc + ma, nc + ma))
+        kreg[:nc, :nc] = kkt[:nc, :nc] + delta * np.eye(nc)
+        kreg[:nc, nc:] = kkt[:nc, nf:]
+        kreg[nc:, :nc] = kkt[nf:, :nc]
+        kreg[nc:, nc:] = -delta * np.eye(ma) - (g_sep / h_sep) @ g_sep.T
         try:
-            entry = (sla.lu_factor(kreg), g)
-        except (ValueError, np.linalg.LinAlgError):
+            entry = _PolishFactor(
+                free, x_fixed, general, g, bound, cols, coef / weight[cols],
+                kkt, h_sep, g_sep, np.linalg.inv(kreg), -(q @ x_fixed)[free],
+                np.concatenate([prob.eq_rhs, prob.ineq_rhs[general]])
+                - g @ x_fixed)
+        except np.linalg.LinAlgError:
             entry = None
         if len(self._polish_cache) >= 6:
             self._polish_cache.pop(next(iter(self._polish_cache)))
@@ -497,29 +581,32 @@ class Workspace:
     def _polish_candidate(self, mask):
         """Direct KKT solve on the active set `mask`.
 
-        Regularized factorization plus iterative refinement against the
-        unregularized system; returns None when the factorization fails
-        or the solve is not finite.
+        Solves the reduced system with iterative refinement against its
+        unregularized form, then recovers each active bound row's
+        multiplier from stationarity at its variable (split over several
+        such rows in proportion to their coefficients).  Returns None
+        when the system is singular or the point is not finite.
         """
-        entry = self._polish_factor(mask)
-        if entry is None:
+        f = self._polish_factor(mask)
+        if f is None:
             return None
-        lu, g = entry
         prob = self.problem
-        n = prob.n
-        me = self._me
-        rhs = np.concatenate([-prob.linear_term, prob.eq_rhs, prob.ineq_rhs[mask]])
-        t = _lu_solve(lu, rhs)
+        c = prob.linear_term
+        rhs = np.concatenate([f.rhs_top - c[f.free], f.rhs_bottom])
+        t = f.solve(rhs)
         for _ in range(3):  # refinement against the exact KKT system
-            r_top = rhs[:n] - (prob.quadratic_term @ t[:n] + g.T @ t[n:])
-            r_bot = rhs[n:] - g @ t[:n]
-            t = t + _lu_solve(lu, np.concatenate([r_top, r_bot]))
-        xp = t[:n]
+            t = t + f.solve(rhs - f.kkt @ t)
+        nf = f.free.size
+        xp = f.x_fixed.copy()
+        xp[f.free] = t[:nf]
         if not np.all(np.isfinite(xp)):
             return None
+        lam = t[nf:]
+        grad = prob.quadratic_term @ xp + c + f.g.T @ lam
         mu = np.zeros(prob.n_ineq)
-        mu[mask] = t[n + me:]
-        cand = QpSolution(xp, t[n:n + me], mu, prob.objective_value(xp),
+        mu[f.general] = lam[self._me:]
+        mu[f.bound] = -grad[f.bound_col] * f.bound_scale
+        cand = QpSolution(xp, lam[:self._me], mu, prob.objective_value(xp),
                           QpStatus.OPTIMAL, 0.0, 0)
         cand.kkt_residual = check_kkt(prob, cand)
         return cand

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 import hvactrade
 from hvactrade import qp
@@ -205,6 +204,20 @@ def test_check_kkt_flags_perturbed_point():
     assert check_kkt(prob, bumped) >= 1e-2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["primal", "eq_duals", "ineq_duals"])
+def test_check_kkt_scores_a_non_finite_point_as_infinite(field, bad):
+    # max() passes a NaN over, so a NaN term once scored 0.0
+    prob = QpProblem(2 * np.eye(2), np.zeros(2),
+                     eq_matrix=np.array([[1.0, 1.0]]), eq_rhs=np.array([2.0]),
+                     ineq_matrix=np.array([[1.0, 0.0]]), ineq_rhs=np.array([1.0]))
+    point = QpSolution(np.array([1.0, 1.0]), np.array([-2.0]), np.array([0.0]),
+                       2.0, QpStatus.OPTIMAL, 0.0, 0)
+    assert check_kkt(prob, point) <= 1e-12
+    getattr(point, field)[0] = bad
+    assert check_kkt(prob, point) == np.inf
+
+
 def test_check_kkt_zero_on_exact_point():
     # known exact solution of an equality-constrained problem
     prob = QpProblem(2 * np.eye(2), np.zeros(2),
@@ -281,18 +294,97 @@ def test_warm_resolve_rejects_a_non_finite_linear_term(bad):
         ws.solve()
 
 
-def test_lu_solve_matches_scipy_and_keeps_its_checks():
+def test_apply_keeps_the_checks_of_a_solve():
     rng = np.random.default_rng(6)
     a = rng.normal(size=(7, 7))
     b = rng.normal(size=7)
-    factor = sla.lu_factor(a)
-    assert np.array_equal(qp._lu_solve(factor, b), sla.lu_solve(factor, b))
+    inverse = np.linalg.inv(a)
+    assert np.allclose(qp._apply(inverse, b), np.linalg.solve(a, b),
+                       rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError, match="incompatible"):
-        qp._lu_solve(factor, np.ones(6))
+        qp._apply(inverse, np.ones(6))
     for bad in (np.nan, np.inf, -np.inf):
         b[3] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
-            qp._lu_solve(factor, b)
+            qp._apply(inverse, b)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_reduced_splitting_step_matches_the_stacked_kkt_solve(seed):
+    """x~ = M^-1 (sigma x - c + A'(rho z - y)), z~ = A x~ is the step the
+    stacked system [[Q + sigma I, A'], [A, -1/rho]] [x~; nu] =
+    [sigma x - c; z - y/rho], z~ = z + (nu - y)/rho, takes."""
+    rng = np.random.default_rng(seed)
+    prob = random_box_qp(rng, n=8, general_rows=3, n_eq=2)
+    ws = Workspace(prob)
+    ws._factorize()
+    n, m = prob.n, ws._A.shape[0]
+    x, z, y = rng.normal(size=n), rng.normal(size=m), rng.normal(size=m)
+    xt, zt = ws._split_step(x, z, y)
+
+    rho, sigma, a = ws._rho, ws._sigma, ws._A
+    kkt = np.block([[prob.quadratic_term + sigma * np.eye(n), a.T],
+                    [a, -np.diag(1.0 / rho)]])
+    sol = np.linalg.solve(kkt, np.concatenate([sigma * x - prob.linear_term,
+                                               z - y / rho]))
+    want_x, want_z = sol[:n], z + (sol[n:] - y) / rho
+    assert np.linalg.norm(xt - want_x) <= 1e-10 * np.linalg.norm(want_x)
+    assert np.linalg.norm(zt - want_z) <= 1e-10 * np.linalg.norm(want_z)
+
+
+def full_kkt_polish(prob, mask, delta=1e-8):
+    """The polish before bound elimination: the regularized KKT system
+    over every variable and every active row, three refinement steps."""
+    n, me = prob.n, prob.n_eq
+    g = np.vstack([prob.eq_matrix, prob.ineq_matrix[mask]])
+    ma = g.shape[0]
+    exact = np.block([[prob.quadratic_term, g.T], [g, np.zeros((ma, ma))]])
+    kreg = exact + np.diag(np.r_[np.full(n, delta), np.full(ma, -delta)])
+    rhs = np.concatenate([-prob.linear_term, prob.eq_rhs, prob.ineq_rhs[mask]])
+    t = np.linalg.solve(kreg, rhs)
+    for _ in range(3):
+        t = t + np.linalg.solve(kreg, rhs - exact @ t)
+    mu = np.zeros(prob.n_ineq)
+    mu[mask] = t[n + me:]
+    return t[:n], t[n:n + me], mu
+
+
+def pinned_epigraph_qp():
+    """Five variables, one pinned by lb == ub, a priced peak over three of
+    them and an equality row."""
+    b = QpBuilder()
+    x = b.add_vars(5, "x", lb=[0.0, 0.0, 0.7, -1.0, 0.0],
+                   ub=[2.0, 1.0, 0.7, 1.0, 3.0])
+    peak = epigraph_max(b, x[:3])
+    b.add_linear([peak], [2.0])
+    for i, center in enumerate([1.5, 2.0, 0.0, -3.0, 1.0]):
+        b.add_square(x[i], 0.5 + i, center=center)
+    b.add_eq([x[3], x[4]], [1.0, 1.0], 0.5)
+    return b.build()
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_bound_eliminated_polish_matches_the_full_kkt_polish(seed):
+    """On the optimum's active set the reduced system returns the full
+    system's point and multipliers, also for a variable whose two bound
+    rows are both active and for an epigraph row."""
+    if seed is None:
+        prob = pinned_epigraph_qp()
+    else:
+        prob = random_box_qp(np.random.default_rng(seed), n=7, general_rows=2,
+                             n_eq=1)
+    x = solve(prob).primal
+    mask = prob.ineq_rhs - prob.ineq_matrix @ x < 1e-9
+    if seed is None:
+        # both bound rows of x2 and an epigraph row (rows 0-2)
+        pinned = np.flatnonzero(np.count_nonzero(prob.ineq_matrix, axis=1) == 1
+                                & (prob.ineq_matrix[:, 2] != 0))
+        assert len(pinned) == 2 and mask[pinned].all() and mask[:3].any()
+    cand = Workspace(prob)._polish_candidate(mask)
+    want_x, want_eq, want_mu = full_kkt_polish(prob, mask)
+    assert cand.primal == pytest.approx(want_x, abs=1e-9)
+    assert cand.eq_duals == pytest.approx(want_eq, abs=1e-9)
+    assert cand.ineq_duals == pytest.approx(want_mu, abs=1e-9)
 
 
 def test_solve_puts_a_primal_within_tol_of_a_bound_on_it(monkeypatch):
@@ -314,15 +406,22 @@ def test_solve_puts_a_primal_within_tol_of_a_bound_on_it(monkeypatch):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    """linprog runs only when infeasibility is declared, so importing
-    the package does not pay for scipy.optimize."""
+    """linprog runs only when infeasibility is declared, and the kernels
+    use numpy alone: neither importing the package nor a feasible
+    negotiation loads any scipy module."""
     src = str(Path(hvactrade.__file__).resolve().parent.parent)
+    fixture = Path(src).parent / "scenarios" / "two_user_complementary.yaml"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, hvactrade; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+         "import sys, hvactrade\n"
+         "scipy = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+         "print(scipy())\n"
+         "report = hvactrade.run(hvactrade.load_scenario(sys.argv[1]))\n"
+         "print(report.converged, scipy())",
+         str(fixture)],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split("\n")[:2] == ["[]", "True []"]
 
 
 # --- builder and epigraph ----------------------------------------------
