@@ -55,18 +55,18 @@ def _recover_trades(net_import, c, cbar, rho: float) -> np.ndarray:
 
 
 def build_user_qp(params: UserParams, tariff: Tariff, grid: TimeGrid,
-                  partner_ids=(), aux=None, duals=None, rho: float = 0.0):
+                  partner_ids=(), rho: float = 0.0):
     """Assemble one user's scheduling QP.
 
     With no partners this is the standalone problem.  With M partners
     the pairwise trades are eliminated, following the exchange problem
     of Boyd et al. (2011, section 7.3): one free net import s per slot
-    joins the balance row, priced cbar*s + (rho/2M) s^2, where cbar is
-    the partner mean of c = trade_price*slot_hours - dual - rho*aux.
-    The offset keeps the objective equal to the pairwise problem's, so
-    the size is 5H+1 variables (5H without a peak charge) at any M.
-    Returns (problem, index) where index maps variable groups to their
-    positions in the primal vector.
+    joins the balance row, priced cbar*s + (rho/2M) s^2.  The problem is
+    built at zero consensus and duals, where cbar is the trade price per
+    slot; `LocalAgent.solve_llp` rewrites cbar and the offset each
+    round.  The size is 5H+1 variables (5H without a peak charge) at any
+    M.  Returns (problem, index) where index maps variable groups to
+    their positions in the primal vector.
     """
     h = params.horizon
     if grid.horizon_len != h:
@@ -112,16 +112,9 @@ def build_user_qp(params: UserParams, tariff: Tariff, grid: TimeGrid,
         for t in range(h):
             b.add_square(t_in[t], params.comfort_weight, center=params.temp_ref)
     if npart:
-        shape = (npart, h)
-        _, cbar, offset = _exchange_terms(
-            params.id, tariff.trade_price * sh,
-            np.zeros(shape) if aux is None else np.asarray(aux, dtype=float),
-            np.zeros(shape) if duals is None else np.asarray(duals, dtype=float),
-            rho)
-        b.add_linear(s, cbar)
+        b.add_linear(s, tariff.trade_price * sh)
         for t in range(h):
             b.add_square(s[t], 0.5 * rho / npart)
-        b.add_offset(offset)
 
     index = {"renewable": p_re, "grid": p_g, "hvac": p_ac, "temp": t_in,
              "net_import": s, "peak": peak}

@@ -5,31 +5,34 @@ Problems have the form
     minimize    0.5 x'Qx + c'x + offset
     subject to  A_eq x  = b_eq
                 A_in x <= b_in
+                lower <= x <= upper
 
-with Q symmetric positive semidefinite.  The solver runs an
-over-relaxed operator-splitting iteration in the reduced form of
-Stellato et al. (*OSQP*, 2020, section 3.1): each step applies the
-inverse of the n x n positive definite matrix
-Q + sigma I + A' diag(rho) A, formed once per penalty.  It then
-polishes the active set: active variable bounds fix their variables,
-and a regularized KKT system over the free variables, the equality
-rows and the active general rows is solved with iterative refinement,
-after free variables with a diagonal row of Q are eliminated from it
-in closed form.  Iterations start from zero, so repeated solves of the
-same problem are bit-identical.  A warm re-solve first polishes on the
-active set it last accepted, whose inverse is cached.  The kernels use
-numpy alone.
+with Q symmetric positive semidefinite and any bound possibly
+infinite.  The solver runs an over-relaxed operator-splitting iteration
+on the form l <= Ax <= u of Stellato et al. (*OSQP*, 2020): A stacks
+the equality rows, the general rows and one identity row per bounded
+variable, whose interval is [lower, upper].  In the reduced form
+(section 3.1) each step applies the inverse of the n x n positive
+definite matrix Q + sigma I + A' diag(rho) A, formed once per penalty.
+It then polishes the active set: each variable at an active bound is
+fixed there, and a regularized KKT system over the free variables, the
+equality rows and the active general rows is solved with iterative
+refinement, after free variables with a diagonal row of Q are
+eliminated from it in closed form.  Iterations start from zero, so
+repeated solves of the same problem are bit-identical.  A warm re-solve
+first polishes on the active set it last accepted, whose inverse is
+cached.  The kernels use numpy alone.
 
 Infeasibility is decided by a linear feasibility phase (smallest
-uniform constraint relaxation, solved via linprog) rather than from
-the splitting iterates, so the Infeasible status is definitive.
+uniform relaxation of the general rows, solved via linprog) rather than
+from the splitting iterates, so the Infeasible status is definitive.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -62,9 +65,9 @@ def _matrix(m, name, ncols):
     return arr
 
 
-def _vector(v, name, length):
+def _vector(v, name, length, fill=0.0):
     if v is None:
-        return np.zeros(length)
+        return np.full(length, fill)
     arr = np.asarray(v, dtype=np.float64)
     if arr.shape != (length,):
         raise ValueError(f"{name} must have shape ({length},), got {arr.shape}")
@@ -79,6 +82,8 @@ class QpProblem:
     eq_rhs: np.ndarray | None = None
     ineq_matrix: np.ndarray | None = None
     ineq_rhs: np.ndarray | None = None
+    lower: np.ndarray | None = None  # per-variable bounds, default -inf
+    upper: np.ndarray | None = None  # default +inf
     var_names: list[str] | None = None
     offset: float = 0.0
 
@@ -110,6 +115,13 @@ class QpProblem:
         self.eq_rhs = _vector(self.eq_rhs, "eq_rhs", self.eq_matrix.shape[0])
         self.ineq_matrix = _matrix(self.ineq_matrix, "ineq_matrix", n)
         self.ineq_rhs = _vector(self.ineq_rhs, "ineq_rhs", self.ineq_matrix.shape[0])
+        self.lower = _vector(self.lower, "lower", n, -np.inf)
+        self.upper = _vector(self.upper, "upper", n, np.inf)
+        # the comparisons are False at a NaN
+        if not np.all((self.lower <= self.upper) & (self.lower < np.inf)
+                      & (self.upper > -np.inf)):
+            raise ValueError("bounds must satisfy lower <= upper, lower < +inf "
+                             "and upper > -inf, with no NaN")
         if self.var_names is not None and len(self.var_names) != n:
             raise ValueError("var_names length must match variable count")
         self.offset = float(self.offset)
@@ -141,6 +153,12 @@ class QpSolution:
     status: QpStatus
     kkt_residual: float
     iterations: int
+    # one per variable: positive at its upper bound, negative at its lower
+    bound_duals: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.bound_duals is None:
+            self.bound_duals = np.zeros(len(self.primal))
 
 
 def check_kkt(problem: QpProblem, solution: QpSolution) -> float:
@@ -148,17 +166,22 @@ def check_kkt(problem: QpProblem, solution: QpSolution) -> float:
 
     Covers stationarity, primal feasibility, dual sign, and
     complementary slackness; uses only the problem data and the
-    candidate point, no solver internals.  A non-finite input or term
-    scores +inf, never as optimal.
+    candidate point, no solver internals.  A bound multiplier holds its
+    variable at the bound its sign names, so one on an infinite bound
+    scores +inf.  A non-finite input or term scores +inf, never as
+    optimal.
     """
-    x = np.asarray(solution.primal, dtype=np.float64)
-    lam = np.asarray(solution.eq_duals, dtype=np.float64)
-    mu = np.asarray(solution.ineq_duals, dtype=np.float64)
-    if not (np.isfinite(x).all() and np.isfinite(lam).all()
-            and np.isfinite(mu).all()):
+    x, lam, mu, nu = (np.asarray(v, dtype=np.float64) for v in (
+        solution.primal, solution.eq_duals, solution.ineq_duals,
+        solution.bound_duals))
+    if not all(np.isfinite(v).all() for v in (x, lam, mu, nu)):
         return float("inf")
-    grad = problem.quadratic_term @ x + problem.linear_term
-    terms = []
+    grad = problem.quadratic_term @ x + problem.linear_term + nu
+    lower, upper = problem.lower, problem.upper
+    # the bound each multiplier's sign names, and x itself at a zero one;
+    # negative terms are harmless, the maximum starts at zero
+    held = np.where(nu > 0.0, upper, np.where(nu < 0.0, lower, x))
+    terms = [lower - x, x - upper, np.abs(nu * (held - x))]
     if problem.n_eq:
         grad = grad + problem.eq_matrix.T @ lam
         terms.append(np.abs(problem.eq_matrix @ x - problem.eq_rhs))
@@ -184,11 +207,19 @@ def _apply(inverse: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inverse @ b
 
 
-def _feasibility_gap(problem: QpProblem) -> float:
-    """Smallest uniform slack t with A_in x <= b_in + t, A_eq x = b_eq.
+def _magnitude(*arrays) -> float:
+    """The largest finite magnitude in the arrays, and at least 1."""
+    v = np.abs(np.concatenate(arrays))
+    return max(1.0, float(np.max(v, initial=0.0, where=np.isfinite(v))))
 
-    Returns +inf when even the equality system is inconsistent.  A gap
-    above tolerance certifies infeasibility of the original problem.
+
+def _feasibility_gap(problem: QpProblem) -> float:
+    """Smallest uniform slack t with A_in x <= b_in + t, A_eq x = b_eq
+    and lower <= x <= upper.
+
+    Returns +inf when even the equalities and the bounds are
+    inconsistent.  A gap above tolerance certifies infeasibility of the
+    original problem.
     """
     # imported here: scipy about doubles the package's import time and
     # memory, and only a declared infeasibility needs it
@@ -205,30 +236,25 @@ def _feasibility_gap(problem: QpProblem) -> float:
     if problem.n_eq:
         a_eq = np.hstack([problem.eq_matrix, np.zeros((problem.n_eq, 1))])
         b_eq = problem.eq_rhs
-    bounds = [(None, None)] * n + [(-1.0, None)]
+    bounds = list(zip(problem.lower, problem.upper)) + [(-1.0, None)]
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=bounds, method="highs")
-    if res.status == 2:  # equality system inconsistent
-        return float("inf")
-    if not res.success:
-        return float("inf")
-    return float(res.fun)
+    # status 2: the equalities and the bounds admit no point
+    return float(res.fun) if res.success else float("inf")
 
 
-def _bound_rows(problem: QpProblem):
-    """The inequality rows with one nonzero coefficient, such as those
-    QpBuilder makes from variable bounds: (rows, their variables, their
-    coefficients)."""
-    a = problem.ineq_matrix
-    rows = np.flatnonzero(np.count_nonzero(a, axis=1) == 1)
-    cols = np.nonzero(a[rows])[1]
-    return rows, cols, a[rows, cols]
+# Splitting settings: the initial penalty of a general or bound row
+# (equality rows take 1e3 times it), the proximal weight sigma and the
+# over-relaxation factor.
+_RHO = 0.1
+_SIGMA = 1e-6
+_ALPHA = 1.6
 
 
 class _PolishFactor(NamedTuple):
     """The reduced KKT system of one active set.
 
-    The variables of the active bound rows are fixed at `x_fixed`.  The
+    The variables at an active bound are fixed at `x_fixed`.  The
     unknowns t are the free variables, in the order `free` (first the
     core ones, then the separable ones), and the multipliers of the
     equality rows and the active general rows `g`.  The regularized
@@ -240,9 +266,7 @@ class _PolishFactor(NamedTuple):
     x_fixed: np.ndarray  # fixed values, zero at the free variables
     general: np.ndarray  # indices of the active general inequality rows
     g: np.ndarray  # equality rows, then the active general rows
-    bound: np.ndarray  # indices of the active bound rows
-    bound_col: np.ndarray  # their variables
-    bound_scale: np.ndarray  # coef / (sum of coef^2 on the row's variable)
+    fixed: np.ndarray  # indices of the variables at an active bound
     kkt: np.ndarray  # [[Q_FF, G_F'], [G_F, 0]], for refinement
     h_sep: np.ndarray  # Q_jj + delta of the separable free variables
     g_sep: np.ndarray  # their columns of g
@@ -268,44 +292,35 @@ class Workspace:
     Keeps the inverse of the splitting matrix Q + sigma I + A' diag(rho) A
     and the last iterates, so a sequence of solves that only change the
     linear term (the trading subproblem across iterations) forms it once
-    and warm-starts each subsequent solve.
+    and warm-starts each subsequent solve.  An active set is an int8
+    vector: 1 at each active general row, then for each bounded variable
+    +1 at its upper bound, -1 at its lower bound and 0 when it is free.
     """
 
-    def __init__(self, problem: QpProblem, rho: float = 0.1,
-                 sigma: float = 1e-6, alpha: float = 1.6):
+    def __init__(self, problem: QpProblem):
         self.problem = problem
-        self._sigma = float(sigma)
-        self._alpha = float(alpha)
         n = problem.n
-        self._A = np.vstack([problem.eq_matrix, problem.ineq_matrix])
+        self._bounded = np.flatnonzero(np.isfinite(problem.lower)
+                                       | np.isfinite(problem.upper))
+        self._A = np.vstack([problem.eq_matrix, problem.ineq_matrix,
+                             np.eye(n)[self._bounded]])
         m = self._A.shape[0]
         self._me = problem.n_eq
-        self._upper = np.concatenate([problem.eq_rhs, problem.ineq_rhs])
-        self._lower = np.concatenate(
-            [problem.eq_rhs, np.full(problem.n_ineq, -np.inf)])
-        self._rho_base = float(rho)
+        self._mi = self._me + problem.n_ineq  # the first bound row
+        self._lower = np.concatenate([problem.eq_rhs,
+                                      np.full(problem.n_ineq, -np.inf),
+                                      problem.lower[self._bounded]])
+        self._upper = np.concatenate([problem.eq_rhs, problem.ineq_rhs,
+                                      problem.upper[self._bounded]])
+        self._rho_base = _RHO
         self._rho = self._make_rho(self._rho_base)
         self._x = np.zeros(n)
         self._z = np.clip(np.zeros(m), self._lower, self._upper)
         self._y = np.zeros(m)
         self._inverse = None
         self._have_solution = False
-        self._active = None  # active-set mask of the last accepted polish
-        self._polish_cache = {}  # active-set mask bytes -> _PolishFactor or None
-        rows, cols, coef = _bound_rows(problem)
-        self._is_bound = np.zeros(problem.n_ineq, dtype=bool)
-        self._is_bound[rows] = True
-        self._bound_col = np.zeros(problem.n_ineq, dtype=int)
-        self._bound_col[rows] = cols
-        self._bound_coef = np.zeros(problem.n_ineq)
-        self._bound_coef[rows] = coef
-        # per-variable bounds the rows state; +-inf where there is none
-        bound = problem.ineq_rhs[rows] / coef
-        up = coef > 0
-        self._var_lower = np.full(n, -np.inf)
-        self._var_upper = np.full(n, np.inf)
-        np.minimum.at(self._var_upper, cols[up], bound[up])
-        np.maximum.at(self._var_lower, cols[~up], bound[~up])
+        self._active = None  # active set of the last accepted polish
+        self._polish_cache = {}  # active-set bytes -> _PolishFactor or None
         # Variables whose row of Q holds only a diagonal entry that is not
         # small next to the constraint coefficients: the polish eliminates
         # them in closed form, and each pivot adds entries of at most 1e3
@@ -323,7 +338,7 @@ class Workspace:
     def _factorize(self):
         a = self._A
         m = self.problem.quadratic_term + a.T @ (self._rho[:, None] * a)
-        m[np.diag_indices_from(m)] += self._sigma
+        m[np.diag_indices_from(m)] += _SIGMA
         self._inverse = np.linalg.inv(m)
 
     def _split_step(self, x, z, y):
@@ -332,7 +347,7 @@ class Workspace:
         point as the stacked KKT system [[Q + sigma I, A'], [A, -1/rho]]
         gives."""
         a = self._A
-        rhs = (self._sigma * x - self.problem.linear_term
+        rhs = (_SIGMA * x - self.problem.linear_term
                + a.T @ (self._rho * z - y))
         xt = _apply(self._inverse, rhs)
         return xt, a @ xt
@@ -347,26 +362,37 @@ class Workspace:
         if offset is not None:
             self.problem.offset = float(offset)
 
-    def _adopt(self, cand, mask):
+    def _adopt(self, cand, active):
         """Store a polished optimum and its active set as the warm-start
         state."""
         self._x = cand.primal.copy()
         self._z = np.clip(self._A @ cand.primal, self._lower, self._upper)
-        self._y = np.concatenate([cand.eq_duals, cand.ineq_duals])
-        self._active = mask
+        self._y = np.concatenate([cand.eq_duals, cand.ineq_duals,
+                                  cand.bound_duals[self._bounded]])
+        self._active = active
         self._have_solution = True
+
+    def _iterate(self, x, y, status, k):
+        """The splitting iterate (x, y) as a solution, scored by check_kkt."""
+        nu = np.zeros(self.problem.n)
+        nu[self._bounded] = y[self._mi:]
+        sol = QpSolution(x.copy(), y[:self._me].copy(),
+                         np.maximum(y[self._me:self._mi], 0.0),
+                         self.problem.objective_value(x), status, 0.0, k, nu)
+        sol.kkt_residual = check_kkt(self.problem, sol)
+        return sol
 
     def solve(self, tol: float = 1e-8, max_iter: int = 20000) -> QpSolution:
         """Solve the current problem.
 
-        A primal coordinate that lies outside a single-variable row (a
-        bound) by at most `tol` is returned on the bound, so an optimum
-        with an active bound never sits a rounding error outside it.
-        The objective is that of the returned point; the KKT residual
-        and the warm-start state are those of the solver's own iterate.
+        A primal coordinate that lies outside its bound by at most `tol`
+        is returned on the bound, so an optimum with an active bound
+        never sits a rounding error outside it.  The objective is that
+        of the returned point; the KKT residual and the warm-start state
+        are those of the solver's own iterate.
         """
         sol = self._solve(tol, max_iter)
-        x, lower, upper = sol.primal, self._var_lower, self._var_upper
+        x, lower, upper = sol.primal, self.problem.lower, self.problem.upper
         outside = (((x < lower) & (x >= lower - tol))
                    | ((x > upper) & (x <= upper + tol)))
         if outside.any():
@@ -376,12 +402,9 @@ class Workspace:
 
     def _solve(self, tol, max_iter) -> QpSolution:
         prob = self.problem
-        n = prob.n
-        if n == 0:
+        if prob.n == 0:
             return QpSolution(np.zeros(0), np.zeros(0), np.zeros(0),
                               prob.offset, QpStatus.OPTIMAL, 0.0, 0)
-        if self._A.shape[0] == 0:
-            return self._solve_unconstrained(tol)
 
         if self._have_solution:
             # The previous optimum's active set usually survives a small
@@ -394,9 +417,10 @@ class Workspace:
                 if cand is not None and cand.kkt_residual <= tol:
                     self._adopt(cand, self._active)
                     return cand
-            cand, mask = self._polish(self._x, self._y, good_enough=tol, limit=1)
+            cand, active = self._polish(self._x, self._y, good_enough=tol,
+                                        limit=1)
             if cand is not None and cand.kkt_residual <= tol:
-                self._adopt(cand, mask)
+                self._adopt(cand, active)
                 return cand
 
         if self._inverse is None:
@@ -406,7 +430,7 @@ class Workspace:
         A = self._A
         rho = self._rho
         x, z, y = self._x, self._z, self._y
-        alpha = self._alpha
+        lower, upper = self._lower, self._upper
 
         check_every = 10
         polish_gate = max(1e-4, tol)
@@ -417,9 +441,9 @@ class Workspace:
         while k < max_iter:
             k += 1
             xt, zt = self._split_step(x, z, y)
-            x = alpha * xt + (1.0 - alpha) * x
-            ztmp = alpha * zt + (1.0 - alpha) * z + y / rho
-            z = np.clip(ztmp, self._lower, self._upper)
+            x = _ALPHA * xt + (1.0 - _ALPHA) * x
+            ztmp = _ALPHA * zt + (1.0 - _ALPHA) * z + y / rho
+            z = np.clip(ztmp, lower, upper)
             y = rho * (ztmp - z)
 
             if k % check_every and k != max_iter:
@@ -427,26 +451,24 @@ class Workspace:
             ax = A @ x
             qx = q @ x
             aty = A.T @ y
-            r_prim = float(np.max(np.abs(ax - z)))
+            r_prim = float(np.max(np.abs(ax - z), initial=0.0))
             r_dual = float(np.max(np.abs(qx + c + aty)))
-            s_prim = max(1.0, float(np.max(np.abs(ax))), float(np.max(np.abs(z))))
+            s_prim = max(1.0, float(np.max(np.abs(ax), initial=0.0)),
+                         float(np.max(np.abs(z), initial=0.0)))
             s_dual = max(1.0, float(np.max(np.abs(qx))), float(np.max(np.abs(aty))),
                          float(np.max(np.abs(c), initial=0.0)))
 
             if r_prim <= polish_gate * s_prim and r_dual <= polish_gate * s_dual:
-                cand, mask = self._polish(x, y, good_enough=tol)
+                cand, active = self._polish(x, y, good_enough=tol)
                 if cand is not None and cand.kkt_residual <= tol:
-                    self._adopt(cand, mask)
+                    self._adopt(cand, active)
                     cand.iterations = k
                     return cand
                 self._x, self._z, self._y = x, z, y
                 polish_gate = max(polish_gate * 1e-2, tol * 1e-2)
 
             if r_prim <= tol and r_dual <= tol:
-                mu = np.maximum(y[self._me:], 0.0)
-                raw = QpSolution(x.copy(), y[:self._me].copy(), mu,
-                                 prob.objective_value(x), QpStatus.OPTIMAL, 0.0, k)
-                raw.kkt_residual = check_kkt(prob, raw)
+                raw = self._iterate(x, y, QpStatus.OPTIMAL, k)
                 if raw.kkt_residual <= tol:
                     self._x, self._z, self._y = x, z, y
                     self._active = None
@@ -461,10 +483,13 @@ class Workspace:
             dy_norm = float(np.max(np.abs(dy), initial=0.0))
             if dy_norm > 1e-12 and k > 200:
                 aty_dy = float(np.max(np.abs(A.T @ dy)))
-                neg_ok = bool(np.all(dy[self._me:] >= -1e-6 * dy_norm))
-                support = float(self._upper[:self._me] @ dy[:self._me]
-                                + prob.ineq_rhs @ np.maximum(dy[self._me:], 0.0))
-                if neg_ok and aty_dy <= 1e-6 * dy_norm and support < -1e-6 * dy_norm:
+                lo, up = np.isfinite(lower), np.isfinite(upper)
+                # no push against an infinite side of a row's interval
+                sign_ok = bool(np.all(dy[~lo] >= -1e-6 * dy_norm)
+                               and np.all(dy[~up] <= 1e-6 * dy_norm))
+                support = float(upper[up] @ np.maximum(dy[up], 0.0)
+                                + lower[lo] @ np.minimum(dy[lo], 0.0))
+                if sign_ok and aty_dy <= 1e-6 * dy_norm and support < -1e-6 * dy_norm:
                     verdict = self._declare_infeasible(tol)
                     if verdict is not None:
                         return verdict
@@ -485,63 +510,43 @@ class Workspace:
         if verdict is not None:
             return verdict
         if best is None:
-            mu = np.maximum(y[self._me:], 0.0)
-            best = QpSolution(x.copy(), y[:self._me].copy(), mu,
-                              prob.objective_value(x), QpStatus.ITERATION_LIMIT,
-                              0.0, max_iter)
-            best.kkt_residual = check_kkt(prob, best)
+            best = self._iterate(x, y, QpStatus.ITERATION_LIMIT, max_iter)
         best.status = QpStatus.ITERATION_LIMIT
         best.iterations = max_iter
         return best
 
-    def _solve_unconstrained(self, tol):
-        prob = self.problem
-        x, *_ = np.linalg.lstsq(prob.quadratic_term, -prob.linear_term, rcond=None)
-        sol = QpSolution(x, np.zeros(0), np.zeros(0), prob.objective_value(x),
-                         QpStatus.OPTIMAL, 0.0, 1)
-        sol.kkt_residual = check_kkt(prob, sol)
-        if sol.kkt_residual > max(tol, 1e-8 * max(1.0, float(np.max(np.abs(prob.linear_term), initial=0.0)))):
-            sol.status = QpStatus.ITERATION_LIMIT  # descent direction: no finite minimum
-        return sol
-
     def _declare_infeasible(self, tol):
         gap = _feasibility_gap(self.problem)
-        feas_tol = max(1e-7, tol) * max(
-            1.0,
-            float(np.max(np.abs(self.problem.eq_rhs), initial=0.0)),
-            float(np.max(np.abs(self.problem.ineq_rhs), initial=0.0)))
-        if gap > feas_tol:
+        if gap > max(1e-7, tol) * _magnitude(self._lower, self._upper):
             n = self.problem.n
             return QpSolution(np.full(n, np.nan), np.zeros(self._me),
                               np.zeros(self.problem.n_ineq), float("nan"),
                               QpStatus.INFEASIBLE, float("inf"), 0)
         return None
 
-    def _polish_factor(self, mask):
-        """The reduced KKT system of the active set `mask`, cached by mask.
+    def _polish_factor(self, active):
+        """The reduced KKT system of an active set, cached by its bytes.
 
-        An active bound row fixes its variable; where several do, the
-        variable takes their least-squares value.  Only the free
+        Each variable at an active bound is fixed there.  Only the free
         variables, the equality rows and the active general rows remain.
         The system involves only the quadratic term and the constraint
         rows, so it survives linear-term updates across repeated solves.
         """
-        key = mask.tobytes()
+        key = active.tobytes()
         if key in self._polish_cache:
             return self._polish_cache[key]
         prob = self.problem
         n = prob.n
-        bound = np.flatnonzero(mask & self._is_bound)
-        general = np.flatnonzero(mask & ~self._is_bound)
-        cols = self._bound_col[bound]
-        coef = self._bound_coef[bound]
-        weight = np.bincount(cols, coef * coef, minlength=n)
-        fixed = weight > 0.0
+        general = np.flatnonzero(active[:prob.n_ineq])
+        side = active[prob.n_ineq:]
+        fixed = self._bounded[side != 0]
         x_fixed = np.zeros(n)
-        x_fixed[fixed] = (np.bincount(cols, coef * prob.ineq_rhs[bound],
-                                      minlength=n)[fixed] / weight[fixed])
-        sep = self._separable & ~fixed
-        free = np.concatenate([np.flatnonzero(~(fixed | sep)),
+        x_fixed[fixed] = np.where(side[side != 0] > 0, prob.upper[fixed],
+                                  prob.lower[fixed])
+        is_fixed = np.zeros(n, dtype=bool)
+        is_fixed[fixed] = True
+        sep = self._separable & ~is_fixed
+        free = np.concatenate([np.flatnonzero(~(is_fixed | sep)),
                                np.flatnonzero(sep)])
         q = prob.quadratic_term
         g = np.vstack([prob.eq_matrix, prob.ineq_matrix[general]])
@@ -567,8 +572,8 @@ class Workspace:
         kreg[nc:, nc:] = -delta * np.eye(ma) - (g_sep / h_sep) @ g_sep.T
         try:
             entry = _PolishFactor(
-                free, x_fixed, general, g, bound, cols, coef / weight[cols],
-                kkt, h_sep, g_sep, np.linalg.inv(kreg), -(q @ x_fixed)[free],
+                free, x_fixed, general, g, fixed, kkt, h_sep, g_sep,
+                np.linalg.inv(kreg), -(q @ x_fixed)[free],
                 np.concatenate([prob.eq_rhs, prob.ineq_rhs[general]])
                 - g @ x_fixed)
         except np.linalg.LinAlgError:
@@ -578,16 +583,15 @@ class Workspace:
         self._polish_cache[key] = entry
         return entry
 
-    def _polish_candidate(self, mask):
-        """Direct KKT solve on the active set `mask`.
+    def _polish_candidate(self, active):
+        """Direct KKT solve on an active set.
 
         Solves the reduced system with iterative refinement against its
-        unregularized form, then recovers each active bound row's
-        multiplier from stationarity at its variable (split over several
-        such rows in proportion to their coefficients).  Returns None
-        when the system is singular or the point is not finite.
+        unregularized form, then recovers each fixed variable's bound
+        multiplier from stationarity at it.  Returns None when the
+        system is singular or the point is not finite.
         """
-        f = self._polish_factor(mask)
+        f = self._polish_factor(active)
         if f is None:
             return None
         prob = self.problem
@@ -605,56 +609,66 @@ class Workspace:
         grad = prob.quadratic_term @ xp + c + f.g.T @ lam
         mu = np.zeros(prob.n_ineq)
         mu[f.general] = lam[self._me:]
-        mu[f.bound] = -grad[f.bound_col] * f.bound_scale
+        nu = np.zeros(prob.n)
+        nu[f.fixed] = -grad[f.fixed]
         cand = QpSolution(xp, lam[:self._me], mu, prob.objective_value(xp),
-                          QpStatus.OPTIMAL, 0.0, 0)
+                          QpStatus.OPTIMAL, 0.0, 0, nu)
         cand.kkt_residual = check_kkt(prob, cand)
         return cand
 
     def _polish(self, x, y, good_enough=0.0, limit=None):
         """Polish on the active set detected from the iterates (x, y).
 
-        Returns the best candidate and its mask, or (None, None).  Stops
-        at the first candidate whose residual is at most `good_enough`;
-        `limit` caps how many threshold variants are tried.
+        Returns the best candidate and its active set, or (None, None).
+        Stops at the first candidate whose residual is at most
+        `good_enough`; `limit` caps how many threshold variants are
+        tried.  A bound is active where its multiplier is large, at the
+        side the multiplier's sign names, or else where x is near it.
         """
         prob = self.problem
-        mi = prob.n_ineq
-        if mi == 0:
-            masks = [np.zeros(0, dtype=bool)]
-        else:
-            y_in = y[self._me:]
-            slack = prob.ineq_rhs - prob.ineq_matrix @ x
-            sy = max(1.0, float(np.max(np.abs(y_in), initial=0.0)))
-            ss = max(1.0, float(np.max(np.abs(prob.ineq_rhs), initial=0.0)))
-            masks = []
-            for ty, ts in ((1e-6, 1e-7), (1e-9, 1e-9), (1e-3, 1e-6)):
-                mask = (y_in > ty * sy) | (slack < ts * ss)
-                if not any(np.array_equal(mask, m) for m in masks):
-                    masks.append(mask)
+        me, mi = self._me, self._mi
+        lower, upper = self._lower[mi:], self._upper[mi:]
+        xb = x[self._bounded]
+        y_in, y_b = y[me:mi], y[mi:]
+        slack = prob.ineq_rhs - prob.ineq_matrix @ x
+        sy = max(1.0, float(np.max(np.abs(y[me:]), initial=0.0)))
+        ss = _magnitude(self._lower[me:], self._upper[me:])
+        candidates = []
+        for ty, ts in ((1e-6, 1e-7), (1e-9, 1e-9), (1e-3, 1e-6)):
+            near = np.where(upper - xb < ts * ss, 1,
+                            np.where(xb - lower < ts * ss, -1, 0))
+            side = np.where(np.abs(y_b) > ty * sy, np.sign(y_b), near)
+            active = np.concatenate([(y_in > ty * sy) | (slack < ts * ss),
+                                     side]).astype(np.int8)
+            if not any(np.array_equal(active, a) for a in candidates):
+                candidates.append(active)
 
-        best = best_mask = None
-        for mask in masks[:limit]:
-            # A rank-deficient row set can yield a negative multiplier even
-            # at the true optimum; dropping those rows and re-solving walks
-            # to a sign-feasible assignment in a few steps.
+        best = best_active = None
+        for active in candidates[:limit]:
+            # A rank-deficient row set can yield a wrong-signed multiplier
+            # even at the true optimum; releasing those rows and bounds
+            # and re-solving walks to a sign-feasible assignment in a few
+            # steps.
             for _ in range(4):
-                cand = self._polish_candidate(mask)
+                cand = self._polish_candidate(active)
                 if cand is None:
                     break
                 if best is None or cand.kkt_residual < best.kkt_residual:
-                    best, best_mask = cand, mask
+                    best, best_active = cand, active
                 if best.kkt_residual <= good_enough:
-                    return best, best_mask
-                mu_act = cand.ineq_duals[mask]
-                scale = max(1.0, float(np.max(np.abs(mu_act), initial=0.0)))
-                neg = mu_act < -1e-9 * scale
-                if not neg.any():
+                    return best, best_active
+                # each multiplier times its sign in `active`: negative
+                # where it is wrong-signed, zero where inactive
+                held = active * np.concatenate(
+                    [cand.ineq_duals, cand.bound_duals[self._bounded]])
+                scale = max(1.0, float(np.max(np.abs(held), initial=0.0)))
+                wrong = held < -1e-9 * scale
+                # a variable with lower == upper takes either sign
+                wrong[prob.n_ineq:] &= lower < upper
+                if not wrong.any():
                     break
-                next_mask = mask.copy()
-                next_mask[np.flatnonzero(mask)[neg]] = False
-                mask = next_mask
-        return best, best_mask
+                active = np.where(wrong, 0, active).astype(np.int8)
+        return best, best_active
 
 
 def solve(problem: QpProblem, tol: float = 1e-8, max_iter: int = 20000) -> QpSolution:
@@ -665,9 +679,8 @@ def solve(problem: QpProblem, tol: float = 1e-8, max_iter: int = 20000) -> QpSol
 class QpBuilder:
     """Incremental dense QP assembly with named variables and bounds.
 
-    Bounds become inequality rows at build time (lower rows then upper
-    rows, in variable order, after all explicitly added rows), so row
-    order is deterministic.
+    Bounds stay per-variable bounds of the built problem; rows keep the
+    order in which they were added.
     """
 
     def __init__(self):
@@ -731,15 +744,9 @@ class QpBuilder:
         c = np.zeros(n)
         for i, co in self._lin:
             c[i] += co
-        rows = list(self._ineq)
-        for i in range(n):
-            if np.isfinite(self._lb[i]):
-                rows.append((np.array([i]), np.array([-1.0]), -self._lb[i]))
-            if np.isfinite(self._ub[i]):
-                rows.append((np.array([i]), np.array([1.0]), self._ub[i]))
-        a_in = np.zeros((len(rows), n))
-        b_in = np.zeros(len(rows))
-        for r, (idx, co, rhs) in enumerate(rows):
+        a_in = np.zeros((len(self._ineq), n))
+        b_in = np.zeros(len(self._ineq))
+        for r, (idx, co, rhs) in enumerate(self._ineq):
             a_in[r, idx] = co
             b_in[r] = rhs
         a_eq = np.zeros((len(self._eq), n))
@@ -747,7 +754,7 @@ class QpBuilder:
         for r, (idx, co, rhs) in enumerate(self._eq):
             a_eq[r, idx] = co
             b_eq[r] = rhs
-        return QpProblem(q, c, a_eq, b_eq, a_in, b_in,
+        return QpProblem(q, c, a_eq, b_eq, a_in, b_in, self._lb, self._ub,
                          var_names=list(self._names), offset=self._offset)
 
 
@@ -782,6 +789,8 @@ def dump_problem(problem: QpProblem, path):
         block(fh, "eq_rhs", problem.eq_rhs)
         block(fh, "ineq_matrix", problem.ineq_matrix)
         block(fh, "ineq_rhs", problem.ineq_rhs)
+        block(fh, "lower", problem.lower)
+        block(fh, "upper", problem.upper)
         if problem.var_names:
             fh.write("%%block var_names\n")
             for name in problem.var_names:

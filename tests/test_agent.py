@@ -260,6 +260,25 @@ def test_build_user_qp_size_is_independent_of_partners(npart):
     assert problem.n == 5 * h
 
 
+def test_user_qp_keeps_its_bounds_as_bounds():
+    """The only rows beyond the 2H equalities are the H peak rows: the
+    four bounded groups keep both bounds per slot, and the net import and
+    the peak are free."""
+    h = 4
+    params = make_params(horizon=h)
+    problem, index = build_user_qp(params, make_tariff(h), TimeGrid(h),
+                                   partner_ids=(2, 3), rho=1.0)
+    assert problem.n_eq == 2 * h and problem.n_ineq == h
+    boxed = np.concatenate([index[k] for k in ("renewable", "grid", "hvac", "temp")])
+    assert boxed.size == 4 * h
+    assert np.isfinite(problem.lower[boxed]).all()
+    assert np.isfinite(problem.upper[boxed]).all()
+    free = np.r_[index["net_import"], index["peak"]]
+    assert np.isinf(problem.lower[free]).all() and np.isinf(problem.upper[free]).all()
+    assert problem.lower[index["temp"]].tolist() == [params.temp_min] * h
+    assert problem.upper[index["grid"]].tolist() == [params.grid_cap] * h
+
+
 def test_llp_surplus_user_sells_in_centralized_plan():
     h = 3
     seller = make_params(id=1, renewable_avail=np.full(h, 3.0),
@@ -486,6 +505,4 @@ def test_standalone_schedules_lie_within_their_bounds_exactly(name):
     for user in scn.users:
         problem, _ = build_user_qp(user, scn.tariff, scn.grid)
         x = qp.solve(problem).primal
-        bound_rows = np.count_nonzero(problem.ineq_matrix, axis=1) == 1
-        assert np.all(problem.ineq_matrix[bound_rows] @ x
-                      <= problem.ineq_rhs[bound_rows])
+        assert np.all((problem.lower <= x) & (x <= problem.upper))

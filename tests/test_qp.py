@@ -23,8 +23,11 @@ from hvactrade.qp import (
 from oracles import active_set_oracle, random_psd_qp
 
 
-def random_box_qp(rng, n=None, general_rows=0, n_eq=0):
-    """Feasible random PSD QP: box plus a few general rows through an anchor."""
+def random_box_qp(rng, n=None, general_rows=0, n_eq=0, box_rows=True):
+    """Feasible random PSD QP: box plus a few general rows through an anchor.
+
+    The box is two rows per variable, or with `box_rows=False` the
+    problem's bounds."""
     if n is None:
         n = int(rng.integers(2, 11))
     k = int(rng.integers(1, n + 1))
@@ -35,7 +38,7 @@ def random_box_qp(rng, n=None, general_rows=0, n_eq=0):
     hi = lo + rng.uniform(0.5, 4, n)
     anchor = rng.uniform(lo, hi)
     rows, rhs = [], []
-    for i in range(n):
+    for i in range(n if box_rows else 0):
         e = np.zeros(n)
         e[i] = -1.0
         rows.append(e)
@@ -52,7 +55,10 @@ def random_box_qp(rng, n=None, general_rows=0, n_eq=0):
     if n_eq:
         a_eq = rng.normal(size=(n_eq, n))
         b_eq = a_eq @ anchor
-    return QpProblem(q, c, a_eq, b_eq, np.array(rows), np.array(rhs))
+    if box_rows:
+        return QpProblem(q, c, a_eq, b_eq, np.array(rows), np.array(rhs))
+    return QpProblem(q, c, a_eq, b_eq, np.reshape(rows, (-1, n)), np.array(rhs),
+                     lower=lo, upper=hi)
 
 
 # --- problem validation -------------------------------------------------
@@ -78,6 +84,28 @@ def test_problem_rejects_shape_mismatch():
         QpProblem(np.eye(2), np.zeros(3))
     with pytest.raises(ValueError):
         QpProblem(np.eye(2), np.zeros(2), ineq_matrix=np.ones((1, 3)), ineq_rhs=[1.0])
+
+
+@pytest.mark.parametrize("lower, upper, match", [
+    (np.zeros(3), None, "lower must have shape"),
+    (None, np.ones((2, 1)), "upper must have shape"),
+    ([0.0, np.nan], None, "no NaN"),
+    (None, [np.nan, 1.0], "no NaN"),
+    ([0.0, 2.0], [1.0, 1.0], "lower <= upper"),
+    ([0.0, np.inf], None, r"lower < \+inf"),
+    (None, [-np.inf, 1.0], "upper > -inf"),
+])
+def test_problem_rejects_malformed_bounds(lower, upper, match):
+    # crossed bounds once ran the full iteration limit before the solver
+    # called them infeasible
+    with pytest.raises(ValueError, match=match):
+        QpProblem(np.eye(2), np.zeros(2), lower=lower, upper=upper)
+
+
+def test_problem_bounds_default_to_infinite():
+    p = QpProblem(np.eye(2), np.zeros(2), upper=[1.0, np.inf])
+    assert p.lower.tolist() == [-np.inf, -np.inf]
+    assert p.upper.tolist() == [1.0, np.inf]
 
 
 # --- basic solves -------------------------------------------------------
@@ -227,6 +255,58 @@ def test_check_kkt_zero_on_exact_point():
     assert check_kkt(prob, exact) <= 1e-12
 
 
+@pytest.mark.parametrize("lower, upper, x, nu, good", [
+    # min (x-1)^2: each point is stationary with its multiplier nu =
+    # 2 - 2x, and only the bound the multiplier's sign names differs
+    (-np.inf, 0.0, 0.0, 2.0, True),
+    (0.0, np.inf, 0.0, 2.0, False),  # names the infinite upper bound
+    (-1.0, 0.0, -1.0, 4.0, False),  # names the upper bound, 1 away
+    (2.0, np.inf, 2.0, -2.0, True),
+    (-1.0, 2.0, 2.0, -2.0, False),  # names the lower bound, 3 away
+    (2.0, 2.0, 2.0, -2.0, True),  # a pinned variable: either side holds it
+    (2.0, 2.0, 2.0, 2.0, False),  # not stationary
+])
+def test_check_kkt_scores_bound_multipliers_by_their_sign(lower, upper, x, nu,
+                                                           good):
+    prob = QpProblem(np.array([[2.0]]), np.array([-2.0]), lower=[lower],
+                     upper=[upper])
+    point = QpSolution(np.array([x]), np.zeros(0), np.zeros(0), 0.0,
+                       QpStatus.OPTIMAL, 0.0, 0, np.array([nu]))
+    if good:
+        assert check_kkt(prob, point) <= 1e-12
+    else:
+        assert check_kkt(prob, point) > 1e-8
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bounds_and_bound_rows_give_the_same_solution(seed):
+    """A bound given as the problem's bound and the same bound given as
+    an inequality row give the same point, and the bound multiplier is
+    the upper row's multiplier less the lower row's."""
+    rng = np.random.default_rng(seed)
+    n = 6
+    bounded = random_box_qp(rng, n=n, general_rows=2, n_eq=1, box_rows=False)
+    q = bounded.quadratic_term + np.eye(n)  # a unique optimum and multipliers
+    eye = np.eye(n)
+    as_rows = QpProblem(q, bounded.linear_term, bounded.eq_matrix, bounded.eq_rhs,
+                        np.vstack([bounded.ineq_matrix, -eye, eye]),
+                        np.concatenate([bounded.ineq_rhs, -bounded.lower,
+                                        bounded.upper]))
+    bounded = QpProblem(q, bounded.linear_term, bounded.eq_matrix, bounded.eq_rhs,
+                        bounded.ineq_matrix, bounded.ineq_rhs, bounded.lower,
+                        bounded.upper)
+    want, got = solve(as_rows), solve(bounded)
+    assert want.status is got.status is QpStatus.OPTIMAL
+    assert check_kkt(bounded, got) <= 1e-8
+    assert np.any(got.bound_duals != 0.0)
+    assert got.primal == pytest.approx(want.primal, abs=1e-7)
+    assert got.objective == pytest.approx(want.objective, abs=1e-7)
+    assert got.eq_duals == pytest.approx(want.eq_duals, abs=1e-6)
+    assert got.ineq_duals == pytest.approx(want.ineq_duals[:2], abs=1e-6)
+    signed = want.ineq_duals[2 + n:] - want.ineq_duals[2:2 + n]
+    assert got.bound_duals == pytest.approx(signed, abs=1e-6)
+
+
 # --- workspace reuse ----------------------------------------------------
 
 def test_workspace_linear_update_tracks_solution():
@@ -313,16 +393,19 @@ def test_apply_keeps_the_checks_of_a_solve():
 def test_reduced_splitting_step_matches_the_stacked_kkt_solve(seed):
     """x~ = M^-1 (sigma x - c + A'(rho z - y)), z~ = A x~ is the step the
     stacked system [[Q + sigma I, A'], [A, -1/rho]] [x~; nu] =
-    [sigma x - c; z - y/rho], z~ = z + (nu - y)/rho, takes."""
+    [sigma x - c; z - y/rho], z~ = z + (nu - y)/rho, takes.  Odd seeds
+    give the box as bounds, whose identity rows A then holds."""
     rng = np.random.default_rng(seed)
-    prob = random_box_qp(rng, n=8, general_rows=3, n_eq=2)
+    prob = random_box_qp(rng, n=8, general_rows=3, n_eq=2,
+                         box_rows=not seed % 2)
     ws = Workspace(prob)
     ws._factorize()
     n, m = prob.n, ws._A.shape[0]
+    assert m == 2 + 3 + (8 if seed % 2 else 2 * 8)
     x, z, y = rng.normal(size=n), rng.normal(size=m), rng.normal(size=m)
     xt, zt = ws._split_step(x, z, y)
 
-    rho, sigma, a = ws._rho, ws._sigma, ws._A
+    rho, sigma, a = ws._rho, qp._SIGMA, ws._A
     kkt = np.block([[prob.quadratic_term + sigma * np.eye(n), a.T],
                     [a, -np.diag(1.0 / rho)]])
     sol = np.linalg.solve(kkt, np.concatenate([sigma * x - prob.linear_term,
@@ -332,21 +415,27 @@ def test_reduced_splitting_step_matches_the_stacked_kkt_solve(seed):
     assert np.linalg.norm(zt - want_z) <= 1e-10 * np.linalg.norm(want_z)
 
 
-def full_kkt_polish(prob, mask, delta=1e-8):
-    """The polish before bound elimination: the regularized KKT system
-    over every variable and every active row, three refinement steps."""
-    n, me = prob.n, prob.n_eq
-    g = np.vstack([prob.eq_matrix, prob.ineq_matrix[mask]])
+def full_kkt_polish(prob, general, fixed, values, delta=1e-8):
+    """The polish without bound elimination: the regularized KKT system
+    over every variable, the equality rows, the active general rows and
+    an identity row e_i'x = values for each fixed variable i, three
+    refinement steps.  Returns the point, the equality and general row
+    multipliers and the bound multipliers."""
+    n, me, mg = prob.n, prob.n_eq, int(np.count_nonzero(general))
+    g = np.vstack([prob.eq_matrix, prob.ineq_matrix[general], np.eye(n)[fixed]])
     ma = g.shape[0]
     exact = np.block([[prob.quadratic_term, g.T], [g, np.zeros((ma, ma))]])
     kreg = exact + np.diag(np.r_[np.full(n, delta), np.full(ma, -delta)])
-    rhs = np.concatenate([-prob.linear_term, prob.eq_rhs, prob.ineq_rhs[mask]])
+    rhs = np.concatenate([-prob.linear_term, prob.eq_rhs,
+                          prob.ineq_rhs[general], values])
     t = np.linalg.solve(kreg, rhs)
     for _ in range(3):
         t = t + np.linalg.solve(kreg, rhs - exact @ t)
     mu = np.zeros(prob.n_ineq)
-    mu[mask] = t[n + me:]
-    return t[:n], t[n:n + me], mu
+    mu[general] = t[n + me:n + me + mg]
+    nu = np.zeros(n)
+    nu[fixed] = t[n + me + mg:]
+    return t[:n], t[n:n + me], mu, nu
 
 
 def pinned_epigraph_qp():
@@ -366,31 +455,41 @@ def pinned_epigraph_qp():
 @pytest.mark.parametrize("seed", [None, 0, 1, 2])
 def test_bound_eliminated_polish_matches_the_full_kkt_polish(seed):
     """On the optimum's active set the reduced system returns the full
-    system's point and multipliers, also for a variable whose two bound
-    rows are both active and for an epigraph row."""
+    system's point and multipliers, also for a variable pinned by
+    lb == ub and for an epigraph row."""
     if seed is None:
         prob = pinned_epigraph_qp()
     else:
         prob = random_box_qp(np.random.default_rng(seed), n=7, general_rows=2,
-                             n_eq=1)
+                             n_eq=1, box_rows=False)
     x = solve(prob).primal
-    mask = prob.ineq_rhs - prob.ineq_matrix @ x < 1e-9
+    general = prob.ineq_rhs - prob.ineq_matrix @ x < 1e-9
+    side = np.where(prob.upper - x < 1e-9, 1, np.where(x - prob.lower < 1e-9, -1, 0))
     if seed is None:
-        # both bound rows of x2 and an epigraph row (rows 0-2)
-        pinned = np.flatnonzero(np.count_nonzero(prob.ineq_matrix, axis=1) == 1
-                                & (prob.ineq_matrix[:, 2] != 0))
-        assert len(pinned) == 2 and mask[pinned].all() and mask[:3].any()
-    cand = Workspace(prob)._polish_candidate(mask)
-    want_x, want_eq, want_mu = full_kkt_polish(prob, mask)
+        # x2 is pinned, and the epigraph rows are the only rows
+        assert side[2] != 0 and general.any()
+    else:
+        assert np.isfinite(prob.lower).all() and np.isfinite(prob.upper).all()
+        assert side.any()
+    ws = Workspace(prob)
+    # the active-set vector names a side for each bounded variable only
+    cand = ws._polish_candidate(
+        np.concatenate([general, side[ws._bounded]]).astype(np.int8))
+    fixed = np.flatnonzero(side)
+    values = np.where(side[fixed] > 0, prob.upper[fixed], prob.lower[fixed])
+    want_x, want_eq, want_mu, want_nu = full_kkt_polish(prob, general, fixed,
+                                                        values)
     assert cand.primal == pytest.approx(want_x, abs=1e-9)
     assert cand.eq_duals == pytest.approx(want_eq, abs=1e-9)
     assert cand.ineq_duals == pytest.approx(want_mu, abs=1e-9)
+    assert cand.bound_duals == pytest.approx(want_nu, abs=1e-9)
+    assert check_kkt(prob, cand) <= 1e-8
 
 
 def test_solve_puts_a_primal_within_tol_of_a_bound_on_it(monkeypatch):
     b = QpBuilder()
     x = b.add_vars(4, "x", lb=0.0, ub=1.0)
-    b.add_ineq([x[3]], [-2.0], 1.0)  # x3 >= -0.5, a scaled bound row
+    b.add_ineq([x[3]], [-2.0], 1.0)  # x3 >= -0.5, a general row
     b.add_linear(x, [1.0, -1.0, 0.5, 0.25])
     prob = b.build()
     ws = Workspace(prob)
@@ -435,7 +534,9 @@ def test_builder_round_trip():
     prob = b.build()
     assert prob.n == 2
     assert prob.n_eq == 1
-    assert prob.n_ineq == 4  # two finite bounds per variable
+    assert prob.n_ineq == 0  # bounds stay bounds, not rows
+    assert prob.lower.tolist() == [0.0, 0.0]
+    assert prob.upper.tolist() == [2.0, 3.0]
     sol = solve(prob)
     # (x0-5)^2 + x1 with x0+x1=4, x0<=2: push x0 to its cap
     assert sol.primal[0] == pytest.approx(2.0, abs=1e-7)
