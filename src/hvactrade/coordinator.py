@@ -466,7 +466,8 @@ def _negotiate(scenario, config, transport, host, port) -> ScenarioReport:
                                        prev_duals, final_rho)
     report = _assemble_report(scenario, cfg, state, emp_costs, schedules,
                               converged)
-    report.wire_frames = list(tr.wire_frames)
+    if transport == "socket":
+        report.wire_frames = tr.wire_frames
     return report
 
 

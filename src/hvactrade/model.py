@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "TimeGrid",
     "UserParams",
+    "USER_TRACES",
     "Tariff",
     "Schedule",
     "thermal_step",
@@ -116,6 +117,10 @@ class UserParams:
     @property
     def horizon(self) -> int:
         return self.renewable_avail.shape[0]
+
+
+# the UserParams fields that hold one value per slot
+USER_TRACES = ("renewable_avail", "inflexible_load", "outdoor_temp")
 
 
 @dataclass

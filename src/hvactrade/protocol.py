@@ -16,12 +16,12 @@ reads or writes the whole block as one numpy structured array.
 Every agent advances through `LocalAgent.step`, one call per round.
 The in-process transport calls it directly in the coordinator's thread
 and hands each message object across as it is; over TCP each agent
-process calls it from `run_agent_loop`.  Both transports capture every
-frame in `wire_frames` for auditing.  In-process frames are the recorded
-encodings of the messages passed, never decoded: the codec carries
-float64 exactly, so the message an agent gets is the one a decode would
-have produced, and sharing one step keeps runs bit-identical across the
-transports.
+process calls it from `run_agent_loop`.  The socket transport captures
+every frame it sends or receives in `wire_frames` for auditing.  The
+in-process transport encodes nothing and keeps no frames: the codec
+carries float64 exactly, so the message an agent gets is the one a
+decode would have produced, and sharing one step keeps runs
+bit-identical across the transports.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ from .errors import (DecodeError, HvacTradeError, ProtocolViolation,
 TAG_PROPOSAL = 1
 TAG_BROADCAST = 2
 MAX_FRAME = 1 << 26
+# an agent's wait for each broadcast, and its tries to reach the coordinator
+AGENT_RECV_TIMEOUT = 300.0
+CONNECT_TRIES = 40
 
 
 class Rows(Mapping):
@@ -276,15 +279,14 @@ class InProcTransport:
     Each agent takes its first step on construction.  `send_to` hands a
     broadcast to its agent, which answers at once with its next
     proposal; `poll` returns the proposals in the order they were made.
-    Every message is encoded into `wire_frames` and then handed over as
-    the object itself: a sender builds each message from fresh arrays,
-    so the receiver shares nothing mutable with it.
+    Every message is handed over as the object itself, never encoded: a
+    sender builds each message from fresh arrays, so the receiver shares
+    nothing mutable with it.
     """
 
     def __init__(self, agents, rho1: float):
         self._agents = {a.user_id: a for a in agents}
         self.expected_ids = tuple(sorted(self._agents))
-        self.wire_frames: list[bytes] = []
         self._ready: list[TradeProposal] = []
         for uid in self.expected_ids:
             self._agents[uid].rho = float(rho1)
@@ -297,7 +299,6 @@ class InProcTransport:
         except Exception as exc:
             raise HvacTradeError(f"agent for user {user_id} failed: {exc}") from exc
         if message is not None:
-            self.wire_frames.append(encode(message))
             self._ready.append(message)
 
     def poll(self, timeout: float):
@@ -306,7 +307,6 @@ class InProcTransport:
     def send_to(self, user_id: int, broadcast: CoordinatorBroadcast):
         if int(user_id) not in self._agents:
             raise ProtocolViolation(f"unknown user id {user_id}")
-        self.wire_frames.append(encode(broadcast))
         self._step(int(user_id), broadcast)
 
     def close(self):
@@ -316,10 +316,9 @@ class InProcTransport:
 class SocketChannel:
     """Agent endpoint of the socket transport: one TCP connection."""
 
-    def __init__(self, host: str, port: int, timeout: float = 300.0,
-                 retries: int = 40):
+    def __init__(self, host: str, port: int):
         last = None
-        for _ in range(retries):
+        for _ in range(CONNECT_TRIES):
             try:
                 self._sock = socket.create_connection((host, port), timeout=5.0)
                 break
@@ -328,16 +327,14 @@ class SocketChannel:
                 time.sleep(0.25)
         else:
             raise ConnectionError(f"cannot reach coordinator at {host}:{port}: {last}")
-        self._sock.settimeout(timeout)
+        self._sock.settimeout(AGENT_RECV_TIMEOUT)
         self._buf = b""
         self._pending: list[bytes] = []
 
     def send(self, message):
         self._sock.sendall(encode(message))
 
-    def recv(self, timeout: float | None = None):
-        if timeout is not None:
-            self._sock.settimeout(timeout)
+    def recv(self):
         while not self._pending:
             try:
                 chunk = self._sock.recv(65536)

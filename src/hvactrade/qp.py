@@ -417,8 +417,7 @@ class Workspace:
                 if cand is not None and cand.kkt_residual <= tol:
                     self._adopt(cand, self._active)
                     return cand
-            cand, active = self._polish(self._x, self._y, good_enough=tol,
-                                        limit=1)
+            cand, active = self._polish(self._x, self._y, good_enough=tol)
             if cand is not None and cand.kkt_residual <= tol:
                 self._adopt(cand, active)
                 return cand
@@ -616,14 +615,16 @@ class Workspace:
         cand.kkt_residual = check_kkt(prob, cand)
         return cand
 
-    def _polish(self, x, y, good_enough=0.0, limit=None):
+    def _polish(self, x, y, good_enough=0.0):
         """Polish on the active set detected from the iterates (x, y).
 
         Returns the best candidate and its active set, or (None, None).
+        A general row is active where its multiplier exceeds 1e-6 of the
+        largest, or its slack is under 1e-7 of the rows' scale.  A bound
+        is active where its multiplier is that large, at the side the
+        multiplier's sign names, or else where x lies that near it.
         Stops at the first candidate whose residual is at most
-        `good_enough`; `limit` caps how many threshold variants are
-        tried.  A bound is active where its multiplier is large, at the
-        side the multiplier's sign names, or else where x is near it.
+        `good_enough`.
         """
         prob = self.problem
         me, mi = self._me, self._mi
@@ -631,43 +632,36 @@ class Workspace:
         xb = x[self._bounded]
         y_in, y_b = y[me:mi], y[mi:]
         slack = prob.ineq_rhs - prob.ineq_matrix @ x
-        sy = max(1.0, float(np.max(np.abs(y[me:]), initial=0.0)))
-        ss = _magnitude(self._lower[me:], self._upper[me:])
-        candidates = []
-        for ty, ts in ((1e-6, 1e-7), (1e-9, 1e-9), (1e-3, 1e-6)):
-            near = np.where(upper - xb < ts * ss, 1,
-                            np.where(xb - lower < ts * ss, -1, 0))
-            side = np.where(np.abs(y_b) > ty * sy, np.sign(y_b), near)
-            active = np.concatenate([(y_in > ty * sy) | (slack < ts * ss),
-                                     side]).astype(np.int8)
-            if not any(np.array_equal(active, a) for a in candidates):
-                candidates.append(active)
+        ty = 1e-6 * max(1.0, float(np.max(np.abs(y[me:]), initial=0.0)))
+        ts = 1e-7 * _magnitude(self._lower[me:], self._upper[me:])
+        near = np.where(upper - xb < ts, 1, np.where(xb - lower < ts, -1, 0))
+        side = np.where(np.abs(y_b) > ty, np.sign(y_b), near)
+        active = np.concatenate([(y_in > ty) | (slack < ts),
+                                 side]).astype(np.int8)
 
         best = best_active = None
-        for active in candidates[:limit]:
-            # A rank-deficient row set can yield a wrong-signed multiplier
-            # even at the true optimum; releasing those rows and bounds
-            # and re-solving walks to a sign-feasible assignment in a few
-            # steps.
-            for _ in range(4):
-                cand = self._polish_candidate(active)
-                if cand is None:
-                    break
-                if best is None or cand.kkt_residual < best.kkt_residual:
-                    best, best_active = cand, active
-                if best.kkt_residual <= good_enough:
-                    return best, best_active
-                # each multiplier times its sign in `active`: negative
-                # where it is wrong-signed, zero where inactive
-                held = active * np.concatenate(
-                    [cand.ineq_duals, cand.bound_duals[self._bounded]])
-                scale = max(1.0, float(np.max(np.abs(held), initial=0.0)))
-                wrong = held < -1e-9 * scale
-                # a variable with lower == upper takes either sign
-                wrong[prob.n_ineq:] &= lower < upper
-                if not wrong.any():
-                    break
-                active = np.where(wrong, 0, active).astype(np.int8)
+        # A rank-deficient row set can yield a wrong-signed multiplier even
+        # at the true optimum; releasing those rows and bounds and
+        # re-solving walks to a sign-feasible assignment in a few steps.
+        for _ in range(4):
+            cand = self._polish_candidate(active)
+            if cand is None:
+                break
+            if best is None or cand.kkt_residual < best.kkt_residual:
+                best, best_active = cand, active
+            if best.kkt_residual <= good_enough:
+                break
+            # each multiplier times its sign in `active`: negative where
+            # it is wrong-signed, zero where inactive
+            held = active * np.concatenate(
+                [cand.ineq_duals, cand.bound_duals[self._bounded]])
+            scale = max(1.0, float(np.max(np.abs(held), initial=0.0)))
+            wrong = held < -1e-9 * scale
+            # a variable with lower == upper takes either sign
+            wrong[prob.n_ineq:] &= lower < upper
+            if not wrong.any():
+                break
+            active = np.where(wrong, 0, active).astype(np.int8)
         return best, best_active
 
 
@@ -692,10 +686,6 @@ class QpBuilder:
         self._offset = 0.0
         self._eq: list[tuple[np.ndarray, np.ndarray, float]] = []
         self._ineq: list[tuple[np.ndarray, np.ndarray, float]] = []
-
-    @property
-    def var_count(self) -> int:
-        return len(self._names)
 
     def add_var(self, name=None, lb=None, ub=None) -> int:
         idx = len(self._names)
@@ -723,9 +713,6 @@ class QpBuilder:
         coefs = np.broadcast_to(np.asarray(coefs, dtype=float), (len(vars),))
         for v, co in zip(vars, coefs):
             self._lin.append((int(v), float(co)))
-
-    def add_offset(self, value):
-        self._offset += float(value)
 
     def add_eq(self, vars, coefs, rhs):
         self._eq.append((np.asarray(vars, dtype=int),

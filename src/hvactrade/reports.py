@@ -35,7 +35,11 @@ class UserResult:
 
 @dataclass
 class ScenarioReport:
-    """Complete outcome of one scenario run."""
+    """Complete outcome of one scenario run.
+
+    `wire_frames` holds every frame a socket run sent or received, in
+    arrival order; an in-process run encodes nothing and leaves it
+    empty.  It is never written to the report files."""
 
     scenario_name: str
     n_users: int

@@ -10,7 +10,7 @@ diagnostics that name the user and field.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ import yaml
 
 from .coordinator import AdmmConfig
 from .errors import ScenarioError
-from .model import Tariff, TimeGrid, UserParams
+from .model import USER_TRACES, Tariff, TimeGrid, UserParams
 
 # libyaml's parser where PyYAML was built with it: the same documents
 # and error positions, several times faster than the pure-Python one
@@ -186,10 +186,10 @@ def _number(block: dict, key: str, where: str, default=None) -> float:
     return float(v)
 
 
-_USER_KEYS = {"id", "thermal_capacitance", "thermal_resistance",
-              "hvac_efficiency", "comfort_weight", "temp_ref", "temp_min",
-              "temp_max", "grid_cap", "hvac_cap", "temp_initial",
-              "renewable_avail", "inflexible_load", "outdoor_temp"}
+_USER_KEYS = {f.name for f in fields(UserParams)}
+# the scalar fields after id, in declaration order
+_USER_NUMBERS = tuple(f for f in fields(UserParams)
+                      if f.name != "id" and f.name not in USER_TRACES)
 
 
 def _build_user(block: dict, reader: _TraceReader) -> UserParams:
@@ -205,26 +205,18 @@ def _build_user(block: dict, reader: _TraceReader) -> UserParams:
     extra = set(block) - _USER_KEYS
     if extra:
         raise ScenarioError(f"{where}: unknown fields {sorted(extra)}")
-    traces = {}
-    for key in ("renewable_avail", "inflexible_load", "outdoor_temp"):
+    values = {}
+    for key in USER_TRACES:
         if key not in block:
             raise ScenarioError(f"{where}: missing field {key!r}")
-        traces[key] = reader.resolve(block[key], f"{where}: {key}", uid)
+        values[key] = reader.resolve(block[key], f"{where}: {key}", uid)
     try:
-        params = UserParams(
-            id=uid,
-            thermal_capacitance=_number(block, "thermal_capacitance", where),
-            thermal_resistance=_number(block, "thermal_resistance", where),
-            hvac_efficiency=_number(block, "hvac_efficiency", where),
-            comfort_weight=_number(block, "comfort_weight", where),
-            temp_ref=_number(block, "temp_ref", where),
-            temp_min=_number(block, "temp_min", where),
-            temp_max=_number(block, "temp_max", where),
-            grid_cap=_number(block, "grid_cap", where),
-            hvac_cap=_number(block, "hvac_cap", where, default=10.0),
-            temp_initial=(None if "temp_initial" not in block
-                          else _number(block, "temp_initial", where)),
-            **traces)
+        for f in _USER_NUMBERS:
+            if f.name in block or f.default is MISSING:
+                values[f.name] = _number(block, f.name, where)
+            else:
+                values[f.name] = f.default
+        params = UserParams(id=uid, **values)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     if params.horizon != reader.grid.horizon_len:
@@ -302,20 +294,19 @@ def load_scenario(path, seed=None) -> ScenarioConfig:
     ablock = raw.get("admm", {})
     if not isinstance(ablock, dict):
         raise ScenarioError(f"{path}: 'admm' block must be a mapping")
-    extra = set(ablock) - {"rho_mode", "rho0", "tolerance", "norm",
-                           "max_iter", "barrier_timeout", "solver_tol"}
+    extra = set(ablock) - {f.name for f in fields(AdmmConfig)}
     if extra:
         raise ScenarioError(f"admm: unknown fields {sorted(extra)}")
     try:
-        admm = AdmmConfig(
-            rho_mode=str(ablock.get("rho_mode", "fixed")),
-            rho0=_number(ablock, "rho0", "admm", default=1.0),
-            tolerance=_number(ablock, "tolerance", "admm", default=1e-6),
-            norm=str(ablock.get("norm", "l1")),
-            max_iter=int(_number(ablock, "max_iter", "admm", default=2000)),
-            barrier_timeout=_number(ablock, "barrier_timeout", "admm",
-                                    default=60.0),
-            solver_tol=_number(ablock, "solver_tol", "admm", default=1e-8))
+        values = {}
+        for f in fields(AdmmConfig):
+            # each field keeps the type of its default: str, int or float
+            if isinstance(f.default, str):
+                values[f.name] = str(ablock.get(f.name, f.default))
+            else:
+                values[f.name] = type(f.default)(
+                    _number(ablock, f.name, "admm", default=f.default))
+        admm = AdmmConfig(**values)
     except ValueError as exc:
         raise ScenarioError(f"admm: {exc}") from exc
 
@@ -396,6 +387,15 @@ def build_synth_scenario(n_users: int, horizon: int, seed: int = 0,
                           admm=admm, seed=int(seed))
 
 
+def _user_doc(user: UserParams) -> dict:
+    doc = {"id": int(user.id)}
+    for f in _USER_NUMBERS:
+        doc[f.name] = float(getattr(user, f.name))
+    for key in USER_TRACES:
+        doc[key] = [float(v) for v in getattr(user, key)]
+    return doc
+
+
 def save_scenario(config: ScenarioConfig, path) -> Path:
     """Write a config back to YAML with all traces materialized inline."""
     path = Path(path)
@@ -407,29 +407,9 @@ def save_scenario(config: ScenarioConfig, path) -> Path:
         "tariff": {"energy_price": float(config.tariff.energy_price),
                    "peak_price": float(config.tariff.peak_price),
                    "trade_price": [float(v) for v in config.tariff.trade_price]},
-        "admm": {"rho_mode": config.admm.rho_mode,
-                 "rho0": float(config.admm.rho0),
-                 "tolerance": float(config.admm.tolerance),
-                 "norm": config.admm.norm,
-                 "max_iter": int(config.admm.max_iter),
-                 "barrier_timeout": float(config.admm.barrier_timeout),
-                 "solver_tol": float(config.admm.solver_tol)},
-        "users": [
-            {"id": int(u.id),
-             "thermal_capacitance": float(u.thermal_capacitance),
-             "thermal_resistance": float(u.thermal_resistance),
-             "hvac_efficiency": float(u.hvac_efficiency),
-             "comfort_weight": float(u.comfort_weight),
-             "temp_ref": float(u.temp_ref),
-             "temp_min": float(u.temp_min),
-             "temp_max": float(u.temp_max),
-             "grid_cap": float(u.grid_cap),
-             "hvac_cap": float(u.hvac_cap),
-             "temp_initial": float(u.temp_initial),
-             "renewable_avail": [float(v) for v in u.renewable_avail],
-             "inflexible_load": [float(v) for v in u.inflexible_load],
-             "outdoor_temp": [float(v) for v in u.outdoor_temp]}
-            for u in config.users],
+        "admm": {f.name: type(f.default)(getattr(config.admm, f.name))
+                 for f in fields(AdmmConfig)},
+        "users": [_user_doc(u) for u in config.users],
     }
     try:
         with open(path, "w") as fh:

@@ -340,8 +340,8 @@ def pair_agents():
 
 def test_inproc_agents_take_their_first_step_on_construction():
     tr = InProcTransport(pair_agents(), rho1=2.0)
-    assert [frame[4] for frame in tr.wire_frames] == [TAG_PROPOSAL] * 2
     got = [tr.poll(0.0), tr.poll(0.0)]
+    assert all(isinstance(m, TradeProposal) for m in got)
     assert [(m.user_id, m.iteration) for m in got] == [(1, 1), (2, 1)]
     assert tr.poll(0.0) is None
 
@@ -349,13 +349,11 @@ def test_inproc_agents_take_their_first_step_on_construction():
 def test_inproc_broadcast_is_answered_by_one_proposal():
     tr = InProcTransport(pair_agents(), rho1=1.0)
     tr.poll(0.0), tr.poll(0.0)  # the first round
-    reply = broadcast(iteration=1, ids=(2,), h=2, rho=0.5)
-    tr.send_to(1, reply)
-    assert len(tr.wire_frames) == 4
-    assert tr.wire_frames[2] == encode(reply)
+    tr.send_to(1, broadcast(iteration=1, ids=(2,), h=2, rho=0.5))
     answer = tr.poll(0.0)
-    assert tr.wire_frames[3] == encode(answer)
+    assert isinstance(answer, TradeProposal)
     assert (answer.user_id, answer.iteration) == (1, 2)
+    assert answer.trades.ids == (2,)
     assert tr.poll(0.0) is None
 
 
@@ -363,8 +361,11 @@ def test_inproc_done_broadcast_yields_no_proposal():
     tr = InProcTransport(pair_agents(), rho1=1.0)
     tr.poll(0.0), tr.poll(0.0)  # the first round
     tr.send_to(2, broadcast(iteration=1, ids=(1,), h=2, done=True))
-    assert len(tr.wire_frames) == 3
-    assert tr.wire_frames[2][4] == TAG_BROADCAST
+    assert tr.poll(0.0) is None
+    # only the user told it is done stops
+    tr.send_to(1, broadcast(iteration=1, ids=(2,), h=2))
+    answer = tr.poll(0.0)
+    assert (answer.user_id, answer.iteration) == (1, 2)
     assert tr.poll(0.0) is None
 
 
@@ -380,16 +381,19 @@ def test_inproc_agent_exception_names_the_user(monkeypatch):
         tr.send_to(2, broadcast(iteration=1, ids=(1,), h=2))
 
 
-def test_inproc_run_never_decodes(monkeypatch):
-    """In-process frames are recorded encodings; the messages themselves
-    cross the transport, so no frame is parsed back."""
-    def refuse(frame):
-        raise AssertionError("decode called in an in-process run")
+def test_inproc_run_neither_encodes_nor_decodes(monkeypatch):
+    """The messages themselves cross the in-process transport, so no
+    frame is built or parsed, and the report holds no frames."""
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called in an in-process run")
+        return call
 
-    monkeypatch.setattr(protocol, "decode", refuse)
+    monkeypatch.setattr(protocol, "encode", refuse("encode"))
+    monkeypatch.setattr(protocol, "decode", refuse("decode"))
     report = run(load_scenario(FIXTURES / "two_user_complementary.yaml"))
     assert report.converged
-    assert len(report.wire_frames) == 4 * report.iterations
+    assert report.wire_frames == []
 
 
 def test_inproc_messages_share_no_array_with_their_sender():

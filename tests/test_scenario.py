@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import yaml
 from hvactrade import scenario
 from hvactrade.agent import solve_emp
 from hvactrade.errors import ScenarioError
-from hvactrade.model import TimeGrid
+from hvactrade.model import TimeGrid, UserParams
 from hvactrade.scenario import (
     build_synth_scenario,
     load_scenario,
@@ -319,12 +320,11 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.tariff.energy_price == config.tariff.energy_price
     assert np.array_equal(loaded.tariff.trade_price,
                           config.tariff.trade_price)
+    assert len(loaded.users) == len(config.users)
     for orig, back in zip(config.users, loaded.users):
-        assert np.array_equal(orig.renewable_avail, back.renewable_avail)
-        assert np.array_equal(orig.inflexible_load, back.inflexible_load)
-        assert np.array_equal(orig.outdoor_temp, back.outdoor_temp)
-        assert orig.temp_initial == back.temp_initial
-        assert orig.grid_cap == back.grid_cap
+        for f in dataclasses.fields(UserParams):
+            assert np.array_equal(getattr(orig, f.name),
+                                  getattr(back, f.name)), f.name
 
 
 def test_second_save_is_byte_identical(tmp_path):
