@@ -15,9 +15,7 @@ net to zero by construction.
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
@@ -249,26 +247,20 @@ def convergence_error(state: CoordinatorState, p: np.ndarray,
     raise ValueError(f"unknown norm {norm!r}")
 
 
-def agent_worker_main(scenario_path: str, user_id: int, host: str, port: int,
-                      rho1: float, solver_tol: float):
+def agent_worker_main(params, tariff, grid, partner_ids, host: str,
+                      port: int, rho1: float, solver_tol: float):
     """Entry point of one agent process in socket mode.
 
-    Loads its own parameters from the scenario file, so private data
-    never passes through the coordinator process.  Agents fork from the
-    forkserver, not from the coordinator, so they set their own single
-    BLAS thread.
+    The process is forked from the coordinator inside `run`'s one-BLAS-
+    thread scope, whose thread count it inherits, and is handed its own
+    user's parameters, the tariff, the grid and its partners as the
+    caller holds them.
     """
-    from .scenario import load_scenario
-
-    scenario = load_scenario(scenario_path)
-    params = {u.id: u for u in scenario.users}[int(user_id)]
-    partners = tuple(u.id for u in scenario.users if u.id != int(user_id))
-    agent = LocalAgent(params, scenario.tariff, scenario.grid,
-                       partner_ids=partners, solver_tol=solver_tol)
+    agent = LocalAgent(params, tariff, grid, partner_ids=partner_ids,
+                       solver_tol=solver_tol)
     channel = SocketChannel(host, port)
     try:
-        with blas.single_thread():
-            run_agent_loop(agent, channel, rho1)
+        run_agent_loop(agent, channel, rho1)
     finally:
         channel.close()
 
@@ -328,34 +320,6 @@ def _assemble_report(scenario, cfg: AdmmConfig, state: CoordinatorState,
         payment_total=sum(r.payment for r in users))
 
 
-# Modules the agents' forkserver imports once, so that each agent forks
-# with them loaded.
-_AGENT_PRELOAD = ["numpy", "yaml", "hvactrade.coordinator", "hvactrade.scenario"]
-
-
-@contextlib.contextmanager
-def _this_package_first():
-    """Put the directory holding this hvactrade package at the front of
-    PYTHONPATH, and restore the variable afterwards.
-
-    Python 3.11's forkserver ignores the caller's sys.path, so it would
-    preload hvactrade from its own path: from a source checkout that is
-    not on PYTHONPATH the preload fails quietly and every agent imports
-    the package itself, and another copy on PYTHONPATH would be the one
-    the agents run.  The forkserver reads the variable once, when the
-    first agent start launches it."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    old = os.environ.get("PYTHONPATH")
-    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (root, old)))
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ["PYTHONPATH"]
-        else:
-            os.environ["PYTHONPATH"] = old
-
-
 def run(scenario, config: AdmmConfig | None = None,
         transport: str = "inproc", host: str = "127.0.0.1",
         port: int = 0) -> ScenarioReport:
@@ -363,8 +327,9 @@ def run(scenario, config: AdmmConfig | None = None,
 
     `transport` selects the agents' home: the coordinator's own thread,
     one agent after another ("inproc"), or one process per user, forked
-    from a preloaded forkserver, over TCP ("socket"); both produce
-    byte-identical reports.  Every OpenBLAS runs on one thread for the
+    from the calling process, over TCP ("socket"); both produce
+    byte-identical reports.  Call a socket run from a process with no
+    other threads running.  Every OpenBLAS runs on one thread for the
     whole run and gets the caller's thread count back afterwards.
     Raises NonConvergence (with the partial history attached) if the
     disagreement never falls under tolerance, and HvacTradeError naming
@@ -395,24 +360,19 @@ def _negotiate(scenario, config, transport, host, port) -> ScenarioReport:
     if transport == "inproc":
         tr = InProcTransport(
             [LocalAgent(u, scenario.tariff, scenario.grid,
-                        partner_ids=tuple(j for j in ids if j != u.id),
-                        solver_tol=cfg.solver_tol) for u in users], rho1)
+                        partner_ids=partners, solver_tol=cfg.solver_tol)
+             for u, (partners, _) in zip(users, state.counterparties)], rho1)
     elif transport == "socket":
-        if not getattr(scenario, "path", None):
-            raise ValueError("socket transport needs a scenario loaded from a file")
         tr = SocketTransport(ids, host=host, port=port)
-        ctx = multiprocessing.get_context("forkserver")
-        ctx.set_forkserver_preload(_AGENT_PRELOAD)
-        for u in users:
-            procs.append(ctx.Process(
+        ctx = multiprocessing.get_context("fork")
+        for u, (partners, _) in zip(users, state.counterparties):
+            pr = ctx.Process(
                 target=agent_worker_main,
-                args=(str(scenario.path), u.id, tr.host, tr.port,
-                      rho1, cfg.solver_tol),
-                daemon=True, name=f"agent-{u.id}"))
-        with _this_package_first():
-            for pr in procs:
-                pr.start()
-        for u, pr in zip(users, procs):
+                args=(u, scenario.tariff, scenario.grid, partners, tr.host,
+                      tr.port, rho1, cfg.solver_tol),
+                daemon=True, name=f"agent-{u.id}")
+            pr.start()
+            procs.append(pr)
             tr.watch(u.id, pr.sentinel)
     else:
         raise ValueError(f"unknown transport {transport!r}")

@@ -16,12 +16,12 @@ reads or writes the whole block as one numpy structured array.
 Every agent advances through `LocalAgent.step`, one call per round.
 The in-process transport calls it directly in the coordinator's thread
 and hands each message object across as it is; over TCP each agent
-process calls it from `run_agent_loop`.  The socket transport captures
-every frame it sends or receives in `wire_frames` for auditing.  The
-in-process transport encodes nothing and keeps no frames: the codec
-carries float64 exactly, so the message an agent gets is the one a
-decode would have produced, and sharing one step keeps runs
-bit-identical across the transports.
+process, forked from the coordinator, calls it from `run_agent_loop`.
+The socket transport captures every frame it sends or receives in
+`wire_frames` for auditing.  The in-process transport encodes nothing
+and keeps no frames: the codec carries float64 exactly, so the message
+an agent gets is the one a decode would have produced, and sharing one
+step keeps runs bit-identical across the transports.
 """
 
 from __future__ import annotations

@@ -23,6 +23,30 @@ from .model import USER_TRACES, Tariff, TimeGrid, UserParams
 # libyaml's parser where PyYAML was built with it: the same documents
 # and error positions, several times faster than the pure-Python one
 _YamlLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+
+
+class _UniqueKeys:
+    """Loader mixin that rejects a key repeated within one mapping; keys
+    given beside a `<<` merge still override the merged ones."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == _MERGE_TAG:
+                continue
+            key = self.construct_object(key_node, deep=True)
+            try:
+                repeated = key in seen
+                seen.add(key)
+            except TypeError:  # unhashable: the base class reports it
+                continue
+            if repeated:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found repeated key {key!r}",
+                    key_node.start_mark)
+        return super().construct_mapping(node, deep)
+
 
 _KIND_CODES = {"solar": 1, "wind": 2, "load": 3, "weather": 4}
 
@@ -90,7 +114,6 @@ class ScenarioConfig:
     users: list[UserParams]
     admm: AdmmConfig
     seed: int = 0
-    path: Path | None = None
 
     def __post_init__(self):
         if not self.users:
@@ -238,7 +261,8 @@ def load_scenario(path, seed=None) -> ScenarioConfig:
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
     try:
-        raw = yaml.load(path.read_text(), Loader=_YamlLoader)
+        loader = type("Loader", (_UniqueKeys, _YamlLoader), {})
+        raw = yaml.load(path.read_text(), Loader=loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -327,7 +351,7 @@ def load_scenario(path, seed=None) -> ScenarioConfig:
 
     name = str(raw.get("name", path.stem))
     return ScenarioConfig(name=name, grid=grid, tariff=tariff, users=users,
-                          admm=admm, seed=seed, path=path)
+                          admm=admm, seed=seed)
 
 
 def build_synth_scenario(n_users: int, horizon: int, seed: int = 0,

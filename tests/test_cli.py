@@ -67,6 +67,15 @@ def test_run_transports_write_identical_reports(tmp_path):
         (tmp_path / "b" / "report.json").read_bytes()
 
 
+def test_run_seed_override_reaches_socket_agents(tmp_path):
+    ref = str(FIXTURES / "reference_10user.yaml")
+    for transport in ("inproc", "socket"):
+        assert main(["run", ref, "--seed", "7", "--transport", transport,
+                     "--out", str(tmp_path / transport)]) == 0
+    assert (tmp_path / "inproc" / "report.json").read_bytes() == \
+        (tmp_path / "socket" / "report.json").read_bytes()
+
+
 def test_run_overrides_reach_the_loop(tmp_path):
     code = main(["run", TWO_USER, "--out", str(tmp_path),
                  "--tolerance", "1e-4", "--norm", "l2",
@@ -224,6 +233,14 @@ def test_validate_decaying_rho_mode_exits_13(tmp_path, capsys):
         "grid:", "admm: {rho_mode: decaying}\ngrid:"))
     assert main(["validate", str(bad)]) == 13
     assert "unknown rho_mode 'decaying'" in capsys.readouterr().err
+
+
+def test_validate_repeated_key_exits_13(tmp_path, capsys):
+    bad = tmp_path / "twice.yaml"
+    bad.write_text(Path(TWO_USER).read_text().replace(
+        "max_iter: 1000", "max_iter: 1000\n  max_iter: 5"))
+    assert main(["validate", str(bad)]) == 13
+    assert "repeated key 'max_iter'" in capsys.readouterr().err
 
 
 def test_validate_missing_file_exits_13(tmp_path, capsys):

@@ -528,13 +528,6 @@ def test_socket_agents_run_the_callers_package(tmp_path):
     assert done.returncode == 0, done.stderr[-2000:]
 
 
-def test_agent_preload_names_no_scipy_module():
-    """The solver needs no scipy on a feasible run, so each agent's
-    forkserver does not pay for it."""
-    assert not [m for m in coordinator._AGENT_PRELOAD
-                if m.split(".")[0] == "scipy"]
-
-
 @pytest.mark.parametrize("name, rounds", [
     ("two_user_complementary", 25),  # 158 without acceleration, 191 plain
     ("csv_reference", 20),           # 123 without, 132 plain

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import socket
 import struct
@@ -35,7 +34,8 @@ from hvactrade.protocol import (
     run_agent_loop,
     split_frames,
 )
-from hvactrade.scenario import load_scenario
+from hvactrade.reports import write_report
+from hvactrade.scenario import build_synth_scenario, load_scenario
 
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -598,6 +598,20 @@ def test_socket_run_matches_inproc_run():
     assert a.iterations == b.iterations
 
 
+@pytest.mark.parametrize("make", [
+    # agents negotiate the traces the caller drew with its seed override
+    lambda: load_scenario(FIXTURES / "reference_10user.yaml", seed=7),
+    # a scenario that was never saved has no file to read
+    lambda: build_synth_scenario(4, 6, seed=2),
+], ids=["seed_override", "unsaved"])
+def test_socket_report_is_byte_identical_to_inproc(make, tmp_path):
+    scenario = make()
+    write_report(run(scenario), tmp_path / "inproc")
+    write_report(run(scenario, transport="socket"), tmp_path / "socket")
+    assert (tmp_path / "inproc" / "report.json").read_bytes() == \
+        (tmp_path / "socket" / "report.json").read_bytes()
+
+
 def test_inproc_run_starts_no_thread(monkeypatch):
     solve_llp = LocalAgent.solve_llp
     seen = set()
@@ -613,30 +627,40 @@ def test_inproc_run_starts_no_thread(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_socket_run_names_a_crashed_agent_at_once(tmp_path):
+def test_socket_run_names_a_crashed_agent_at_once(monkeypatch):
     """An agent process that dies ends the run well before the 60 s
     barrier timeout, and the error names its user."""
-    source = FIXTURES / "two_user_complementary.yaml"
-    scenario = load_scenario(source)
+    scenario = load_scenario(FIXTURES / "two_user_complementary.yaml")
     assert scenario.admm.barrier_timeout == 60.0
-    # the agents read a copy in which user 2 cannot cool its home
-    text = source.read_text().replace("hvac_cap: 9.0", "hvac_cap: 0.01")
-    assert "hvac_cap: 0.01" in text
-    (tmp_path / "broken.yaml").write_text(text)
-    scenario = dataclasses.replace(scenario, path=tmp_path / "broken.yaml")
+    coordinator_pid = os.getpid()
+    solve_llp = LocalAgent.solve_llp
+
+    def faulty(agent, *args, **kwargs):
+        # the forked agents inherit the patch; the coordinator's own
+        # solves go through
+        if (os.getpid() != coordinator_pid and agent.user_id == 2
+                and agent.iteration >= 3):
+            raise ValueError("injected fault")
+        return solve_llp(agent, *args, **kwargs)
+
+    monkeypatch.setattr(LocalAgent, "solve_llp", faulty)
     t0 = time.monotonic()
     with pytest.raises(HvacTradeError, match="agent for user 2 failed"):
         run(scenario, transport="socket")
     assert time.monotonic() - t0 < 15.0
 
 
-def test_socket_run_names_an_agent_that_dies_before_connecting(tmp_path):
-    """Agents that cannot read their scenario never connect; the run
-    still ends well before the 60 s barrier timeout, naming a user."""
+def test_socket_run_names_an_agent_that_dies_before_connecting(monkeypatch):
+    """Agents that fail before reaching the coordinator never connect;
+    the run still ends well before the 60 s barrier timeout, naming a
+    user."""
     scenario = load_scenario(FIXTURES / "two_user_complementary.yaml")
     assert scenario.admm.barrier_timeout == 60.0
-    (tmp_path / "broken.yaml").write_text("users: [unclosed\n")
-    scenario = dataclasses.replace(scenario, path=tmp_path / "broken.yaml")
+
+    def unreachable(channel, host, port):
+        raise ConnectionError("injected fault")
+
+    monkeypatch.setattr(protocol.SocketChannel, "__init__", unreachable)
     t0 = time.monotonic()
     with pytest.raises(HvacTradeError, match="agent for user [12] failed"):
         run(scenario, transport="socket")

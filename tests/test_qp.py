@@ -507,7 +507,9 @@ def test_solve_puts_a_primal_within_tol_of_a_bound_on_it(monkeypatch):
 def test_import_leaves_scipy_optimize_unloaded():
     """linprog runs only when infeasibility is declared, and the kernels
     use numpy alone: neither importing the package nor a feasible
-    negotiation loads any scipy module."""
+    negotiation, in process or over sockets, loads any scipy module.
+    The socket run blocks scipy first, and its forked agents inherit
+    the block, so an agent that imported scipy would fail the run."""
     src = str(Path(hvactrade.__file__).resolve().parent.parent)
     fixture = Path(src).parent / "scenarios" / "two_user_complementary.yaml"
     env = dict(os.environ, PYTHONPATH=src)
@@ -516,11 +518,13 @@ def test_import_leaves_scipy_optimize_unloaded():
          "import sys, hvactrade\n"
          "scipy = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
          "print(scipy())\n"
-         "report = hvactrade.run(hvactrade.load_scenario(sys.argv[1]))\n"
-         "print(report.converged, scipy())",
+         "scenario = hvactrade.load_scenario(sys.argv[1])\n"
+         "print(hvactrade.run(scenario).converged, scipy())\n"
+         "sys.modules['scipy'] = None\n"
+         "print(hvactrade.run(scenario, transport='socket').converged)",
          str(fixture)],
         env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.split("\n")[:2] == ["[]", "True []"]
+    assert out.stdout.split("\n")[:3] == ["[]", "True []", "True"]
 
 
 # --- builder and epigraph ----------------------------------------------

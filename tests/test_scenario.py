@@ -84,6 +84,31 @@ def test_parse_error_position_does_not_depend_on_the_loader(
         load_scenario(path)
 
 
+@pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+def test_repeated_key_names_the_key_and_its_line(loader, tmp_path,
+                                                 monkeypatch):
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML built without libyaml")
+    monkeypatch.setattr(scenario, "_YamlLoader", getattr(yaml, loader))
+    text = (FIXTURES / "two_user_complementary.yaml").read_text()
+    line = text.splitlines().index("  max_iter: 1000") + 2
+    path = write(tmp_path, text.replace("max_iter: 1000",
+                                        "max_iter: 1000\n  max_iter: 5"))
+    with pytest.raises(ScenarioError,
+                       match=f"line {line}, column 3: .*repeated key "
+                             f"'max_iter'"):
+        load_scenario(path)
+
+
+def test_merge_key_values_may_be_overridden(tmp_path):
+    """A key given beside a `<<` merge overrides the merged value; it is
+    not a repeat."""
+    path = write(tmp_path, MINIMAL.format(tmin=20, tmax=24).replace(
+        "tariff: {energy_price: 0.2}",
+        "tariff: {<<: {energy_price: 0.2, peak_price: 0.3}, peak_price: 0.4}"))
+    assert load_scenario(path).tariff.peak_price == 0.4
+
+
 def test_reference_fixture_shape():
     config = load_scenario(FIXTURES / "reference_10user.yaml")
     assert len(config.users) == 10
