@@ -1,12 +1,12 @@
 """One BLAS thread for a block of code, set through the BLAS library.
 
 numpy ships its own OpenBLAS, and scipy another, loaded when something
-imports scipy (the solver does so only to certify infeasibility); each
-starts a thread pool sized from the environment or the core count.  A
-dense inverse or product of a few hundred rows rounds differently on
-one thread than on several, so a negotiation pins every loaded pool to
-one thread while it runs; reports then do not depend on the caller's
-settings, and agent processes do not oversubscribe the cores.
+imports scipy; each starts a thread pool sized from the environment or
+the core count.  A dense inverse or product of a few hundred rows
+rounds differently on one thread than on several, so a negotiation
+pins every loaded pool to one thread while it runs; reports then do not
+depend on the caller's settings, and agent processes do not
+oversubscribe the cores.
 
 The libraries are found among the shared objects loaded into the
 process, by the thread-count functions they export, so no file name is

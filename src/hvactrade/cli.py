@@ -46,7 +46,10 @@ def _admm_config(base, args) -> coordinator.AdmmConfig:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    return replace(base, **overrides) if overrides else base
+    try:
+        return replace(base, **overrides)
+    except ValueError as exc:
+        args.parser.error(str(exc))  # exits 2, as for any bad argument
 
 
 def cmd_run(args) -> int:
@@ -172,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="coordinator bind address for socket mode")
     p_run.add_argument("--port", type=int, default=0,
                        help="coordinator port for socket mode (0 picks one)")
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, parser=p_run)
 
     p_base = sub.add_parser("baseline", parents=[common],
                             help="run per-user schedules without trading")
@@ -180,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", parents=[common, solver],
                            help="run both and report per-user reductions")
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp.set_defaults(func=cmd_compare, parser=p_cmp)
 
     p_synth = sub.add_parser("synth",
                              help="generate a synthetic scenario file")

@@ -50,10 +50,9 @@ class AdmmConfig:
             raise ValueError(f"unknown rho_mode {self.rho_mode!r}")
         if self.norm not in ("l1", "l2"):
             raise ValueError(f"unknown norm {self.norm!r}")
-        if self.rho0 <= 0:
-            raise ValueError("rho0 must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        for name in ("rho0", "tolerance", "barrier_timeout", "solver_tol"):
+            if not 0 < getattr(self, name) < np.inf:  # False at a NaN
+                raise ValueError(f"{name} must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

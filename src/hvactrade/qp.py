@@ -23,9 +23,11 @@ repeated solves of the same problem are bit-identical.  A warm re-solve
 first polishes on the active set it last accepted, whose inverse is
 cached.  The kernels use numpy alone.
 
-Infeasibility is decided by a linear feasibility phase (smallest
-uniform relaxation of the general rows, solved via linprog) rather than
-from the splitting iterates, so the Infeasible status is definitive.
+A problem is declared infeasible from the splitting iterates alone: a
+dual step dy that translates the iterates, with A'dy negligible and a
+negative support u'dy+ + l'dy-, certifies it (Banjac, Goulart, Stellato
+and Boyd, JOTA 2019; OSQP section 3.4).  Without such a certificate the
+solve ends at the iteration limit.
 """
 
 from __future__ import annotations
@@ -211,36 +213,6 @@ def _magnitude(*arrays) -> float:
     """The largest finite magnitude in the arrays, and at least 1."""
     v = np.abs(np.concatenate(arrays))
     return max(1.0, float(np.max(v, initial=0.0, where=np.isfinite(v))))
-
-
-def _feasibility_gap(problem: QpProblem) -> float:
-    """Smallest uniform slack t with A_in x <= b_in + t, A_eq x = b_eq
-    and lower <= x <= upper.
-
-    Returns +inf when even the equalities and the bounds are
-    inconsistent.  A gap above tolerance certifies infeasibility of the
-    original problem.
-    """
-    # imported here: scipy about doubles the package's import time and
-    # memory, and only a declared infeasibility needs it
-    from scipy.optimize import linprog
-
-    n = problem.n
-    cost = np.zeros(n + 1)
-    cost[-1] = 1.0
-    a_ub = b_ub = None
-    if problem.n_ineq:
-        a_ub = np.hstack([problem.ineq_matrix, -np.ones((problem.n_ineq, 1))])
-        b_ub = problem.ineq_rhs
-    a_eq = b_eq = None
-    if problem.n_eq:
-        a_eq = np.hstack([problem.eq_matrix, np.zeros((problem.n_eq, 1))])
-        b_eq = problem.eq_rhs
-    bounds = list(zip(problem.lower, problem.upper)) + [(-1.0, None)]
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-    # status 2: the equalities and the bounds admit no point
-    return float(res.fun) if res.success else float("inf")
 
 
 # Splitting settings: the initial penalty of a general or bound row
@@ -475,8 +447,8 @@ class Workspace:
                     return raw
                 best = raw
 
-            # Divergence watch: a translating dual step is an
-            # infeasibility certificate candidate; let the LP decide.
+            # Divergence watch: a translating dual step certifies
+            # infeasibility; see the module docstring.
             dy = y - y_mark
             y_mark = y.copy()
             dy_norm = float(np.max(np.abs(dy), initial=0.0))
@@ -489,9 +461,9 @@ class Workspace:
                 support = float(upper[up] @ np.maximum(dy[up], 0.0)
                                 + lower[lo] @ np.minimum(dy[lo], 0.0))
                 if sign_ok and aty_dy <= 1e-6 * dy_norm and support < -1e-6 * dy_norm:
-                    verdict = self._declare_infeasible(tol)
-                    if verdict is not None:
-                        return verdict
+                    return QpSolution(np.full(prob.n, np.nan), np.zeros(self._me),
+                                      np.zeros(prob.n_ineq), float("nan"),
+                                      QpStatus.INFEASIBLE, float("inf"), k)
 
             # Residual-balancing penalty update; refactors, so rate-limited.
             if k % (check_every * 20) == 0 and rho_updates < 15:
@@ -505,23 +477,11 @@ class Workspace:
                     rho_updates += 1
 
         self._x, self._z, self._y = x, z, y
-        verdict = self._declare_infeasible(tol)
-        if verdict is not None:
-            return verdict
         if best is None:
             best = self._iterate(x, y, QpStatus.ITERATION_LIMIT, max_iter)
         best.status = QpStatus.ITERATION_LIMIT
         best.iterations = max_iter
         return best
-
-    def _declare_infeasible(self, tol):
-        gap = _feasibility_gap(self.problem)
-        if gap > max(1e-7, tol) * _magnitude(self._lower, self._upper):
-            n = self.problem.n
-            return QpSolution(np.full(n, np.nan), np.zeros(self._me),
-                              np.zeros(self.problem.n_ineq), float("nan"),
-                              QpStatus.INFEASIBLE, float("inf"), 0)
-        return None
 
     def _polish_factor(self, active):
         """The reduced KKT system of an active set, cached by its bytes.

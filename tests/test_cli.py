@@ -235,6 +235,14 @@ def test_validate_decaying_rho_mode_exits_13(tmp_path, capsys):
     assert "unknown rho_mode 'decaying'" in capsys.readouterr().err
 
 
+def test_validate_non_finite_loop_setting_exits_13(tmp_path, capsys):
+    bad = tmp_path / "nan_rho.yaml"
+    bad.write_text(Path(TWO_USER).read_text().replace(
+        "rho0: 1.0", "rho0: .nan"))
+    assert main(["validate", str(bad)]) == 13
+    assert "rho0 must be finite and positive" in capsys.readouterr().err
+
+
 def test_validate_repeated_key_exits_13(tmp_path, capsys):
     bad = tmp_path / "twice.yaml"
     bad.write_text(Path(TWO_USER).read_text().replace(
@@ -267,3 +275,18 @@ def test_bad_choice_is_a_usage_error():
         with pytest.raises(SystemExit) as exc:
             main(["run", TWO_USER, "--rho-mode", mode])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("override", [
+    ["--rho0", "-1"],
+    ["--rho0", "nan"],
+    ["--tolerance", "0"],
+    ["--max-iter", "0"],
+])
+def test_bad_loop_override_is_a_usage_error(tmp_path, capsys, override):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", TWO_USER, "--out", str(tmp_path / "out")] + override)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "hvactrade run: error:" in err and "internal error" not in err
+    assert not (tmp_path / "out").exists()

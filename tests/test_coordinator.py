@@ -391,6 +391,13 @@ def test_stepsize_rejects_round_zero():
     dict(tolerance=-1.0),
     dict(max_iter=0),
     dict(rho_mode="decaying"),
+    dict(rho0=float("nan")),
+    dict(rho0=float("inf")),
+    dict(tolerance=float("nan")),
+    dict(barrier_timeout=float("nan")),
+    dict(barrier_timeout=-1.0),
+    dict(solver_tol=-1.0),
+    dict(solver_tol=float("nan")),
 ])
 def test_admm_config_validation(bad):
     with pytest.raises(ValueError):

@@ -21,13 +21,17 @@ from hvactrade.qp import (
 )
 
 from oracles import active_set_oracle, random_psd_qp
+from test_cli import INFEASIBLE as HOT_BOX
 
 
-def random_box_qp(rng, n=None, general_rows=0, n_eq=0, box_rows=True):
+def random_box_qp(rng, n=None, general_rows=0, n_eq=0, box_rows=True,
+                  pair_gap=None):
     """Feasible random PSD QP: box plus a few general rows through an anchor.
 
     The box is two rows per variable, or with `box_rows=False` the
-    problem's bounds."""
+    problem's bounds.  A `pair_gap` adds last the row pair g'x <= b and
+    -g'x <= -(b + pair_gap |g|) with b = g'anchor: a slab through the
+    anchor at a gap of 0, and a contradiction at any positive gap."""
     if n is None:
         n = int(rng.integers(2, 11))
     k = int(rng.integers(1, n + 1))
@@ -55,6 +59,10 @@ def random_box_qp(rng, n=None, general_rows=0, n_eq=0, box_rows=True):
     if n_eq:
         a_eq = rng.normal(size=(n_eq, n))
         b_eq = a_eq @ anchor
+    if pair_gap is not None:
+        g = rng.normal(size=n)
+        rows += [g, -g]
+        rhs += [g @ anchor, -(g @ anchor + pair_gap * np.linalg.norm(g))]
     if box_rows:
         return QpProblem(q, c, a_eq, b_eq, np.array(rows), np.array(rhs))
     return QpProblem(q, c, a_eq, b_eq, np.reshape(rows, (-1, n)), np.array(rhs),
@@ -155,6 +163,31 @@ def test_infeasible_equalities_detected():
                      eq_rhs=np.array([0.0, 1.0]))
     sol = solve(prob, max_iter=3000)
     assert sol.status is QpStatus.INFEASIBLE
+
+
+def problems_with_a_row_pair(seed, count, gap):
+    """Random criterion-2 style problems with a row pair at `gap`:
+    bounds as rows and as bounds in turn, 0-1 equality rows and 0-2
+    general rows."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        yield random_box_qp(rng, general_rows=int(rng.integers(0, 3)),
+                            n_eq=int(rng.integers(0, 2)), box_rows=bool(i % 2),
+                            pair_gap=gap)
+
+
+@pytest.mark.parametrize("gap", [1.0, 1e-2, 1e-4])
+def test_random_contradictory_row_pairs_are_infeasible(gap):
+    for i, prob in enumerate(problems_with_a_row_pair(0, 60, gap)):
+        sol = solve(prob)
+        assert sol.status is QpStatus.INFEASIBLE, f"problem {i}"
+        # the certificate is read only after 200 iterations
+        assert 200 < sol.iterations < 20000, f"problem {i}"
+
+
+def test_random_slabs_through_a_feasible_point_are_not_infeasible():
+    for i, prob in enumerate(problems_with_a_row_pair(0, 200, 0.0)):
+        assert solve(prob).status is not QpStatus.INFEASIBLE, f"problem {i}"
 
 
 def test_iteration_limit_reported():
@@ -504,27 +537,38 @@ def test_solve_puts_a_primal_within_tol_of_a_bound_on_it(monkeypatch):
     assert sol.objective == prob.objective_value(sol.primal)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    """linprog runs only when infeasibility is declared, and the kernels
-    use numpy alone: neither importing the package nor a feasible
-    negotiation, in process or over sockets, loads any scipy module.
-    The socket run blocks scipy first, and its forked agents inherit
-    the block, so an agent that imported scipy would fail the run."""
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
+    """The solver uses numpy alone, infeasibility included: neither
+    importing the package, a feasible negotiation, in process or over
+    sockets, nor an infeasible solve loads any scipy module.  The
+    socket run blocks scipy first, and its forked agents inherit the
+    block, so an agent that imported scipy would fail the run; the
+    hot-box home of the CLI tests is then declared infeasible under the
+    same block."""
     src = str(Path(hvactrade.__file__).resolve().parent.parent)
     fixture = Path(src).parent / "scenarios" / "two_user_complementary.yaml"
+    hot_box = tmp_path / "hotbox.yaml"
+    hot_box.write_text(HOT_BOX)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, hvactrade\n"
+         "from hvactrade.agent import solve_emp\n"
+         "from hvactrade.errors import InfeasibleError\n"
          "scipy = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
          "print(scipy())\n"
          "scenario = hvactrade.load_scenario(sys.argv[1])\n"
          "print(hvactrade.run(scenario).converged, scipy())\n"
          "sys.modules['scipy'] = None\n"
-         "print(hvactrade.run(scenario, transport='socket').converged)",
-         str(fixture)],
+         "print(hvactrade.run(scenario, transport='socket').converged)\n"
+         "hot = hvactrade.load_scenario(sys.argv[2])\n"
+         "try:\n"
+         "    solve_emp(hot.users[0], hot.tariff, hot.grid)\n"
+         "except InfeasibleError:\n"
+         "    print('infeasible')",
+         str(fixture), str(hot_box)],
         env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.split("\n")[:3] == ["[]", "True []", "True"]
+    assert out.stdout.split("\n")[:4] == ["[]", "True []", "True", "infeasible"]
 
 
 # --- builder and epigraph ----------------------------------------------
