@@ -15,7 +15,6 @@ from .coordinator import (
     hlp_update,
     relaxed_proposals,
     run,
-    stepsize,
 )
 from .errors import (
     DecodeError,

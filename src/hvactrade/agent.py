@@ -23,22 +23,14 @@ from .model import Schedule, Tariff, TimeGrid, UserParams
 from .protocol import Rows, TradeProposal
 
 
-def _exchange_terms(uid: int, price, aux, duals, rho: float):
+def _exchange_terms(price, aux, duals, rho: float):
     """Per-partner linear trade cost, its partner mean, and the constant
     left once the pairwise trades are minimized out for a fixed net import.
 
     Each trade enters the objective as c_j p_j + (rho/2) p_j^2 plus the
-    constant (rho/2) aux_j^2, with c = price - dual - rho*aux.  At rho = 0
-    the split is free only when every partner's cost is the same; otherwise
-    the subproblem is unbounded.
+    constant (rho/2) aux_j^2, with c = price - dual - rho*aux.
     """
     c = price - duals - rho * aux
-    if rho == 0.0:
-        if np.any(c != c[0]):
-            raise NonConvergenceError(
-                f"user {uid}: trading subproblem is unbounded at rho=0 "
-                f"(partners' trade costs differ)")
-        return c, c[0].copy(), 0.0
     cbar = c.mean(axis=0)
     offset = (0.5 * rho * float(np.sum(aux * aux))
               - float(np.sum((c - cbar) ** 2)) / (2.0 * rho))
@@ -47,11 +39,8 @@ def _exchange_terms(uid: int, price, aux, duals, rho: float):
 
 def _recover_trades(net_import, c, cbar, rho: float) -> np.ndarray:
     """Pairwise rows that realize a net import at least cost:
-    p_j = s/M + (cbar - c_j)/rho, an equal split at rho = 0."""
-    share = net_import / c.shape[0]
-    if rho == 0.0:
-        return np.tile(share, (c.shape[0], 1))
-    return share + (cbar - c) / rho
+    p_j = s/M + (cbar - c_j)/rho."""
+    return net_import / c.shape[0] + (cbar - c) / rho
 
 
 def build_user_qp(params: UserParams, tariff: Tariff, grid: TimeGrid,
@@ -159,16 +148,18 @@ def solve_emp(params: UserParams, tariff: Tariff, grid: TimeGrid | None = None):
 class LocalAgent:
     """One user's stateful optimizer across negotiation rounds.
 
-    Holds the private parameters, the latest coupling values received
-    from the coordinator, and a cached solver workspace so consecutive
-    rounds at the same penalty weight reuse one factorization and warm
-    start from the previous iterate.  Partner ids are kept in ascending
-    order; trade matrices use that row order throughout.
+    Holds the private parameters, the penalty weight `rho` (given at
+    construction; a broadcast may carry another), the latest coupling
+    values received from the coordinator, and a cached solver workspace
+    so consecutive rounds at the same penalty weight reuse one
+    factorization and warm start from the previous iterate.  Partner ids
+    are kept in ascending order; trade matrices use that row order
+    throughout.
     """
 
     def __init__(self, params: UserParams, tariff: Tariff,
                  grid: TimeGrid | None = None, partner_ids=(),
-                 solver_tol: float = 1e-8):
+                 rho: float = 1.0):
         self.params = params
         self.tariff = tariff
         self.grid = grid if grid is not None else TimeGrid(params.horizon)
@@ -180,11 +171,10 @@ class LocalAgent:
         shape = (len(self.partner_ids), params.horizon)
         self.received_aux = np.zeros(shape)
         self.received_duals = np.zeros(shape)
-        self.rho = 1.0
+        self.rho = self._penalty(rho)
         self.iteration = 0
         self.last_schedule: Schedule | None = None
         self.last_objective: float | None = None
-        self.solver_tol = float(solver_tol)
         self._ws: qp.Workspace | None = None
         self._ws_rho: float | None = None
         self._index = None
@@ -194,6 +184,11 @@ class LocalAgent:
     @property
     def user_id(self) -> int:
         return self.params.id
+
+    def _penalty(self, rho) -> float:
+        if not rho > 0:  # also refuses a NaN
+            raise ValueError(f"user {self.user_id}: rho must be positive")
+        return float(rho)
 
     def set_coupling(self, aux, duals, rho: float | None = None):
         shape = self.received_aux.shape
@@ -208,9 +203,7 @@ class LocalAgent:
         self.received_aux = aux.copy()
         self.received_duals = duals.copy()
         if rho is not None:
-            if rho <= 0:
-                raise ValueError(f"user {self.user_id}: rho must be positive")
-            self.rho = float(rho)
+            self.rho = self._penalty(rho)
 
     def receive(self, broadcast):
         """Apply a coordinator broadcast: per-counterparty consensus and
@@ -224,16 +217,15 @@ class LocalAgent:
             raise ProtocolViolation(f"user {self.user_id}: broadcast {what}")
         self.set_coupling(aux.block, duals.block, broadcast.rho)
 
-    def solve_llp(self, rho: float | None = None) -> Schedule:
-        """Solve the trading subproblem at the given penalty weight
-        (default: the last weight received) and cache the schedule.
+    def solve_llp(self) -> Schedule:
+        """Solve the trading subproblem at the current penalty weight and
+        cache the schedule.
 
         The QP is built once per penalty weight; each round then only
         rewrites the net-import entries of the linear term and the
         offset, reusing the factorization and warm start.  The pairwise
         trades are recovered from the net import in closed form."""
-        if rho is None:
-            rho = self.rho
+        rho = self.rho
         if self._ws is None or self._ws_rho != rho:
             problem, index = build_user_qp(
                 self.params, self.tariff, self.grid, self.partner_ids,
@@ -246,13 +238,13 @@ class LocalAgent:
         s = self._index["net_import"]
         if self.partner_ids:
             c, cbar, offset = _exchange_terms(
-                self.user_id, self.tariff.trade_price * self.grid.slot_hours,
+                self.tariff.trade_price * self.grid.slot_hours,
                 self.received_aux, self.received_duals, rho)
             linear = self._base_linear.copy()
             linear[s] = cbar
             self._ws.update(linear_term=linear,
                             offset=self._base_offset + offset)
-        solution = self._ws.solve(tol=self.solver_tol)
+        solution = self._ws.solve()
         _check_status(solution, self.user_id, "trading subproblem")
         if self.partner_ids:
             trades = _recover_trades(solution.primal[s], c, cbar, rho)

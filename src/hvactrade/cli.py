@@ -42,7 +42,7 @@ def _out_dir(args) -> Path:
 
 def _admm_config(base, args) -> coordinator.AdmmConfig:
     overrides = {}
-    for name in ("tolerance", "max_iter", "rho_mode", "rho0", "norm"):
+    for name in ("tolerance", "max_iter", "rho0"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -158,13 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="convergence tolerance override")
     solver.add_argument("--max-iter", type=int, default=None, dest="max_iter",
                         help="iteration cap override")
-    solver.add_argument("--rho-mode", choices=("fixed",),
-                        default=None, dest="rho_mode",
-                        help="penalty stepsize mode override")
     solver.add_argument("--rho0", type=float, default=None,
-                        help="initial penalty weight override")
-    solver.add_argument("--norm", choices=("l1", "l2"), default=None,
-                        help="convergence error norm override")
+                        help="penalty weight override")
 
     p_run = sub.add_parser("run", parents=[common, solver],
                            help="run the cooperative schedule with trading")

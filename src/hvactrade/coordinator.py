@@ -35,33 +35,22 @@ from .reports import ScenarioReport, UserResult
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    """Knobs of the negotiation loop."""
+    """Knobs of the negotiation loop.  Every round runs at the penalty
+    weight rho0 and stops once the L1 disagreement is within tolerance."""
 
-    rho_mode: str = "fixed"
     rho0: float = 1.0
     tolerance: float = 1e-6
-    norm: str = "l1"
     max_iter: int = 2000
     barrier_timeout: float = 60.0
-    solver_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.rho_mode != "fixed":
-            raise ValueError(f"unknown rho_mode {self.rho_mode!r}")
-        if self.norm not in ("l1", "l2"):
-            raise ValueError(f"unknown norm {self.norm!r}")
-        for name in ("rho0", "tolerance", "barrier_timeout", "solver_tol"):
+        for name in ("rho0", "tolerance", "barrier_timeout"):
             if not 0 < getattr(self, name) < np.inf:  # False at a NaN
                 raise ValueError(f"{name} must be finite and positive")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int):
+            raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-
-
-def stepsize(k: int, config: AdmmConfig) -> float:
-    """Penalty weight for round k (counting from 1)."""
-    if k < 1:
-        raise ValueError("rounds count from 1")
-    return config.rho0
 
 
 @dataclass
@@ -233,21 +222,14 @@ def dual_update(state: CoordinatorState, p: np.ndarray) -> np.ndarray:
     return state.duals
 
 
-def convergence_error(state: CoordinatorState, p: np.ndarray,
-                      norm: str = "l1") -> float:
-    """Total disagreement between consensus values and the proposal
-    tensor, summed per user so each pair counts from both endpoints."""
-    r = state.aux_trades - p
-    if norm == "l1":
-        return float(np.abs(r).sum())
-    if norm == "l2":
-        return float(sum(np.linalg.norm(r[i].ravel())
-                         for i in range(len(state.ids))))
-    raise ValueError(f"unknown norm {norm!r}")
+def convergence_error(state: CoordinatorState, p: np.ndarray) -> float:
+    """Total L1 disagreement between consensus values and the proposal
+    tensor, so each pair counts from both endpoints."""
+    return float(np.abs(state.aux_trades - p).sum())
 
 
 def agent_worker_main(params, tariff, grid, partner_ids, host: str,
-                      port: int, rho1: float, solver_tol: float):
+                      port: int, rho: float):
     """Entry point of one agent process in socket mode.
 
     The process is forked from the coordinator inside `run`'s one-BLAS-
@@ -255,17 +237,16 @@ def agent_worker_main(params, tariff, grid, partner_ids, host: str,
     user's parameters, the tariff, the grid and its partners as the
     caller holds them.
     """
-    agent = LocalAgent(params, tariff, grid, partner_ids=partner_ids,
-                       solver_tol=solver_tol)
+    agent = LocalAgent(params, tariff, grid, partner_ids=partner_ids, rho=rho)
     channel = SocketChannel(host, port)
     try:
-        run_agent_loop(agent, channel, rho1)
+        run_agent_loop(agent, channel)
     finally:
         channel.close()
 
 
-def _reconstruct_schedules(scenario, cfg: AdmmConfig, state: CoordinatorState,
-                           prev_aux, prev_duals, rho_k: float):
+def _reconstruct_schedules(scenario, state: CoordinatorState, prev_aux,
+                           prev_duals):
     """Re-solve every user's final-round subproblem from a cold start.
 
     Uses exactly the coupling values each agent held in the last round,
@@ -275,8 +256,8 @@ def _reconstruct_schedules(scenario, cfg: AdmmConfig, state: CoordinatorState,
         i = state.index[u.id]
         partners, cols = state.counterparties[i]
         agent = LocalAgent(u, scenario.tariff, scenario.grid,
-                           partner_ids=partners, solver_tol=cfg.solver_tol)
-        agent.set_coupling(prev_aux[i, cols], prev_duals[i, cols], rho_k)
+                           partner_ids=partners, rho=state.rho)
+        agent.set_coupling(prev_aux[i, cols], prev_duals[i, cols])
         schedules[u.id] = agent.solve_llp()
     return schedules
 
@@ -309,8 +290,7 @@ def _assemble_report(scenario, cfg: AdmmConfig, state: CoordinatorState,
     return ScenarioReport(
         scenario_name=scenario.name, n_users=len(state.ids),
         horizon=scenario.grid.horizon_len, slot_hours=sh,
-        rho_mode=cfg.rho_mode, rho0=cfg.rho0, tolerance=cfg.tolerance,
-        norm=cfg.norm, max_iter=cfg.max_iter,
+        rho0=cfg.rho0, tolerance=cfg.tolerance, max_iter=cfg.max_iter,
         converged=converged, iterations=state.iteration,
         final_error=state.history[-1][1] if state.history else 0.0,
         history=list(state.history), users=users,
@@ -350,8 +330,8 @@ def _negotiate(scenario, config, transport, host, port) -> ScenarioReport:
         _, cost = solve_emp(u, scenario.tariff, scenario.grid)
         emp_costs[u.id] = cost
 
-    rho1 = stepsize(1, cfg)
     state = CoordinatorState.initial(ids, horizon)
+    state.rho = cfg.rho0  # every round runs at this penalty
     accel = Anderson()
     converged = False
     procs: list = []
@@ -359,8 +339,8 @@ def _negotiate(scenario, config, transport, host, port) -> ScenarioReport:
     if transport == "inproc":
         tr = InProcTransport(
             [LocalAgent(u, scenario.tariff, scenario.grid,
-                        partner_ids=partners, solver_tol=cfg.solver_tol)
-             for u, (partners, _) in zip(users, state.counterparties)], rho1)
+                        partner_ids=partners, rho=state.rho)
+             for u, (partners, _) in zip(users, state.counterparties)])
     elif transport == "socket":
         tr = SocketTransport(ids, host=host, port=port)
         ctx = multiprocessing.get_context("fork")
@@ -368,7 +348,7 @@ def _negotiate(scenario, config, transport, host, port) -> ScenarioReport:
             pr = ctx.Process(
                 target=agent_worker_main,
                 args=(u, scenario.tariff, scenario.grid, partners, tr.host,
-                      tr.port, rho1, cfg.solver_tol),
+                      tr.port, state.rho),
                 daemon=True, name=f"agent-{u.id}")
             pr.start()
             procs.append(pr)
@@ -378,20 +358,17 @@ def _negotiate(scenario, config, transport, host, port) -> ScenarioReport:
 
     try:
         for k in range(1, cfg.max_iter + 1):
-            rho_k = stepsize(k, cfg)
             # the updates replace these arrays and never write into them
             prev_aux, prev_duals = state.aux_trades, state.duals
-            final_rho = rho_k
             proposals = barrier_collect(tr, n, k, cfg.barrier_timeout)
             state.iteration = k
-            state.rho = rho_k
             p = proposal_tensor(proposals, state)
             p_hat = relaxed_proposals(p, prev_aux)
             hlp_update(p_hat, state)
             dual_update(state, p_hat)
             # the stop rule measures the raw proposals' disagreement
-            err = convergence_error(state, p, cfg.norm)
-            state.history.append((k, err, rho_k))
+            err = convergence_error(state, p)
+            state.history.append((k, err, state.rho))
             done = err <= cfg.tolerance or k == cfg.max_iter
             if not done:
                 x_next = accel.step(
@@ -400,13 +377,12 @@ def _negotiate(scenario, config, transport, host, port) -> ScenarioReport:
                                     state.duals.ravel())))
                 state.aux_trades, state.duals = x_next.reshape(
                     (2,) + state.aux_trades.shape)
-            rho_next = stepsize(k + 1, cfg)
             for i, (partners, cols) in enumerate(state.counterparties):
                 tr.send_to(ids[i], CoordinatorBroadcast(
                     iteration=k,
                     aux_row=Rows(partners, state.aux_trades[i, cols]),
                     dual_row=Rows(partners, state.duals[i, cols]),
-                    rho=rho_next, done=done))
+                    rho=state.rho, done=done))
             if err <= cfg.tolerance:
                 converged = True
                 break
@@ -421,8 +397,7 @@ def _negotiate(scenario, config, transport, host, port) -> ScenarioReport:
             f"(final disagreement {state.history[-1][1]:.3e}, "
             f"tolerance {cfg.tolerance:.3e})", history=list(state.history))
 
-    schedules = _reconstruct_schedules(scenario, cfg, state, prev_aux,
-                                       prev_duals, final_rho)
+    schedules = _reconstruct_schedules(scenario, state, prev_aux, prev_duals)
     report = _assemble_report(scenario, cfg, state, emp_costs, schedules,
                               converged)
     if transport == "socket":

@@ -284,12 +284,11 @@ class InProcTransport:
     nothing mutable with it.
     """
 
-    def __init__(self, agents, rho1: float):
+    def __init__(self, agents):
         self._agents = {a.user_id: a for a in agents}
         self.expected_ids = tuple(sorted(self._agents))
         self._ready: list[TradeProposal] = []
         for uid in self.expected_ids:
-            self._agents[uid].rho = float(rho1)
             self._step(uid, None)
 
     def _step(self, user_id: int, broadcast: CoordinatorBroadcast | None):
@@ -508,12 +507,11 @@ def barrier_collect(transport, n_expected: int, iteration: int,
     return [proposals[u] for u in sorted(proposals)]
 
 
-def run_agent_loop(agent, channel, rho1: float):
+def run_agent_loop(agent, channel):
     """Drive one agent over a channel until the coordinator signals
     completion: send a proposal, answer the broadcast it gets back with
     the next one.  A broadcast for any round but the agent's own is a
     protocol violation (raised by `agent.step`)."""
-    agent.rho = float(rho1)
     message = agent.step()
     while message is not None:
         channel.send(message)

@@ -45,10 +45,8 @@ class ScenarioReport:
     n_users: int
     horizon: int
     slot_hours: float
-    rho_mode: str
     rho0: float
     tolerance: float
-    norm: str
     max_iter: int
     converged: bool
     iterations: int
@@ -70,10 +68,8 @@ class ScenarioReport:
                 "slot_hours": self.slot_hours,
             },
             "admm": {
-                "rho_mode": self.rho_mode,
                 "rho0": self.rho0,
                 "tolerance": self.tolerance,
-                "norm": self.norm,
                 "max_iter": self.max_iter,
             },
             "converged": self.converged,

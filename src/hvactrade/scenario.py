@@ -209,6 +209,16 @@ def _number(block: dict, key: str, where: str, default=None) -> float:
     return float(v)
 
 
+def _integer(block: dict, key: str, where: str, default=None) -> int:
+    """A whole-number field: 2000 or 2000.0, not 2.5, an infinity or a
+    NaN."""
+    v = _number(block, key, where, default)
+    if not v.is_integer():  # also False at an infinity or a NaN
+        raise ScenarioError(f"{where}: field {key!r} must be an integer, "
+                            f"got {v!r}")
+    return int(v)
+
+
 _USER_KEYS = {f.name for f in fields(UserParams)}
 # the scalar fields after id, in declaration order
 _USER_NUMBERS = tuple(f for f in fields(UserParams)
@@ -281,7 +291,7 @@ def load_scenario(path, seed=None) -> ScenarioConfig:
     if not isinstance(gblock, dict):
         raise ScenarioError(f"{path}: missing or malformed 'grid' block")
     try:
-        grid = TimeGrid(horizon_len=int(_number(gblock, "horizon", "grid")),
+        grid = TimeGrid(horizon_len=_integer(gblock, "horizon", "grid"),
                         slot_hours=_number(gblock, "slot_hours", "grid",
                                            default=1.0))
     except ValueError as exc:
@@ -324,12 +334,9 @@ def load_scenario(path, seed=None) -> ScenarioConfig:
     try:
         values = {}
         for f in fields(AdmmConfig):
-            # each field keeps the type of its default: str, int or float
-            if isinstance(f.default, str):
-                values[f.name] = str(ablock.get(f.name, f.default))
-            else:
-                values[f.name] = type(f.default)(
-                    _number(ablock, f.name, "admm", default=f.default))
+            # each field keeps the type of its default: int or float
+            read = _integer if isinstance(f.default, int) else _number
+            values[f.name] = read(ablock, f.name, "admm", default=f.default)
         admm = AdmmConfig(**values)
     except ValueError as exc:
         raise ScenarioError(f"admm: {exc}") from exc
@@ -371,8 +378,7 @@ def build_synth_scenario(n_users: int, horizon: int, seed: int = 0,
     grid = TimeGrid(horizon_len=int(horizon), slot_hours=float(slot_hours))
     tariff = Tariff(energy_price=0.25, peak_price=0.8,
                     trade_price=np.full(grid.horizon_len, 0.125))
-    admm = AdmmConfig(rho_mode="fixed", rho0=1.0, tolerance=1e-6,
-                      max_iter=2000)
+    admm = AdmmConfig(rho0=1.0, tolerance=1e-6, max_iter=2000)
     users = []
     for uid in range(1, n_users + 1):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), uid, 5)))

@@ -27,7 +27,6 @@ from hvactrade.coordinator import (
     hlp_update,
     proposal_tensor,
     run,
-    stepsize,
 )
 from hvactrade.model import Tariff, TimeGrid, UserParams
 from hvactrade.protocol import CoordinatorBroadcast, TradeProposal, decode
@@ -87,7 +86,6 @@ def test_criterion_1_negotiated_matches_centralized(equivalence_runs):
     assert {h for _, h in sizes} == {4, 24}
     worst = 0.0
     for scenario, report, objective in cases:
-        assert scenario.admm.rho_mode == "fixed"
         assert scenario.admm.rho0 == 1.0
         assert scenario.admm.tolerance == 1e-6
         assert report.converged, scenario.name
@@ -139,15 +137,14 @@ def test_criterion_3_update_rules_exact_and_antisymmetric():
     cfg = scenario.admm
     ids = [u.id for u in scenario.users]
     agents = [LocalAgent(u, scenario.tariff, scenario.grid,
-                         partner_ids=[j for j in ids if j != u.id],
-                         solver_tol=cfg.solver_tol)
+                         partner_ids=[j for j in ids if j != u.id])
               for u in scenario.users]
     state = CoordinatorState.initial(ids, scenario.grid.horizon_len)
     index = state.index
     worst = 0.0
     converged = False
     for k in range(1, cfg.max_iter + 1):
-        rho_k = stepsize(k, cfg)
+        rho_k = cfg.rho0
         proposals = []
         for agent in agents:
             i = index[agent.user_id]
@@ -164,7 +161,7 @@ def test_criterion_3_update_rules_exact_and_antisymmetric():
         assert asym <= 1e-12, f"round {k}"
         worst = max(worst, asym)
         dual_update(state, p)
-        if convergence_error(state, p, cfg.norm) <= cfg.tolerance:
+        if convergence_error(state, p) <= cfg.tolerance:
             converged = True
             break
     assert converged

@@ -7,13 +7,11 @@ from hypothesis.extra import numpy as hnp
 
 from hvactrade import qp
 from hvactrade.agent import LocalAgent, build_user_qp, solve_emp
-from hvactrade.errors import NonConvergenceError, ProtocolViolation
+from hvactrade.errors import ProtocolViolation
 from hvactrade.model import (
     Tariff,
     TimeGrid,
     UserParams,
-    operating_cost,
-    trading_payment,
     verify_schedule,
 )
 from hvactrade.protocol import CoordinatorBroadcast
@@ -162,52 +160,6 @@ def test_llp_penalty_sweep_pins_trade_size():
             np.full(3, 1.5 - 0.15 / rho), abs=1e-6)
         norms.append(float(np.abs(schedule.trades).sum()))
     assert norms[0] > norms[1] > norms[2]
-
-
-def zero_penalty_agent(npart, duals=None):
-    params = make_params(comfort_weight=0.3,
-                         inflexible_load=np.array([1.0, 2.0, 0.5]),
-                         outdoor_temp=np.array([27.0, 26.0, 28.0]))
-    tariff = make_tariff(energy=0.25, peak=1.0, trade=0.3)
-    agent = LocalAgent(params, tariff, partner_ids=range(4, 4 + npart))
-    if duals is not None:
-        agent.set_coupling(np.zeros((npart, 3)), duals)
-    return agent
-
-
-def test_llp_zero_penalty_objective_identity():
-    import dataclasses
-
-    agent = zero_penalty_agent(1)
-    schedule = agent.solve_llp(rho=0.0)
-    # shave solver dust off the active lower bound before re-pricing
-    clean = dataclasses.replace(
-        schedule, grid_draw=np.maximum(schedule.grid_draw, 0.0))
-    direct = (operating_cost(clean, agent.params, agent.tariff)
-              + trading_payment(clean.trades, agent.tariff))
-    assert agent.last_objective == pytest.approx(direct, rel=1e-8)
-
-
-def test_llp_zero_penalty_equal_costs_split_equally():
-    """At rho = 0 with every partner priced alike, any split of the net
-    import costs the same; the agent splits it equally."""
-    single = zero_penalty_agent(1)
-    s_single = single.solve_llp(rho=0.0)
-    agent = zero_penalty_agent(3)
-    schedule = agent.solve_llp(rho=0.0)
-    assert schedule.trades == pytest.approx(
-        np.tile(s_single.trades[0] / 3.0, (3, 1)), abs=1e-9)
-    assert np.all(schedule.trades == schedule.trades[0])
-    assert agent.last_objective == pytest.approx(single.last_objective,
-                                                 rel=1e-12)
-
-
-def test_llp_zero_penalty_differing_costs_is_unbounded():
-    duals = np.zeros((2, 3))
-    duals[1, 0] = 0.05
-    agent = zero_penalty_agent(2, duals=duals)
-    with pytest.raises(NonConvergenceError, match="unbounded"):
-        agent.solve_llp(rho=0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -387,7 +339,7 @@ def test_llp_warm_resolve_builds_one_polish_candidate(monkeypatch):
         agent.solve_llp()
         assert len(factors) == 1 and len(kkts) == 1
         assert solutions[-1].iterations == 0  # no splitting iteration
-        assert solutions[-1].kkt_residual <= agent.solver_tol
+        assert solutions[-1].kkt_residual <= 1e-8  # qp's default tol
 
 
 def test_llp_rho_change_rebuilds_cleanly():
@@ -412,6 +364,19 @@ def test_agent_rejects_self_and_duplicate_partners():
         LocalAgent(params, make_tariff(), partner_ids=(3, 4))
     with pytest.raises(ValueError, match="duplicate"):
         LocalAgent(params, make_tariff(), partner_ids=(4, 4))
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, float("nan")])
+def test_agent_rejects_a_nonpositive_penalty(rho):
+    with pytest.raises(ValueError, match="rho must be positive"):
+        LocalAgent(make_params(), make_tariff(), partner_ids=(2,), rho=rho)
+
+
+def test_agent_solves_at_its_construction_penalty():
+    params = make_params(inflexible_load=np.full(3, 1.5))
+    tariff = Tariff(0.25, 0.0, np.full(3, 0.1))
+    schedule = LocalAgent(params, tariff, partner_ids=(2,), rho=10.0).solve_llp()
+    assert schedule.trades == pytest.approx(np.full((1, 3), 0.015), abs=1e-6)
 
 
 def test_set_coupling_validates_shape_and_rho():

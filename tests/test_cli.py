@@ -78,12 +78,10 @@ def test_run_seed_override_reaches_socket_agents(tmp_path):
 
 def test_run_overrides_reach_the_loop(tmp_path):
     code = main(["run", TWO_USER, "--out", str(tmp_path),
-                 "--tolerance", "1e-4", "--norm", "l2",
-                 "--rho-mode", "fixed", "--rho0", "2.0"])
+                 "--tolerance", "1e-4", "--rho0", "2.0"])
     assert code == 0
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["admm"]["tolerance"] == 1e-4
-    assert doc["admm"]["norm"] == "l2"
     assert doc["admm"]["rho0"] == 2.0
     assert doc["final_error"] <= 1e-4
 
@@ -227,12 +225,31 @@ def test_validate_initial_temp_outside_band_exits_13(tmp_path, capsys):
     assert "1 problem(s)" in err
 
 
-def test_validate_decaying_rho_mode_exits_13(tmp_path, capsys):
-    bad = tmp_path / "decaying.yaml"
-    bad.write_text(INFEASIBLE.replace(
-        "grid:", "admm: {rho_mode: decaying}\ngrid:"))
+@pytest.mark.parametrize("line", [
+    "rho_mode: fixed", "norm: l1", "solver_tol: 1.0e-8"],
+    ids=["rho_mode", "norm", "solver_tol"])
+def test_validate_removed_admm_key_exits_13(tmp_path, capsys, line):
+    """Files written for the loop settings that were removed name the
+    key and must drop it."""
+    bad = tmp_path / "old.yaml"
+    bad.write_text(Path(TWO_USER).read_text().replace(
+        "rho0: 1.0", f"rho0: 1.0\n  {line}"))
     assert main(["validate", str(bad)]) == 13
-    assert "unknown rho_mode 'decaying'" in capsys.readouterr().err
+    key = line.split(":")[0]
+    assert f"admm: unknown fields ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [".inf", ".nan", "2.5"])
+@pytest.mark.parametrize("field", ["max_iter", "horizon"])
+def test_validate_non_integer_count_exits_13(tmp_path, capsys, field, value):
+    line = {"max_iter": "max_iter: 1000", "horizon": "horizon: 6"}[field]
+    text = Path(TWO_USER).read_text()
+    assert line in text
+    bad = tmp_path / "count.yaml"
+    bad.write_text(text.replace(line, f"{field}: {value}"))
+    assert main(["validate", str(bad)]) == 13
+    err = capsys.readouterr().err
+    assert f"field '{field}' must be an integer" in err
 
 
 def test_validate_non_finite_loop_setting_exits_13(tmp_path, capsys):
@@ -271,10 +288,19 @@ def test_unknown_subcommand_is_a_usage_error():
 
 
 def test_bad_choice_is_a_usage_error():
-    for mode in ("linear", "decaying"):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", TWO_USER, "--rho-mode", mode])
-        assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["run", TWO_USER, "--transport", "pipe"])
+    assert exc.value.code == 2
+
+
+def test_run_help_lists_three_loop_overrides(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for flag in ("--tolerance", "--max-iter", "--rho0"):
+        assert flag in out
+    assert "--rho-mode" not in out and "--norm" not in out
 
 
 @pytest.mark.parametrize("override", [

@@ -19,7 +19,6 @@ from hvactrade.coordinator import (
     proposal_tensor,
     relaxed_proposals,
     run,
-    stepsize,
 )
 from hvactrade.errors import (
     NonConvergenceError,
@@ -347,14 +346,6 @@ def test_error_l1_counts_both_endpoints():
     assert err == pytest.approx(0.4, abs=1e-14)
 
 
-def test_error_l2_sums_per_user_norms():
-    state, props = disagreement_state()
-    expected = 2.0 * np.sqrt(2 * 0.1 ** 2)
-    err = convergence_error(state, proposal_tensor(props, state),
-                            norm="l2")
-    assert err == pytest.approx(expected, abs=1e-14)
-
-
 def test_error_zero_when_consensus_matches():
     state = CoordinatorState.initial((1, 2), horizon=2)
     p = np.zeros((2, 2, 2))
@@ -365,39 +356,27 @@ def test_error_zero_when_consensus_matches():
         proposals_from(state, p), state)) == 0.0
 
 
-def test_error_rejects_unknown_norm():
-    state, props = disagreement_state()
-    with pytest.raises(ValueError, match="norm"):
-        convergence_error(state, proposal_tensor(props, state),
-                          norm="linf")
+# --- loop settings -------------------------------------------------------
 
-
-# --- penalty schedule ----------------------------------------------------
-
-def test_stepsize_fixed():
-    cfg = AdmmConfig(rho_mode="fixed", rho0=0.5)
-    assert [stepsize(k, cfg) for k in (1, 2, 5)] == [0.5, 0.5, 0.5]
-
-
-def test_stepsize_rejects_round_zero():
-    with pytest.raises(ValueError, match="round"):
-        stepsize(0, AdmmConfig())
+def test_admm_config_holds_four_settings():
+    assert {f.name for f in dataclasses.fields(AdmmConfig)} == {
+        "rho0", "tolerance", "max_iter", "barrier_timeout"}
 
 
 @pytest.mark.parametrize("bad", [
-    dict(rho_mode="linear"),
-    dict(norm="linf"),
     dict(rho0=0.0),
     dict(tolerance=-1.0),
     dict(max_iter=0),
-    dict(rho_mode="decaying"),
     dict(rho0=float("nan")),
     dict(rho0=float("inf")),
     dict(tolerance=float("nan")),
     dict(barrier_timeout=float("nan")),
     dict(barrier_timeout=-1.0),
-    dict(solver_tol=-1.0),
-    dict(solver_tol=float("nan")),
+    dict(max_iter=2.5),
+    dict(max_iter=2000.0),
+    dict(max_iter=float("inf")),
+    dict(max_iter=True),
+    dict(max_iter="2000"),
 ])
 def test_admm_config_validation(bad):
     with pytest.raises(ValueError):

@@ -339,7 +339,7 @@ def pair_agents():
 
 
 def test_inproc_agents_take_their_first_step_on_construction():
-    tr = InProcTransport(pair_agents(), rho1=2.0)
+    tr = InProcTransport(pair_agents())
     got = [tr.poll(0.0), tr.poll(0.0)]
     assert all(isinstance(m, TradeProposal) for m in got)
     assert [(m.user_id, m.iteration) for m in got] == [(1, 1), (2, 1)]
@@ -347,7 +347,7 @@ def test_inproc_agents_take_their_first_step_on_construction():
 
 
 def test_inproc_broadcast_is_answered_by_one_proposal():
-    tr = InProcTransport(pair_agents(), rho1=1.0)
+    tr = InProcTransport(pair_agents())
     tr.poll(0.0), tr.poll(0.0)  # the first round
     tr.send_to(1, broadcast(iteration=1, ids=(2,), h=2, rho=0.5))
     answer = tr.poll(0.0)
@@ -358,7 +358,7 @@ def test_inproc_broadcast_is_answered_by_one_proposal():
 
 
 def test_inproc_done_broadcast_yields_no_proposal():
-    tr = InProcTransport(pair_agents(), rho1=1.0)
+    tr = InProcTransport(pair_agents())
     tr.poll(0.0), tr.poll(0.0)  # the first round
     tr.send_to(2, broadcast(iteration=1, ids=(1,), h=2, done=True))
     assert tr.poll(0.0) is None
@@ -370,7 +370,7 @@ def test_inproc_done_broadcast_yields_no_proposal():
 
 
 def test_inproc_agent_exception_names_the_user(monkeypatch):
-    tr = InProcTransport(pair_agents(), rho1=1.0)
+    tr = InProcTransport(pair_agents())
 
     def faulty(agent, *args, **kwargs):
         raise ValueError("injected fault")
@@ -398,7 +398,7 @@ def test_inproc_run_neither_encodes_nor_decodes(monkeypatch):
 
 def test_inproc_messages_share_no_array_with_their_sender():
     agents = pair_agents()
-    tr = InProcTransport(agents, rho1=1.0)
+    tr = InProcTransport(agents)
     first = tr.poll(0.0)
     assert not np.shares_memory(first.trades[2],
                                 agents[0].last_schedule.trades)
@@ -409,7 +409,7 @@ def test_inproc_messages_share_no_array_with_their_sender():
 
 
 def test_inproc_unknown_user_rejected():
-    tr = InProcTransport(pair_agents(), rho1=1.0)
+    tr = InProcTransport(pair_agents())
     with pytest.raises(ProtocolViolation, match="unknown"):
         tr.send_to(5, broadcast(ids=(2,), h=2))
 
@@ -562,14 +562,14 @@ def test_agent_step_rejects_a_broadcast_for_another_round():
 def test_agent_loop_rejects_broadcast_from_the_future():
     channel = ScriptedChannel([broadcast(iteration=7, ids=(2,), h=2)])
     with pytest.raises(ProtocolViolation, match="round 7"):
-        run_agent_loop(loop_agent(), channel, rho1=1.0)
+        run_agent_loop(loop_agent(), channel)
 
 
 def test_agent_loop_rejects_a_repeated_broadcast():
     """A broadcast of the round before is fatal, not answered again."""
     channel = ScriptedChannel([broadcast(iteration=0, ids=(2,), h=2)])
     with pytest.raises(ProtocolViolation, match="got round 0"):
-        run_agent_loop(loop_agent(), channel, rho1=1.0)
+        run_agent_loop(loop_agent(), channel)
     assert [m.iteration for m in channel.sent] == [1]
 
 
@@ -578,7 +578,7 @@ def test_agent_loop_advances_until_done():
                broadcast(iteration=2, ids=(2,), h=2, rho=0.5),
                broadcast(iteration=3, ids=(2,), h=2, rho=0.25, done=True)]
     channel = ScriptedChannel(replies)
-    agent = run_agent_loop(loop_agent(), channel, rho1=1.0)
+    agent = run_agent_loop(loop_agent(), channel)
     assert [m.iteration for m in channel.sent] == [1, 2, 3]
     assert agent.iteration == 3
     assert agent.rho == 0.25

@@ -135,7 +135,6 @@ def test_minimal_scenario_fills_defaults(tmp_path):
     # trade price defaults to half the energy price
     assert np.array_equal(config.tariff.trade_price, [0.1, 0.1])
     assert config.tariff.peak_price == 0.0
-    assert config.admm.rho_mode == "fixed"
     assert config.admm.max_iter == 2000
     assert config.users[0].hvac_cap == 10.0
     assert config.users[0].temp_initial == 22.0
@@ -350,6 +349,15 @@ def test_save_load_round_trip(tmp_path):
         for f in dataclasses.fields(UserParams):
             assert np.array_equal(getattr(orig, f.name),
                                   getattr(back, f.name)), f.name
+
+
+def test_save_writes_the_four_loop_settings(tmp_path):
+    config = build_synth_scenario(2, 3, seed=4)
+    path = save_scenario(config, tmp_path / "a.yaml")
+    doc = yaml.safe_load(path.read_text())
+    assert set(doc["admm"]) == {"rho0", "tolerance", "max_iter",
+                                "barrier_timeout"}
+    assert load_scenario(path).admm == config.admm
 
 
 def test_second_save_is_byte_identical(tmp_path):
