@@ -55,8 +55,7 @@ def _admm_config(base, args) -> coordinator.AdmmConfig:
 def cmd_run(args) -> int:
     scn = scenario.load_scenario(args.scenario, seed=args.seed)
     config = _admm_config(scn.admm, args)
-    report = coordinator.run(scn, config, transport=args.transport,
-                             host=args.host, port=args.port)
+    report = coordinator.run(scn, config, transport=args.transport)
     paths = reports.write_report(report, _out_dir(args))
     print(f"{scn.name}: converged in {report.iterations} iterations, "
           f"final error {report.final_error:.3e}")
@@ -166,10 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--transport", choices=("inproc", "socket"),
                        default="inproc",
                        help="agent transport (default: inproc)")
-    p_run.add_argument("--host", default="127.0.0.1",
-                       help="coordinator bind address for socket mode")
-    p_run.add_argument("--port", type=int, default=0,
-                       help="coordinator port for socket mode (0 picks one)")
     p_run.set_defaults(func=cmd_run, parser=p_run)
 
     p_base = sub.add_parser("baseline", parents=[common],

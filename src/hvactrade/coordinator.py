@@ -16,6 +16,7 @@ net to zero by construction.
 from __future__ import annotations
 
 import multiprocessing
+import socket
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
@@ -228,17 +229,22 @@ def convergence_error(state: CoordinatorState, p: np.ndarray) -> float:
     return float(np.abs(state.aux_trades - p).sum())
 
 
-def agent_worker_main(params, tariff, grid, partner_ids, host: str,
-                      port: int, rho: float):
+def agent_worker_main(params, tariff, grid, partner_ids, sock, rho: float,
+                      inherited):
     """Entry point of one agent process in socket mode.
 
     The process is forked from the coordinator inside `run`'s one-BLAS-
     thread scope, whose thread count it inherits, and is handed its own
     user's parameters, the tariff, the grid and its partners as the
-    caller holds them.
+    caller holds them, and its end `sock` of its connected socket pair.
+    It first closes `inherited`, the coordinator's ends that the fork
+    copied: an agent holding the coordinator's end of another agent's
+    pair would keep that agent from seeing the connection close.
     """
+    for end in inherited:
+        end.close()
     agent = LocalAgent(params, tariff, grid, partner_ids=partner_ids, rho=rho)
-    channel = SocketChannel(host, port)
+    channel = SocketChannel(sock)
     try:
         run_agent_loop(agent, channel)
     finally:
@@ -300,25 +306,48 @@ def _assemble_report(scenario, cfg: AdmmConfig, state: CoordinatorState,
 
 
 def run(scenario, config: AdmmConfig | None = None,
-        transport: str = "inproc", host: str = "127.0.0.1",
-        port: int = 0) -> ScenarioReport:
+        transport: str = "inproc") -> ScenarioReport:
     """Run the full negotiation for a scenario and assemble the report.
 
     `transport` selects the agents' home: the coordinator's own thread,
     one agent after another ("inproc"), or one process per user, forked
-    from the calling process, over TCP ("socket"); both produce
-    byte-identical reports.  Call a socket run from a process with no
-    other threads running.  Every OpenBLAS runs on one thread for the
-    whole run and gets the caller's thread count back afterwards.
+    from the calling process, each over its own connected socket pair
+    ("socket"); both produce byte-identical reports.  Call a socket run
+    from a process with no other threads running.  Every OpenBLAS runs
+    on one thread for the whole run and gets the caller's thread count
+    back afterwards.
     Raises NonConvergence (with the partial history attached) if the
     disagreement never falls under tolerance, and HvacTradeError naming
     the user when an agent fails.
     """
     with blas.single_thread():
-        return _negotiate(scenario, config, transport, host, port)
+        return _negotiate(scenario, config, transport)
 
 
-def _negotiate(scenario, config, transport, host, port) -> ScenarioReport:
+def _fork_agents(scenario, users, state: CoordinatorState):
+    """Fork one agent process per user, each over its own connected
+    socket pair, and return ({uid: process}, {uid: coordinator's end}).
+
+    A pair is made just before its agent's fork, and the coordinator
+    closes the agent's end once the fork has copied it, so no other
+    process holds an agent's end.  Every agent closes the coordinator's
+    ends it was forked with, its own included."""
+    ctx = multiprocessing.get_context("fork")
+    procs, ends = {}, {}
+    for u, (partners, _) in zip(users, state.counterparties):
+        ends[u.id], agent_end = socket.socketpair()
+        pr = ctx.Process(
+            target=agent_worker_main,
+            args=(u, scenario.tariff, scenario.grid, partners, agent_end,
+                  state.rho, tuple(ends.values())),
+            daemon=True, name=f"agent-{u.id}")
+        pr.start()
+        agent_end.close()
+        procs[u.id] = pr
+    return procs, ends
+
+
+def _negotiate(scenario, config, transport) -> ScenarioReport:
     cfg = config if config is not None else scenario.admm
     users = sorted(scenario.users, key=lambda u: u.id)
     ids = tuple(u.id for u in users)
@@ -334,7 +363,7 @@ def _negotiate(scenario, config, transport, host, port) -> ScenarioReport:
     state.rho = cfg.rho0  # every round runs at this penalty
     accel = Anderson()
     converged = False
-    procs: list = []
+    procs: dict = {}
 
     if transport == "inproc":
         tr = InProcTransport(
@@ -342,17 +371,8 @@ def _negotiate(scenario, config, transport, host, port) -> ScenarioReport:
                         partner_ids=partners, rho=state.rho)
              for u, (partners, _) in zip(users, state.counterparties)])
     elif transport == "socket":
-        tr = SocketTransport(ids, host=host, port=port)
-        ctx = multiprocessing.get_context("fork")
-        for u, (partners, _) in zip(users, state.counterparties):
-            pr = ctx.Process(
-                target=agent_worker_main,
-                args=(u, scenario.tariff, scenario.grid, partners, tr.host,
-                      tr.port, state.rho),
-                daemon=True, name=f"agent-{u.id}")
-            pr.start()
-            procs.append(pr)
-            tr.watch(u.id, pr.sentinel)
+        procs, ends = _fork_agents(scenario, users, state)
+        tr = SocketTransport(ends)
     else:
         raise ValueError(f"unknown transport {transport!r}")
 
@@ -406,8 +426,9 @@ def _negotiate(scenario, config, transport, host, port) -> ScenarioReport:
 
 
 def _end_agents(procs, tr, finished: bool):
-    """Stop the agent processes, close the transport, and raise
-    HvacTradeError for the first agent whose process failed on its own.
+    """Stop the agent processes ({uid: process}), close the transport,
+    and raise HvacTradeError for the first agent whose process failed on
+    its own.
 
     After a finished run every agent has been told to stop and gets 30 s
     to exit.  After a failure only the first exit is awaited, briefly,
@@ -415,16 +436,16 @@ def _end_agents(procs, tr, finished: bool):
     then terminated together.
     """
     if finished:
-        for pr in procs:
+        for pr in procs.values():
             pr.join(timeout=30.0)
     elif procs:
-        ended = wait([pr.sentinel for pr in procs], timeout=2.0)
-        for pr in procs:
+        ended = wait([pr.sentinel for pr in procs.values()], timeout=2.0)
+        for pr in procs.values():
             if pr.sentinel in ended:
                 pr.join()  # reap it: the sentinel can close first
-    failed = {int(pr.name.split("-")[1]): pr.exitcode for pr in procs
+    failed = {uid: pr.exitcode for uid, pr in procs.items()
               if pr.exitcode not in (0, None)}
-    survivors = [pr for pr in procs if pr.is_alive()]
+    survivors = [pr for pr in procs.values() if pr.is_alive()]
     for pr in survivors:
         pr.terminate()
     for pr in survivors:

@@ -15,13 +15,16 @@ reads or writes the whole block as one numpy structured array.
 
 Every agent advances through `LocalAgent.step`, one call per round.
 The in-process transport calls it directly in the coordinator's thread
-and hands each message object across as it is; over TCP each agent
-process, forked from the coordinator, calls it from `run_agent_loop`.
-The socket transport captures every frame it sends or receives in
-`wire_frames` for auditing.  The in-process transport encodes nothing
-and keeps no frames: the codec carries float64 exactly, so the message
-an agent gets is the one a decode would have produced, and sharing one
-step keeps runs bit-identical across the transports.
+and hands each message object across as it is.  Over the socket
+transport each agent process, forked from the coordinator, calls it
+from `run_agent_loop`; the coordinator makes one connected socket pair
+per agent before the fork and keeps the other end, so it knows each
+connection's user from the start.  The socket transport captures every
+frame it sends or receives in `wire_frames` for auditing.  The
+in-process transport encodes nothing and keeps no frames: the codec
+carries float64 exactly, so the message an agent gets is the one a
+decode would have produced, and sharing one step keeps runs
+bit-identical across the transports.
 """
 
 from __future__ import annotations
@@ -43,9 +46,8 @@ from .errors import (DecodeError, HvacTradeError, ProtocolViolation,
 TAG_PROPOSAL = 1
 TAG_BROADCAST = 2
 MAX_FRAME = 1 << 26
-# an agent's wait for each broadcast, and its tries to reach the coordinator
+# an agent's wait for each broadcast
 AGENT_RECV_TIMEOUT = 300.0
-CONNECT_TRIES = 40
 
 
 class Rows(Mapping):
@@ -313,19 +315,11 @@ class InProcTransport:
 
 
 class SocketChannel:
-    """Agent endpoint of the socket transport: one TCP connection."""
+    """Agent endpoint of the socket transport: the agent's end of the
+    connected socket pair the coordinator made for it."""
 
-    def __init__(self, host: str, port: int):
-        last = None
-        for _ in range(CONNECT_TRIES):
-            try:
-                self._sock = socket.create_connection((host, port), timeout=5.0)
-                break
-            except OSError as exc:
-                last = exc
-                time.sleep(0.25)
-        else:
-            raise ConnectionError(f"cannot reach coordinator at {host}:{port}: {last}")
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
         self._sock.settimeout(AGENT_RECV_TIMEOUT)
         self._buf = b""
         self._pending: list[bytes] = []
@@ -354,91 +348,56 @@ class SocketChannel:
 
 
 class SocketTransport:
-    """Coordinator side of the TCP transport.
+    """Coordinator side of the socket transport.
 
-    Single-threaded: `poll` pumps accepts and reads, returning decoded
-    proposals one at a time.  A connection is bound to a user id by the
-    first proposal it delivers; broadcasts go back over that connection.
-    An agent that closes its connection mid-run, or whose watched process
-    exits, is a protocol violation.
+    Holds the coordinator's end of each user's connected socket pair,
+    given as {user id: socket}, so every connection's user is known by
+    construction; broadcasts go back over the user's own connection.
+    Single-threaded: `poll` pumps reads, returning decoded proposals one
+    at a time.  A proposal that names another user than its connection's,
+    or a connection that closes mid-run (as it does when the agent's
+    process exits), is a protocol violation.
     """
 
-    def __init__(self, expected_ids, host: str = "127.0.0.1", port: int = 0):
-        self.expected_ids = tuple(sorted(int(u) for u in expected_ids))
+    def __init__(self, conns: Mapping[int, socket.socket]):
+        self._conns = {int(u): conn for u, conn in conns.items()}
+        self.expected_ids = tuple(sorted(self._conns))
         self.wire_frames: list[bytes] = []
-        self._listener = socket.create_server((host, port))
-        self._listener.setblocking(False)
-        self.host, self.port = self._listener.getsockname()[:2]
         self._sel = selectors.DefaultSelector()
-        self._sel.register(self._listener, selectors.EVENT_READ, "listen")
-        self._bufs: dict[socket.socket, bytes] = {}
-        self._conn_user: dict[socket.socket, int] = {}
-        self._user_conn: dict[int, socket.socket] = {}
+        self._bufs: dict[int, bytes] = {}
+        for uid, conn in self._conns.items():
+            conn.setblocking(False)
+            self._sel.register(conn, selectors.EVENT_READ, uid)
+            self._bufs[uid] = b""
         self._ready: list[TradeProposal] = []
 
-    def watch(self, user_id: int, sentinel):
-        """Treat the readiness of `sentinel` (a process sentinel) as the
-        exit of user_id's agent, even before it connects."""
-        self._sel.register(sentinel, selectors.EVENT_READ, ("exit", int(user_id)))
-
-    def _admit(self, frame: bytes, conn: socket.socket):
+    def _admit(self, frame: bytes, uid: int):
         self.wire_frames.append(frame)
         message = decode(frame)
         if not isinstance(message, TradeProposal):
             raise ProtocolViolation(
                 f"expected a trade proposal, got {type(message).__name__}")
-        bound = self._conn_user.get(conn)
-        if bound is None:
-            if message.user_id in self._user_conn:
-                raise ProtocolViolation(
-                    f"second connection claims user {message.user_id}")
-            if message.user_id not in self.expected_ids:
-                raise ProtocolViolation(f"unknown user id {message.user_id}")
-            self._conn_user[conn] = message.user_id
-            self._user_conn[message.user_id] = conn
-        elif bound != message.user_id:
+        if message.user_id != uid:
             raise ProtocolViolation(
-                f"connection bound to user {bound} sent a proposal for "
-                f"user {message.user_id}")
+                f"connection of user {uid} sent a proposal for user "
+                f"{message.user_id}")
         self._ready.append(message)
 
     def _pump(self, timeout: float):
-        events = self._sel.select(timeout=max(timeout, 0.0))
-        for key, _ in events:
-            if key.data == "listen":
-                conn, _addr = self._listener.accept()
-                conn.setblocking(False)
-                self._sel.register(conn, selectors.EVENT_READ, "conn")
-                self._bufs[conn] = b""
-                continue
-            if isinstance(key.data, tuple):
-                raise ProtocolViolation(
-                    f"agent process for user {key.data[1]} exited")
-            conn = key.fileobj
+        for key, _ in self._sel.select(timeout=max(timeout, 0.0)):
+            uid = key.data
             try:
-                chunk = conn.recv(65536)
+                chunk = key.fileobj.recv(65536)
             except (BlockingIOError, InterruptedError):
                 continue
             except OSError:
                 chunk = b""
             if not chunk:
-                uid = self._conn_user.get(conn)
-                self._drop(conn)
-                who = ("an agent before its first proposal" if uid is None
-                       else f"user {uid}")
-                raise ProtocolViolation(f"connection closed by {who}")
-            self._bufs[conn] += chunk
-            frames, self._bufs[conn] = split_frames(self._bufs[conn])
+                raise ProtocolViolation(f"connection closed by user {uid}")
+            self._bufs[uid] += chunk
+            frames, self._bufs[uid] = split_frames(self._bufs[uid])
             for frame in frames:
-                self._admit(frame, conn)
-
-    def _drop(self, conn: socket.socket):
-        self._sel.unregister(conn)
-        uid = self._conn_user.pop(conn, None)
-        if uid is not None:
-            self._user_conn.pop(uid, None)
-        self._bufs.pop(conn, None)
-        conn.close()
+                self._admit(frame, uid)
 
     def poll(self, timeout: float):
         if self._ready:
@@ -452,9 +411,9 @@ class SocketTransport:
         return self._ready.pop(0)
 
     def send_to(self, user_id: int, broadcast: CoordinatorBroadcast):
-        conn = self._user_conn.get(int(user_id))
+        conn = self._conns.get(int(user_id))
         if conn is None:
-            raise ProtocolViolation(f"no connection bound to user {user_id}")
+            raise ProtocolViolation(f"unknown user id {user_id}")
         frame = encode(broadcast)
         self.wire_frames.append(frame)
         conn.setblocking(True)
@@ -464,10 +423,9 @@ class SocketTransport:
             conn.setblocking(False)
 
     def close(self):
-        for conn in list(self._bufs):
-            self._drop(conn)
         self._sel.close()
-        self._listener.close()
+        for conn in self._conns.values():
+            conn.close()
 
 
 def barrier_collect(transport, n_expected: int, iteration: int,

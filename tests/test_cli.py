@@ -293,6 +293,16 @@ def test_bad_choice_is_a_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--port", "5000"),
+                                         ("--host", "127.0.0.1")])
+def test_removed_endpoint_flag_is_a_usage_error(flag, value):
+    """Socket agents reach the coordinator over pairs made at the fork,
+    so there is no endpoint to pick."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", TWO_USER, flag, value])
+    assert exc.value.code == 2
+
+
 def test_run_help_lists_three_loop_overrides(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--help"])
@@ -301,6 +311,7 @@ def test_run_help_lists_three_loop_overrides(capsys):
     for flag in ("--tolerance", "--max-iter", "--rho0"):
         assert flag in out
     assert "--rho-mode" not in out and "--norm" not in out
+    assert "--host" not in out and "--port" not in out
 
 
 @pytest.mark.parametrize("override", [

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hvactrade import protocol
 from hvactrade.agent import LocalAgent
-from hvactrade.coordinator import run
+from hvactrade.coordinator import CoordinatorState, _fork_agents, run
 from hvactrade.errors import (
     DecodeError,
     HvacTradeError,
@@ -416,48 +416,56 @@ def test_inproc_unknown_user_rejected():
 
 # --- socket transport --------------------------------------------------------
 
+def socket_transport(ids=(1, 2)):
+    """A SocketTransport over one connected pair per user, and the agents'
+    ends {uid: socket}."""
+    pairs = {u: socket.socketpair() for u in ids}
+    tr = SocketTransport({u: ours for u, (ours, _) in pairs.items()})
+    return tr, {u: theirs for u, (_, theirs) in pairs.items()}
+
+
+def close_all(tr, agent_ends):
+    tr.close()
+    for end in agent_ends.values():
+        end.close()
+
+
 def test_socket_poll_raises_when_a_bound_agent_disconnects():
-    tr = SocketTransport((1, 2))
+    tr, agents = socket_transport()
     try:
-        client = socket.create_connection((tr.host, tr.port), timeout=5.0)
-        client.sendall(encode(proposal(uid=1)))
+        agents[1].sendall(encode(proposal(uid=1)))
         assert tr.poll(5.0).user_id == 1
-        client.close()
+        agents[1].close()
         t0 = time.monotonic()
         with pytest.raises(ProtocolViolation, match="closed by user 1"):
             tr.poll(5.0)
         assert time.monotonic() - t0 < 1.0
     finally:
-        tr.close()
+        close_all(tr, agents)
 
 
 def test_socket_poll_raises_when_an_unbound_agent_disconnects():
-    tr = SocketTransport((1, 2))
+    """An agent that closes before any proposal is named by its pair."""
+    tr, agents = socket_transport()
     try:
-        socket.create_connection((tr.host, tr.port), timeout=5.0).close()
+        agents[2].close()
         t0 = time.monotonic()
-        with pytest.raises(ProtocolViolation, match="before its first"):
+        with pytest.raises(ProtocolViolation, match="closed by user 2"):
             tr.poll(5.0)
         assert time.monotonic() - t0 < 1.0
     finally:
-        tr.close()
+        close_all(tr, agents)
 
 
-def test_socket_poll_raises_when_a_watched_process_exits():
-    # a process sentinel is the read end of a pipe that closes on exit
-    read_end, write_end = os.pipe()
-    tr = SocketTransport((1, 2))
+def test_socket_rejects_a_proposal_for_another_user():
+    tr, agents = socket_transport()
     try:
-        tr.watch(2, read_end)
-        assert tr.poll(0.05) is None
-        os.close(write_end)
-        t0 = time.monotonic()
-        with pytest.raises(ProtocolViolation, match="user 2 exited"):
+        agents[2].sendall(encode(proposal(uid=1)))
+        with pytest.raises(ProtocolViolation,
+                           match="user 2 sent a proposal for user 1"):
             tr.poll(5.0)
-        assert time.monotonic() - t0 < 1.0
     finally:
-        tr.close()
-        os.close(read_end)
+        close_all(tr, agents)
 
 
 # --- collection barrier -----------------------------------------------------
@@ -612,6 +620,22 @@ def test_socket_report_is_byte_identical_to_inproc(make, tmp_path):
         (tmp_path / "socket" / "report.json").read_bytes()
 
 
+def test_socket_run_opens_no_listener(monkeypatch, tmp_path):
+    """Each agent gets a connected socket pair made before its fork, so a
+    socket run listens on no address and still reports what an
+    in-process run does."""
+    def refused(*args, **kwargs):
+        raise OSError("a socket run must not listen")
+
+    scenario = load_scenario(FIXTURES / "two_user_complementary.yaml")
+    write_report(run(scenario), tmp_path / "inproc")
+    monkeypatch.setattr(socket, "create_server", refused)
+    monkeypatch.setattr(socket.socket, "listen", refused)
+    write_report(run(scenario, transport="socket"), tmp_path / "socket")
+    assert (tmp_path / "inproc" / "report.json").read_bytes() == \
+        (tmp_path / "socket" / "report.json").read_bytes()
+
+
 def test_inproc_run_starts_no_thread(monkeypatch):
     solve_llp = LocalAgent.solve_llp
     seen = set()
@@ -650,14 +674,14 @@ def test_socket_run_names_a_crashed_agent_at_once(monkeypatch):
     assert time.monotonic() - t0 < 15.0
 
 
-def test_socket_run_names_an_agent_that_dies_before_connecting(monkeypatch):
-    """Agents that fail before reaching the coordinator never connect;
-    the run still ends well before the 60 s barrier timeout, naming a
-    user."""
+def test_socket_run_names_an_agent_that_dies_before_its_first_proposal(
+        monkeypatch):
+    """Agents that fail before their first proposal send nothing; the run
+    still ends well before the 60 s barrier timeout, naming a user."""
     scenario = load_scenario(FIXTURES / "two_user_complementary.yaml")
     assert scenario.admm.barrier_timeout == 60.0
 
-    def unreachable(channel, host, port):
+    def unreachable(channel, sock):
         raise ConnectionError("injected fault")
 
     monkeypatch.setattr(protocol.SocketChannel, "__init__", unreachable)
@@ -665,3 +689,26 @@ def test_socket_run_names_an_agent_that_dies_before_connecting(monkeypatch):
     with pytest.raises(HvacTradeError, match="agent for user [12] failed"):
         run(scenario, transport="socket")
     assert time.monotonic() - t0 < 10.0
+
+
+def test_agent_sees_its_own_connection_close_at_once():
+    """Closing the coordinator's end of user 1's pair ends user 1's agent,
+    while user 2's agent, forked after that end was made, keeps waiting:
+    no agent holds a copy of another agent's coordinator end."""
+    scenario = load_scenario(FIXTURES / "two_user_complementary.yaml")
+    users = sorted(scenario.users, key=lambda u: u.id)
+    state = CoordinatorState.initial([u.id for u in users],
+                                     scenario.grid.horizon_len)
+    procs, ends = _fork_agents(scenario, users, state)
+    tr = SocketTransport(ends)
+    try:
+        assert len(barrier_collect(tr, 2, 1, timeout=30.0)) == 2
+        ends[1].close()
+        procs[1].join(timeout=1.0)
+        assert procs[1].exitcode not in (0, None)
+        assert procs[2].is_alive()
+    finally:
+        for pr in procs.values():
+            pr.terminate()
+            pr.join(timeout=5.0)
+        tr.close()
