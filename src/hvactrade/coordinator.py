@@ -25,8 +25,7 @@ import numpy as np
 
 from . import blas
 from .agent import LocalAgent, solve_emp
-from .errors import (HvacTradeError, NonConvergenceError, ProtocolViolation,
-                     SynchronizationTimeout)
+from .errors import HvacTradeError, NonConvergenceError, ProtocolViolation
 from .model import operating_cost, trading_payment
 from .protocol import (CoordinatorBroadcast, InProcTransport, Rows,
                        SocketChannel, SocketTransport, barrier_collect,
@@ -42,10 +41,9 @@ class AdmmConfig:
     rho0: float = 1.0
     tolerance: float = 1e-6
     max_iter: int = 2000
-    barrier_timeout: float = 60.0
 
     def __post_init__(self):
-        for name in ("rho0", "tolerance", "barrier_timeout"):
+        for name in ("rho0", "tolerance"):
             if not 0 < getattr(self, name) < np.inf:  # False at a NaN
                 raise ValueError(f"{name} must be finite and positive")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int):
@@ -90,15 +88,13 @@ def proposal_tensor(proposals, state: CoordinatorState) -> np.ndarray:
     and every slot."""
     n = len(state.ids)
     h = state.aux_trades.shape[2]
+    senders = sorted(msg.user_id for msg in proposals)
+    if senders != list(state.ids):
+        raise ProtocolViolation(f"proposals come from users {senders}, "
+                                f"expected one from each of {list(state.ids)}")
     p = np.zeros((n, n, h))
-    seen = set()
     for msg in proposals:
-        i = state.index.get(msg.user_id)
-        if i is None:
-            raise ProtocolViolation(f"proposal from unknown user {msg.user_id}")
-        if msg.user_id in seen:
-            raise ProtocolViolation(f"duplicate proposal from user {msg.user_id}")
-        seen.add(msg.user_id)
+        i = state.index[msg.user_id]
         trades = msg.trades
         partners, cols = state.counterparties[i]
         if trades.ids != partners:
@@ -112,10 +108,6 @@ def proposal_tensor(proposals, state: CoordinatorState) -> np.ndarray:
                 f"user {msg.user_id}: trade rows have "
                 f"{trades.block.shape[1]} slots, expected {h}")
         p[i, cols] = trades.block
-    if len(seen) != n:
-        missing = tuple(u for u in state.ids if u not in seen)
-        raise SynchronizationTimeout(
-            f"missing proposals from users {list(missing)}", missing=missing)
     return p
 
 
@@ -313,9 +305,12 @@ def run(scenario, config: AdmmConfig | None = None,
     one agent after another ("inproc"), or one process per user, forked
     from the calling process, each over its own connected socket pair
     ("socket"); both produce byte-identical reports.  Call a socket run
-    from a process with no other threads running.  Every OpenBLAS runs
-    on one thread for the whole run and gets the caller's thread count
-    back afterwards.
+    from a process with no other Python threads running.  That is not
+    one OS thread: a process that has imported numpy also holds
+    OpenBLAS's pool thread, inside the one-thread scope too, and
+    OpenBLAS's own fork handler stops that pool before each fork.  Every
+    OpenBLAS runs on one thread for the whole run and gets the caller's
+    thread count back afterwards.
     Raises NonConvergence (with the partial history attached) if the
     disagreement never falls under tolerance, and HvacTradeError naming
     the user when an agent fails.
@@ -351,7 +346,6 @@ def _negotiate(scenario, config, transport) -> ScenarioReport:
     cfg = config if config is not None else scenario.admm
     users = sorted(scenario.users, key=lambda u: u.id)
     ids = tuple(u.id for u in users)
-    n = len(ids)
     horizon = scenario.grid.horizon_len
 
     emp_costs = {}
@@ -380,7 +374,7 @@ def _negotiate(scenario, config, transport) -> ScenarioReport:
         for k in range(1, cfg.max_iter + 1):
             # the updates replace these arrays and never write into them
             prev_aux, prev_duals = state.aux_trades, state.duals
-            proposals = barrier_collect(tr, n, k, cfg.barrier_timeout)
+            proposals = barrier_collect(tr, k)
             state.iteration = k
             p = proposal_tensor(proposals, state)
             p_hat = relaxed_proposals(p, prev_aux)

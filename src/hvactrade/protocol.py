@@ -19,12 +19,14 @@ and hands each message object across as it is.  Over the socket
 transport each agent process, forked from the coordinator, calls it
 from `run_agent_loop`; the coordinator makes one connected socket pair
 per agent before the fork and keeps the other end, so it knows each
-connection's user from the start.  The socket transport captures every
-frame it sends or receives in `wire_frames` for auditing.  The
-in-process transport encodes nothing and keeps no frames: the codec
-carries float64 exactly, so the message an agent gets is the one a
-decode would have produced, and sharing one step keeps runs
-bit-identical across the transports.
+connection's user from the start.  Each connection carries one frame a
+round in each direction, and both ends read it whole with `read_frame`:
+the length prefix, then exactly the body it announces.  The socket
+transport captures every frame it sends or receives in `wire_frames`
+for auditing.  The in-process transport encodes nothing and keeps no
+frames: the codec carries float64 exactly, so the message an agent gets
+is the one a decode would have produced, and sharing one step keeps
+runs bit-identical across the transports.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ TAG_BROADCAST = 2
 MAX_FRAME = 1 << 26
 # an agent's wait for each broadcast
 AGENT_RECV_TIMEOUT = 300.0
+# the coordinator's wait for a round's proposals, and for each read of
+# a frame or send of a broadcast on an agent's connection
+BARRIER_TIMEOUT = 60.0
 
 
 class Rows(Mapping):
@@ -260,19 +265,37 @@ def decode(frame: bytes):
     raise DecodeError(f"unknown message tag {tag} at offset 4")
 
 
-def split_frames(buf: bytes):
-    """Split a byte buffer into complete frames plus the unread tail."""
-    frames = []
-    while len(buf) >= 4:
-        (length,) = struct.unpack_from("<I", buf, 0)
-        if length > MAX_FRAME:
-            raise DecodeError(f"length prefix {length} exceeds the "
-                              f"{MAX_FRAME} byte cap")
-        if len(buf) < 4 + length:
-            break
-        frames.append(bytes(buf[:4 + length]))
-        buf = buf[4 + length:]
-    return frames, buf
+def _recv_exactly(sock, n: int, closed: str) -> bytes:
+    chunks = []
+    while n:
+        try:
+            chunk = sock.recv(n)
+        except TimeoutError:
+            raise
+        except OSError:
+            chunk = b""
+        if not chunk:
+            raise ProtocolViolation(closed)
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
+def read_frame(sock, closed: str) -> bytes:
+    """Read one whole frame, length prefix included, from a socket.
+
+    Reads the 4-byte prefix, then exactly the body it announces, looping
+    over `recv`.  A prefix over MAX_FRAME is a DecodeError raised before
+    any of the body is read.  A connection that closes, between frames
+    or inside one, is a ProtocolViolation whose message is `closed`.  A
+    socket timeout propagates as TimeoutError.
+    """
+    head = _recv_exactly(sock, 4, closed)
+    (length,) = struct.unpack("<I", head)
+    if length > MAX_FRAME:
+        raise DecodeError(f"length prefix {length} exceeds the "
+                          f"{MAX_FRAME} byte cap")
+    return head + _recv_exactly(sock, length, closed)
 
 
 class InProcTransport:
@@ -321,24 +344,16 @@ class SocketChannel:
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._sock.settimeout(AGENT_RECV_TIMEOUT)
-        self._buf = b""
-        self._pending: list[bytes] = []
 
     def send(self, message):
         self._sock.sendall(encode(message))
 
     def recv(self):
-        while not self._pending:
-            try:
-                chunk = self._sock.recv(65536)
-            except socket.timeout:
-                raise SynchronizationTimeout("no broadcast before the socket timeout")
-            if not chunk:
-                raise ProtocolViolation("coordinator closed the connection")
-            self._buf += chunk
-            frames, self._buf = split_frames(self._buf)
-            self._pending.extend(frames)
-        return decode(self._pending.pop(0))
+        try:
+            frame = read_frame(self._sock, "coordinator closed the connection")
+        except TimeoutError:
+            raise SynchronizationTimeout("no broadcast before the socket timeout")
+        return decode(frame)
 
     def close(self):
         try:
@@ -353,10 +368,14 @@ class SocketTransport:
     Holds the coordinator's end of each user's connected socket pair,
     given as {user id: socket}, so every connection's user is known by
     construction; broadcasts go back over the user's own connection.
-    Single-threaded: `poll` pumps reads, returning decoded proposals one
-    at a time.  A proposal that names another user than its connection's,
-    or a connection that closes mid-run (as it does when the agent's
-    process exits), is a protocol violation.
+    Single-threaded: `poll` waits on one selector over every connection,
+    registered once, and reads one whole frame from a connection that is
+    ready.  Each end times out after BARRIER_TIMEOUT, so a frame that
+    stops half-way, or a broadcast that cannot be sent, is a
+    SynchronizationTimeout naming the user rather than a hang.  A
+    proposal that names another user than its connection's, or a
+    connection that closes mid-run (as it does when the agent's process
+    exits), is a protocol violation.
     """
 
     def __init__(self, conns: Mapping[int, socket.socket]):
@@ -364,51 +383,31 @@ class SocketTransport:
         self.expected_ids = tuple(sorted(self._conns))
         self.wire_frames: list[bytes] = []
         self._sel = selectors.DefaultSelector()
-        self._bufs: dict[int, bytes] = {}
         for uid, conn in self._conns.items():
-            conn.setblocking(False)
+            conn.settimeout(BARRIER_TIMEOUT)
             self._sel.register(conn, selectors.EVENT_READ, uid)
-            self._bufs[uid] = b""
-        self._ready: list[TradeProposal] = []
 
-    def _admit(self, frame: bytes, uid: int):
-        self.wire_frames.append(frame)
-        message = decode(frame)
-        if not isinstance(message, TradeProposal):
-            raise ProtocolViolation(
-                f"expected a trade proposal, got {type(message).__name__}")
-        if message.user_id != uid:
-            raise ProtocolViolation(
-                f"connection of user {uid} sent a proposal for user "
-                f"{message.user_id}")
-        self._ready.append(message)
-
-    def _pump(self, timeout: float):
+    def poll(self, timeout: float):
         for key, _ in self._sel.select(timeout=max(timeout, 0.0)):
             uid = key.data
             try:
-                chunk = key.fileobj.recv(65536)
-            except (BlockingIOError, InterruptedError):
-                continue
-            except OSError:
-                chunk = b""
-            if not chunk:
-                raise ProtocolViolation(f"connection closed by user {uid}")
-            self._bufs[uid] += chunk
-            frames, self._bufs[uid] = split_frames(self._bufs[uid])
-            for frame in frames:
-                self._admit(frame, uid)
-
-    def poll(self, timeout: float):
-        if self._ready:
-            return self._ready.pop(0)
-        deadline = time.monotonic() + max(timeout, 0.0)
-        while not self._ready:
-            left = deadline - time.monotonic()
-            if left <= 0:
-                return None
-            self._pump(min(left, 0.25))
-        return self._ready.pop(0)
+                frame = read_frame(key.fileobj,
+                                   f"connection closed by user {uid}")
+            except TimeoutError:
+                raise SynchronizationTimeout(
+                    f"user {uid} stopped in the middle of a frame for "
+                    f"{key.fileobj.gettimeout()}s", missing=(uid,))
+            self.wire_frames.append(frame)
+            message = decode(frame)
+            if not isinstance(message, TradeProposal):
+                raise ProtocolViolation(
+                    f"expected a trade proposal, got {type(message).__name__}")
+            if message.user_id != uid:
+                raise ProtocolViolation(
+                    f"connection of user {uid} sent a proposal for user "
+                    f"{message.user_id}")
+            return message
+        return None
 
     def send_to(self, user_id: int, broadcast: CoordinatorBroadcast):
         conn = self._conns.get(int(user_id))
@@ -416,11 +415,12 @@ class SocketTransport:
             raise ProtocolViolation(f"unknown user id {user_id}")
         frame = encode(broadcast)
         self.wire_frames.append(frame)
-        conn.setblocking(True)
         try:
             conn.sendall(frame)
-        finally:
-            conn.setblocking(False)
+        except TimeoutError:
+            raise SynchronizationTimeout(
+                f"round {broadcast.iteration}: user {user_id} took no "
+                f"broadcast for {conn.gettimeout()}s", missing=(int(user_id),))
 
     def close(self):
         self._sel.close()
@@ -428,41 +428,44 @@ class SocketTransport:
             conn.close()
 
 
-def barrier_collect(transport, n_expected: int, iteration: int,
-                    timeout: float = 60.0) -> list[TradeProposal]:
-    """Collect exactly one proposal per user for the given round.
+def barrier_collect(transport, iteration: int) -> list[TradeProposal]:
+    """Collect exactly one proposal from each of `transport.expected_ids`
+    for the given round, in ascending user id.
 
-    A proposal tagged for another round, or a second proposal from one
-    user, is a protocol violation: a connection neither loses nor
-    reorders frames, so an agent that answers each broadcast once never
-    sends either.  Running out of time names the silent users.
+    A proposal from a user the transport does not expect, one tagged for
+    another round, or a second proposal from one user, is a protocol
+    violation: a connection neither loses nor reorders frames, so an
+    agent that answers each broadcast once never sends either.  Running
+    out of BARRIER_TIMEOUT names the silent users.
     """
-    if n_expected < 1:
-        raise ValueError("n_expected must be at least 1")
+    expected = transport.expected_ids
+    timeout = BARRIER_TIMEOUT
     proposals: dict[int, TradeProposal] = {}
     deadline = time.monotonic() + timeout
-    while len(proposals) < n_expected:
+    while len(proposals) < len(expected):
         left = deadline - time.monotonic()
         if left <= 0:
-            missing = tuple(u for u in transport.expected_ids
-                            if u not in proposals)
+            missing = tuple(u for u in expected if u not in proposals)
             raise SynchronizationTimeout(
-                f"round {iteration}: {n_expected - len(proposals)} of "
-                f"{n_expected} proposals missing after {timeout}s "
-                f"(users {list(missing)})", missing=missing)
+                f"round {iteration}: {len(missing)} of {len(expected)} "
+                f"proposals missing after {timeout}s (users {list(missing)})",
+                missing=missing)
         message = transport.poll(left)
         if message is None:
             continue
-        if message.user_id in proposals:
+        uid = message.user_id
+        if uid not in expected:
             raise ProtocolViolation(
-                f"round {iteration}: duplicate proposal from user "
-                f"{message.user_id}")
+                f"round {iteration}: proposal from unknown user {uid}")
+        if uid in proposals:
+            raise ProtocolViolation(
+                f"round {iteration}: duplicate proposal from user {uid}")
         if message.iteration != iteration:
             raise ProtocolViolation(
-                f"round {iteration}: user {message.user_id} sent a "
-                f"proposal tagged for round {message.iteration}")
-        proposals[message.user_id] = message
-    return [proposals[u] for u in sorted(proposals)]
+                f"round {iteration}: user {uid} sent a proposal tagged for "
+                f"round {message.iteration}")
+        proposals[uid] = message
+    return [proposals[u] for u in expected]
 
 
 def run_agent_loop(agent, channel):

@@ -118,11 +118,8 @@ def test_run_blocked_output_exits_12(tmp_path, capsys):
 
 def test_run_crashed_agent_exits_70_without_traceback(tmp_path, capsys,
                                                      monkeypatch):
-    text = Path(TWO_USER).read_text().replace(
-        "max_iter: 1000", "max_iter: 1000\n  barrier_timeout: 0.5")
-    assert "barrier_timeout: 0.5" in text
     path = tmp_path / "fragile.yaml"
-    path.write_text(text)
+    path.write_text(Path(TWO_USER).read_text())
     solve_llp = LocalAgent.solve_llp
 
     def faulty(agent, *args, **kwargs):
@@ -226,8 +223,9 @@ def test_validate_initial_temp_outside_band_exits_13(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", [
-    "rho_mode: fixed", "norm: l1", "solver_tol: 1.0e-8"],
-    ids=["rho_mode", "norm", "solver_tol"])
+    "rho_mode: fixed", "norm: l1", "solver_tol: 1.0e-8",
+    "barrier_timeout: 60.0"],
+    ids=["rho_mode", "norm", "solver_tol", "barrier_timeout"])
 def test_validate_removed_admm_key_exits_13(tmp_path, capsys, line):
     """Files written for the loop settings that were removed name the
     key and must drop it."""

@@ -20,11 +20,7 @@ from hvactrade.coordinator import (
     relaxed_proposals,
     run,
 )
-from hvactrade.errors import (
-    NonConvergenceError,
-    ProtocolViolation,
-    SynchronizationTimeout,
-)
+from hvactrade.errors import NonConvergenceError, ProtocolViolation
 from hvactrade.model import operating_cost
 from hvactrade.protocol import InProcTransport, TradeProposal
 from hvactrade.reports import write_report
@@ -358,9 +354,9 @@ def test_error_zero_when_consensus_matches():
 
 # --- loop settings -------------------------------------------------------
 
-def test_admm_config_holds_four_settings():
+def test_admm_config_holds_three_settings():
     assert {f.name for f in dataclasses.fields(AdmmConfig)} == {
-        "rho0", "tolerance", "max_iter", "barrier_timeout"}
+        "rho0", "tolerance", "max_iter"}
 
 
 @pytest.mark.parametrize("bad", [
@@ -370,8 +366,8 @@ def test_admm_config_holds_four_settings():
     dict(rho0=float("nan")),
     dict(rho0=float("inf")),
     dict(tolerance=float("nan")),
-    dict(barrier_timeout=float("nan")),
-    dict(barrier_timeout=-1.0),
+    dict(tolerance=float("inf")),
+    dict(tolerance=0.0),
     dict(max_iter=2.5),
     dict(max_iter=2000.0),
     dict(max_iter=float("inf")),
@@ -385,27 +381,18 @@ def test_admm_config_validation(bad):
 
 # --- proposal intake -----------------------------------------------------
 
-def test_duplicate_proposal_rejected():
+def test_proposal_tensor_needs_one_proposal_from_each_user():
+    """A duplicate, a missing or an unknown sender fails the one id check;
+    the barrier names each case before a proposal gets here."""
     state = CoordinatorState.initial((1, 2), horizon=1)
-    msg = TradeProposal(1, 1, {2: np.zeros(1)})
-    other = TradeProposal(2, 1, {1: np.zeros(1)})
-    with pytest.raises(ProtocolViolation, match="duplicate"):
-        proposal_tensor([msg, msg, other], state)
-
-
-def test_missing_proposal_times_out_with_names():
-    state = CoordinatorState.initial((1, 2), horizon=1)
-    msg = TradeProposal(1, 1, {2: np.zeros(1)})
-    with pytest.raises(SynchronizationTimeout) as exc:
-        proposal_tensor([msg], state)
-    assert exc.value.missing == (2,)
-
-
-def test_unknown_sender_rejected():
-    state = CoordinatorState.initial((1, 2), horizon=1)
-    msg = TradeProposal(7, 1, {1: np.zeros(1)})
-    with pytest.raises(ProtocolViolation, match="unknown"):
-        proposal_tensor([msg], state)
+    one = TradeProposal(1, 1, {2: np.zeros(1)})
+    two = TradeProposal(2, 1, {1: np.zeros(1)})
+    seven = TradeProposal(7, 1, {1: np.zeros(1)})
+    for senders in ([one, one, two], [one], [one, seven]):
+        with pytest.raises(ProtocolViolation, match="expected one from "
+                                                    "each of \\[1, 2\\]"):
+            proposal_tensor(senders, state)
+    assert proposal_tensor([two, one], state).shape == (2, 2, 1)
 
 
 def test_partial_counterparty_coverage_rejected():

@@ -31,8 +31,8 @@ from hvactrade.protocol import (
     barrier_collect,
     decode,
     encode,
+    read_frame,
     run_agent_loop,
-    split_frames,
 )
 from hvactrade.reports import write_report
 from hvactrade.scenario import build_synth_scenario, load_scenario
@@ -310,25 +310,43 @@ def test_single_byte_corruption_never_escapes_decode(template):
             pass
 
 
-# --- stream splitting -----------------------------------------------------
+# --- whole-frame reads ------------------------------------------------------
 
-def test_split_frames_separates_messages_and_tail():
-    f1, f2 = encode(proposal()), encode(broadcast())
-    tail = f1[:7]
-    frames, rest = split_frames(f1 + f2 + tail)
-    assert frames == [f1, f2]
-    assert rest == tail
+class TrickleSocket:
+    """Serves a byte string at most `step` bytes per `recv`, then b""
+    as a closed connection does."""
+
+    def __init__(self, data: bytes, step: int = 1):
+        self.data = data
+        self.step = step
+        self.read = 0
+
+    def recv(self, n):
+        chunk = self.data[self.read:self.read + min(n, self.step)]
+        self.read += len(chunk)
+        return chunk
 
 
-def test_split_frames_keeps_incomplete_header():
-    frames, rest = split_frames(b"\x01\x02")
-    assert frames == [] and rest == b"\x01\x02"
-    assert split_frames(b"") == ([], b"")
+def test_read_frame_joins_a_frame_sent_one_byte_at_a_time():
+    frame = encode(broadcast(ids=(2, 3)))
+    sock = TrickleSocket(frame + encode(proposal()))
+    assert read_frame(sock, "closed") == frame
+    assert sock.read == len(frame)
 
 
-def test_split_frames_rejects_oversize_prefix():
+def test_read_frame_rejects_an_oversize_prefix_before_the_body():
+    sock = TrickleSocket(struct.pack("<I", MAX_FRAME + 1) + b"\x00" * 16,
+                         step=64)
     with pytest.raises(DecodeError, match="exceeds"):
-        split_frames(struct.pack("<I", MAX_FRAME + 1) + b"\x00" * 16)
+        read_frame(sock, "closed")
+    assert sock.read == 4
+
+
+@pytest.mark.parametrize("cut", [0, 2, 7], ids=["between", "prefix", "body"])
+def test_read_frame_close_is_a_protocol_violation(cut):
+    sock = TrickleSocket(encode(proposal())[:cut], step=3)
+    with pytest.raises(ProtocolViolation, match="closed by user 4"):
+        read_frame(sock, "connection closed by user 4")
 
 
 # --- in-process transport --------------------------------------------------
@@ -457,6 +475,22 @@ def test_socket_poll_raises_when_an_unbound_agent_disconnects():
         close_all(tr, agents)
 
 
+def test_socket_send_names_a_user_that_reads_nothing(monkeypatch):
+    """A broadcast larger than the pair's buffers, to an agent that never
+    reads, ends the round after the barrier timeout instead of hanging."""
+    monkeypatch.setattr(protocol, "BARRIER_TIMEOUT", 0.2)
+    tr, agents = socket_transport()
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(SynchronizationTimeout,
+                           match="round 3: user 2 took no broadcast") as exc:
+            tr.send_to(2, broadcast(iteration=3, ids=(1,), h=1 << 17))
+        assert time.monotonic() - t0 < 2.0
+        assert exc.value.missing == (2,)
+    finally:
+        close_all(tr, agents)
+
+
 def test_socket_rejects_a_proposal_for_another_user():
     tr, agents = socket_transport()
     try:
@@ -471,7 +505,7 @@ def test_socket_rejects_a_proposal_for_another_user():
 # --- collection barrier -----------------------------------------------------
 
 class ScriptedTransport:
-    """Feeds a fixed poll script."""
+    """Feeds a fixed poll script, then nothing."""
 
     def __init__(self, script, expected_ids=(1, 2)):
         self.script = list(script)
@@ -487,14 +521,21 @@ def p_for(uid, iteration):
 
 def test_barrier_sorts_by_user_id():
     tr = ScriptedTransport([p_for(2, 1), p_for(1, 1)])
-    got = barrier_collect(tr, 2, 1, timeout=1.0)
+    got = barrier_collect(tr, 1)
     assert [m.user_id for m in got] == [1, 2]
 
 
 def test_barrier_flags_duplicates():
     tr = ScriptedTransport([p_for(1, 1), p_for(1, 1)])
     with pytest.raises(ProtocolViolation, match="duplicate"):
-        barrier_collect(tr, 2, 1, timeout=1.0)
+        barrier_collect(tr, 1)
+
+
+def test_barrier_rejects_an_unknown_sender():
+    tr = ScriptedTransport([p_for(1, 1), TradeProposal(7, 1, {1: np.zeros(1)})])
+    with pytest.raises(ProtocolViolation,
+                       match="round 1: proposal from unknown user 7"):
+        barrier_collect(tr, 1)
 
 
 def test_barrier_second_stale_message_is_fatal():
@@ -502,7 +543,7 @@ def test_barrier_second_stale_message_is_fatal():
     never read."""
     tr = ScriptedTransport([p_for(1, 1), p_for(1, 1)])
     with pytest.raises(ProtocolViolation, match="round 1"):
-        barrier_collect(tr, 2, 2, timeout=1.0)
+        barrier_collect(tr, 2)
     assert len(tr.script) == 1
 
 
@@ -511,16 +552,37 @@ def test_barrier_stale_without_replay_is_fatal():
     fatal at once, with nothing re-sent."""
     tr = ScriptedTransport([p_for(2, 2), p_for(1, 1), p_for(1, 2)])
     with pytest.raises(ProtocolViolation, match="tagged for round 1"):
-        barrier_collect(tr, 2, 2, timeout=1.0)
+        barrier_collect(tr, 2)
     assert len(tr.script) == 1
 
 
-def test_barrier_timeout_names_silent_users():
+def test_barrier_timeout_names_silent_users(monkeypatch):
+    monkeypatch.setattr(protocol, "BARRIER_TIMEOUT", 0.05)
     tr = ScriptedTransport([p_for(1, 1)])
     with pytest.raises(SynchronizationTimeout) as exc:
-        barrier_collect(tr, 2, 1, timeout=0.05)
+        barrier_collect(tr, 1)
     assert exc.value.missing == (2,)
     assert "users [2]" in str(exc.value)
+
+
+def test_barrier_names_a_user_stopped_mid_frame(monkeypatch):
+    """Half a frame and then silence ends the round within about twice
+    the barrier timeout: the read of the rest times out on its own."""
+    monkeypatch.setattr(protocol, "BARRIER_TIMEOUT", 0.2)
+    tr, agents = socket_transport()
+    # ends a read that would otherwise wait for ever, failing the test
+    watchdog = threading.Timer(5.0, agents[1].shutdown, (socket.SHUT_WR,))
+    watchdog.start()
+    try:
+        agents[1].sendall(encode(proposal(uid=1))[:7])
+        t0 = time.monotonic()
+        with pytest.raises(SynchronizationTimeout, match="user 1") as exc:
+            barrier_collect(tr, 1)
+        assert time.monotonic() - t0 < 2 * 0.2
+        assert exc.value.missing == (1,)
+    finally:
+        watchdog.cancel()
+        close_all(tr, agents)
 
 
 # --- agent loop -------------------------------------------------------------
@@ -533,7 +595,7 @@ class ScriptedChannel:
     def send(self, message):
         self.sent.append(message)
 
-    def recv(self, timeout: float = 300.0):
+    def recv(self):
         return self.replies.pop(0)
 
 
@@ -655,7 +717,7 @@ def test_socket_run_names_a_crashed_agent_at_once(monkeypatch):
     """An agent process that dies ends the run well before the 60 s
     barrier timeout, and the error names its user."""
     scenario = load_scenario(FIXTURES / "two_user_complementary.yaml")
-    assert scenario.admm.barrier_timeout == 60.0
+    assert protocol.BARRIER_TIMEOUT == 60.0
     coordinator_pid = os.getpid()
     solve_llp = LocalAgent.solve_llp
 
@@ -679,7 +741,7 @@ def test_socket_run_names_an_agent_that_dies_before_its_first_proposal(
     """Agents that fail before their first proposal send nothing; the run
     still ends well before the 60 s barrier timeout, naming a user."""
     scenario = load_scenario(FIXTURES / "two_user_complementary.yaml")
-    assert scenario.admm.barrier_timeout == 60.0
+    assert protocol.BARRIER_TIMEOUT == 60.0
 
     def unreachable(channel, sock):
         raise ConnectionError("injected fault")
@@ -702,7 +764,7 @@ def test_agent_sees_its_own_connection_close_at_once():
     procs, ends = _fork_agents(scenario, users, state)
     tr = SocketTransport(ends)
     try:
-        assert len(barrier_collect(tr, 2, 1, timeout=30.0)) == 2
+        assert len(barrier_collect(tr, 1)) == 2
         ends[1].close()
         procs[1].join(timeout=1.0)
         assert procs[1].exitcode not in (0, None)

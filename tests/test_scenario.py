@@ -351,12 +351,11 @@ def test_save_load_round_trip(tmp_path):
                                   getattr(back, f.name)), f.name
 
 
-def test_save_writes_the_four_loop_settings(tmp_path):
+def test_save_writes_the_three_loop_settings(tmp_path):
     config = build_synth_scenario(2, 3, seed=4)
     path = save_scenario(config, tmp_path / "a.yaml")
     doc = yaml.safe_load(path.read_text())
-    assert set(doc["admm"]) == {"rho0", "tolerance", "max_iter",
-                                "barrier_timeout"}
+    assert set(doc["admm"]) == {"rho0", "tolerance", "max_iter"}
     assert load_scenario(path).admm == config.admm
 
 
