@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hvactrade import coordinator
+from hvactrade import coordinator, protocol
 from hvactrade.coordinator import (
     AdmmConfig,
     Anderson,
@@ -20,9 +20,13 @@ from hvactrade.coordinator import (
     relaxed_proposals,
     run,
 )
-from hvactrade.errors import NonConvergenceError, ProtocolViolation
+from hvactrade.errors import (
+    NonConvergenceError,
+    ProtocolViolation,
+    SynchronizationTimeout,
+)
 from hvactrade.model import operating_cost
-from hvactrade.protocol import InProcTransport, TradeProposal
+from hvactrade.protocol import InProcTransport, TradeProposal, barrier_collect
 from hvactrade.reports import write_report
 from hvactrade.scenario import build_synth_scenario, load_scenario
 
@@ -381,18 +385,54 @@ def test_admm_config_validation(bad):
 
 # --- proposal intake -----------------------------------------------------
 
-def test_proposal_tensor_needs_one_proposal_from_each_user():
-    """A duplicate, a missing or an unknown sender fails the one id check;
-    the barrier names each case before a proposal gets here."""
+# A round's intake is barrier_collect, which names what is wrong with a
+# round's proposals, then proposal_tensor, whose one id check refuses the
+# same sets.
+
+class ScriptedTransport:
+    """Feeds a fixed poll script, then nothing."""
+
+    expected_ids = (1, 2)
+
+    def __init__(self, script):
+        self.script = list(script)
+
+    def poll(self, timeout):
+        return self.script.pop(0) if self.script else None
+
+
+ONE = TradeProposal(1, 1, {2: np.zeros(1)})
+TWO = TradeProposal(2, 1, {1: np.zeros(1)})
+ONE_FROM_EACH = "expected one from each of \\[1, 2\\]"
+
+
+def test_duplicate_proposal_rejected():
     state = CoordinatorState.initial((1, 2), horizon=1)
-    one = TradeProposal(1, 1, {2: np.zeros(1)})
-    two = TradeProposal(2, 1, {1: np.zeros(1)})
+    with pytest.raises(ProtocolViolation,
+                       match="duplicate proposal from user 1"):
+        barrier_collect(ScriptedTransport([ONE, ONE, TWO]), 1)
+    with pytest.raises(ProtocolViolation, match=ONE_FROM_EACH):
+        proposal_tensor([ONE, ONE, TWO], state)
+    assert proposal_tensor([TWO, ONE], state).shape == (2, 2, 1)
+
+
+def test_missing_proposal_times_out_with_names(monkeypatch):
+    monkeypatch.setattr(protocol, "BARRIER_TIMEOUT", 0.05)
+    state = CoordinatorState.initial((1, 2), horizon=1)
+    with pytest.raises(SynchronizationTimeout) as exc:
+        barrier_collect(ScriptedTransport([ONE]), 1)
+    assert exc.value.missing == (2,)
+    with pytest.raises(ProtocolViolation, match=ONE_FROM_EACH):
+        proposal_tensor([ONE], state)
+
+
+def test_unknown_sender_rejected():
+    state = CoordinatorState.initial((1, 2), horizon=1)
     seven = TradeProposal(7, 1, {1: np.zeros(1)})
-    for senders in ([one, one, two], [one], [one, seven]):
-        with pytest.raises(ProtocolViolation, match="expected one from "
-                                                    "each of \\[1, 2\\]"):
-            proposal_tensor(senders, state)
-    assert proposal_tensor([two, one], state).shape == (2, 2, 1)
+    with pytest.raises(ProtocolViolation, match="unknown user 7"):
+        barrier_collect(ScriptedTransport([ONE, seven]), 1)
+    with pytest.raises(ProtocolViolation, match=ONE_FROM_EACH):
+        proposal_tensor([ONE, seven], state)
 
 
 def test_partial_counterparty_coverage_rejected():
