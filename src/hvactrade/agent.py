@@ -7,13 +7,12 @@ pulled toward the coordinator's consensus values by a quadratic penalty
 plus a linear dual term.  The subproblem is solved for the net import
 per slot and the pairwise trades follow from it in closed form, so its
 size does not grow with the fleet.  The only data that ever leaves an
-agent is its trade matrix; `outbound_message` audits that before
-anything is serialized.
+agent is its trade matrix: `outbound_message` packages it as a
+`TradeProposal`, whose only fields are the user id, the round and the
+trades.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -273,22 +272,10 @@ class LocalAgent:
         return self.outbound_message()
 
     def outbound_message(self):
-        """Package the current round's trades for the coordinator.
-
-        The message is audited against a field whitelist so nothing beyond
-        {user_id, iteration, trades} can be serialized.
-        """
+        """Package the current round's trades for the coordinator."""
         if self.last_schedule is None:
             raise ProtocolViolation(
                 f"user {self.user_id}: no schedule solved this round")
-        message = TradeProposal(
+        return TradeProposal(
             user_id=self.user_id, iteration=self.iteration,
             trades=Rows(self.partner_ids, self.last_schedule.trades.copy()))
-        present = {f.name for f in dataclasses.fields(message)}
-        if present != _OUTBOUND_FIELDS:
-            raise ProtocolViolation(
-                f"outbound schema mismatch: {sorted(present)}")
-        return message
-
-
-_OUTBOUND_FIELDS = frozenset({"user_id", "iteration", "trades"})

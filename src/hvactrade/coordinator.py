@@ -15,21 +15,17 @@ net to zero by construction.
 
 from __future__ import annotations
 
-import multiprocessing
-import socket
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait
 
 import numpy as np
 
 from . import blas
 from .agent import LocalAgent, solve_emp
-from .errors import HvacTradeError, NonConvergenceError, ProtocolViolation
+from .errors import NonConvergenceError, ProtocolViolation
 from .model import operating_cost, trading_payment
 from .protocol import (CoordinatorBroadcast, InProcTransport, Rows,
-                       SocketChannel, SocketTransport, barrier_collect,
-                       run_agent_loop)
+                       SocketTransport, barrier_collect)
 from .reports import ScenarioReport, UserResult
 
 
@@ -221,28 +217,6 @@ def convergence_error(state: CoordinatorState, p: np.ndarray) -> float:
     return float(np.abs(state.aux_trades - p).sum())
 
 
-def agent_worker_main(params, tariff, grid, partner_ids, sock, rho: float,
-                      inherited):
-    """Entry point of one agent process in socket mode.
-
-    The process is forked from the coordinator inside `run`'s one-BLAS-
-    thread scope, whose thread count it inherits, and is handed its own
-    user's parameters, the tariff, the grid and its partners as the
-    caller holds them, and its end `sock` of its connected socket pair.
-    It first closes `inherited`, the coordinator's ends that the fork
-    copied: an agent holding the coordinator's end of another agent's
-    pair would keep that agent from seeing the connection close.
-    """
-    for end in inherited:
-        end.close()
-    agent = LocalAgent(params, tariff, grid, partner_ids=partner_ids, rho=rho)
-    channel = SocketChannel(sock)
-    try:
-        run_agent_loop(agent, channel)
-    finally:
-        channel.close()
-
-
 def _reconstruct_schedules(scenario, state: CoordinatorState, prev_aux,
                            prev_duals):
     """Re-solve every user's final-round subproblem from a cold start.
@@ -297,6 +271,10 @@ def _assemble_report(scenario, cfg: AdmmConfig, state: CoordinatorState,
         payment_total=sum(r.payment for r in users))
 
 
+# each transport by name: a callable that takes the agents and starts them
+TRANSPORTS = {"inproc": InProcTransport, "socket": SocketTransport.fork}
+
+
 def run(scenario, config: AdmmConfig | None = None,
         transport: str = "inproc") -> ScenarioReport:
     """Run the full negotiation for a scenario and assemble the report.
@@ -311,7 +289,7 @@ def run(scenario, config: AdmmConfig | None = None,
     OpenBLAS's own fork handler stops that pool before each fork.  Every
     OpenBLAS runs on one thread for the whole run and gets the caller's
     thread count back afterwards.
-    Raises NonConvergence (with the partial history attached) if the
+    Raises NonConvergenceError (with the partial history attached) if the
     disagreement never falls under tolerance, and HvacTradeError naming
     the user when an agent fails.
     """
@@ -319,30 +297,11 @@ def run(scenario, config: AdmmConfig | None = None,
         return _negotiate(scenario, config, transport)
 
 
-def _fork_agents(scenario, users, state: CoordinatorState):
-    """Fork one agent process per user, each over its own connected
-    socket pair, and return ({uid: process}, {uid: coordinator's end}).
-
-    A pair is made just before its agent's fork, and the coordinator
-    closes the agent's end once the fork has copied it, so no other
-    process holds an agent's end.  Every agent closes the coordinator's
-    ends it was forked with, its own included."""
-    ctx = multiprocessing.get_context("fork")
-    procs, ends = {}, {}
-    for u, (partners, _) in zip(users, state.counterparties):
-        ends[u.id], agent_end = socket.socketpair()
-        pr = ctx.Process(
-            target=agent_worker_main,
-            args=(u, scenario.tariff, scenario.grid, partners, agent_end,
-                  state.rho, tuple(ends.values())),
-            daemon=True, name=f"agent-{u.id}")
-        pr.start()
-        agent_end.close()
-        procs[u.id] = pr
-    return procs, ends
-
-
 def _negotiate(scenario, config, transport) -> ScenarioReport:
+    try:
+        start = TRANSPORTS[transport]
+    except KeyError:
+        raise ValueError(f"unknown transport {transport!r}") from None
     cfg = config if config is not None else scenario.admm
     users = sorted(scenario.users, key=lambda u: u.id)
     ids = tuple(u.id for u in users)
@@ -357,19 +316,10 @@ def _negotiate(scenario, config, transport) -> ScenarioReport:
     state.rho = cfg.rho0  # every round runs at this penalty
     accel = Anderson()
     converged = False
-    procs: dict = {}
 
-    if transport == "inproc":
-        tr = InProcTransport(
-            [LocalAgent(u, scenario.tariff, scenario.grid,
-                        partner_ids=partners, rho=state.rho)
-             for u, (partners, _) in zip(users, state.counterparties)])
-    elif transport == "socket":
-        procs, ends = _fork_agents(scenario, users, state)
-        tr = SocketTransport(ends)
-    else:
-        raise ValueError(f"unknown transport {transport!r}")
-
+    tr = start([LocalAgent(u, scenario.tariff, scenario.grid,
+                           partner_ids=partners, rho=state.rho)
+                for u, (partners, _) in zip(users, state.counterparties)])
     try:
         for k in range(1, cfg.max_iter + 1):
             # the updates replace these arrays and never write into them
@@ -401,9 +351,9 @@ def _negotiate(scenario, config, transport) -> ScenarioReport:
                 converged = True
                 break
     except BaseException:
-        _end_agents(procs, tr, finished=False)
+        tr.close(finished=False)
         raise
-    _end_agents(procs, tr, finished=True)
+    tr.close()
 
     if not converged:
         raise NonConvergenceError(
@@ -414,38 +364,5 @@ def _negotiate(scenario, config, transport) -> ScenarioReport:
     schedules = _reconstruct_schedules(scenario, state, prev_aux, prev_duals)
     report = _assemble_report(scenario, cfg, state, emp_costs, schedules,
                               converged)
-    if transport == "socket":
-        report.wire_frames = tr.wire_frames
+    report.wire_frames = tr.wire_frames
     return report
-
-
-def _end_agents(procs, tr, finished: bool):
-    """Stop the agent processes ({uid: process}), close the transport,
-    and raise HvacTradeError for the first agent whose process failed on
-    its own.
-
-    After a finished run every agent has been told to stop and gets 30 s
-    to exit.  After a failure only the first exit is awaited, briefly,
-    since a dropped connection means its process is ending; the rest are
-    then terminated together.
-    """
-    if finished:
-        for pr in procs.values():
-            pr.join(timeout=30.0)
-    elif procs:
-        ended = wait([pr.sentinel for pr in procs.values()], timeout=2.0)
-        for pr in procs.values():
-            if pr.sentinel in ended:
-                pr.join()  # reap it: the sentinel can close first
-    failed = {uid: pr.exitcode for uid, pr in procs.items()
-              if pr.exitcode not in (0, None)}
-    survivors = [pr for pr in procs.values() if pr.is_alive()]
-    for pr in survivors:
-        pr.terminate()
-    for pr in survivors:
-        pr.join(timeout=5.0)
-    tr.close()
-    if failed:
-        uid = min(failed)
-        raise HvacTradeError(f"agent for user {uid} failed: agent process "
-                             f"exited with {failed[uid]}")

@@ -13,32 +13,35 @@ carries the same block: each row is a u32 counterparty id followed by
 the row's doubles (trades, or consensus then duals), and the codec
 reads or writes the whole block as one numpy structured array.
 
-Every agent advances through `LocalAgent.step`, one call per round.
-The in-process transport calls it directly in the coordinator's thread
-and hands each message object across as it is.  Over the socket
-transport each agent process, forked from the coordinator, calls it
-from `run_agent_loop`; the coordinator makes one connected socket pair
-per agent before the fork and keeps the other end, so it knows each
-connection's user from the start.  Each connection carries one frame a
-round in each direction, and both ends read it whole with `read_frame`:
-the length prefix, then exactly the body it announces.  The socket
-transport captures every frame it sends or receives in `wire_frames`
-for auditing.  The in-process transport encodes nothing and keeps no
-frames: the codec carries float64 exactly, so the message an agent gets
-is the one a decode would have produced, and sharing one step keeps
-runs bit-identical across the transports.
+Both transports take the agents `run` built, and every agent advances
+through `LocalAgent.step`, one call per round.  The in-process
+transport calls it directly in the coordinator's thread and hands each
+message object across as it is.  `SocketTransport.fork` makes one
+connected socket pair per agent, forks the agent over one end and keeps
+the other, so it knows each connection's user from the start; the
+agent calls `step` from `run_agent_loop`, and closing the transport
+ends the processes.  Each connection carries one frame a round in each
+direction, and both ends read it whole with `read_frame`: the length
+prefix, then exactly the body it announces.  The socket transport
+captures every frame it sends or receives in `wire_frames` for
+auditing.  The in-process transport encodes nothing and its
+`wire_frames` stays empty: the codec carries float64 exactly, so the
+message an agent gets is the one a decode would have produced, and
+sharing one step keeps runs bit-identical across the transports.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import multiprocessing
 import selectors
 import socket
 import struct
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -312,6 +315,7 @@ class InProcTransport:
     def __init__(self, agents):
         self._agents = {a.user_id: a for a in agents}
         self.expected_ids = tuple(sorted(self._agents))
+        self.wire_frames: list[bytes] = []
         self._ready: list[TradeProposal] = []
         for uid in self.expected_ids:
             self._step(uid, None)
@@ -333,7 +337,7 @@ class InProcTransport:
             raise ProtocolViolation(f"unknown user id {user_id}")
         self._step(int(user_id), broadcast)
 
-    def close(self):
+    def close(self, finished: bool = True):
         pass
 
 
@@ -368,6 +372,7 @@ class SocketTransport:
     Holds the coordinator's end of each user's connected socket pair,
     given as {user id: socket}, so every connection's user is known by
     construction; broadcasts go back over the user's own connection.
+    `fork` builds one over agent processes it starts itself.
     Single-threaded: `poll` waits on one selector over every connection,
     registered once, and reads one whole frame from a connection that is
     ready.  Each end times out after BARRIER_TIMEOUT, so a frame that
@@ -382,10 +387,44 @@ class SocketTransport:
         self._conns = {int(u): conn for u, conn in conns.items()}
         self.expected_ids = tuple(sorted(self._conns))
         self.wire_frames: list[bytes] = []
+        self._procs: dict[int, multiprocessing.Process] = {}
         self._sel = selectors.DefaultSelector()
         for uid, conn in self._conns.items():
             conn.settimeout(BARRIER_TIMEOUT)
             self._sel.register(conn, selectors.EVENT_READ, uid)
+
+    @classmethod
+    def fork(cls, agents) -> "SocketTransport":
+        """Fork one process per agent, each running the agent object it
+        was given over its own connected socket pair, and return the
+        transport over the coordinator's ends.
+
+        A pair is made just before its agent's fork, and the agent's end
+        is closed here once the fork has copied it.  A fork that fails
+        part-way stops the agents already started before the error
+        propagates."""
+        ctx = multiprocessing.get_context("fork")
+        procs, ends = {}, {}
+        try:
+            for agent in agents:
+                uid = agent.user_id
+                ends[uid], agent_end = socket.socketpair()
+                pr = ctx.Process(target=_agent_main,
+                                 args=(agent, agent_end, tuple(ends.values())),
+                                 daemon=True, name=f"agent-{uid}")
+                try:
+                    pr.start()
+                finally:
+                    agent_end.close()
+                procs[uid] = pr
+        except BaseException:
+            _terminate(procs.values())
+            for end in ends.values():
+                end.close()
+            raise
+        tr = cls(ends)
+        tr._procs = procs
+        return tr
 
     def poll(self, timeout: float):
         for key, _ in self._sel.select(timeout=max(timeout, 0.0)):
@@ -422,10 +461,43 @@ class SocketTransport:
                 f"round {broadcast.iteration}: user {user_id} took no "
                 f"broadcast for {conn.gettimeout()}s", missing=(int(user_id),))
 
-    def close(self):
+    def close(self, finished: bool = True):
+        """End the agent processes, close every connection, and raise
+        HvacTradeError for the first user whose process failed on its own.
+
+        After a finished run every agent has been told to stop and gets
+        30 s to exit.  After a failure only the first exit is awaited,
+        briefly, since a dropped connection means its process is ending;
+        the rest are then terminated together.
+        """
+        procs = self._procs
+        if finished:
+            for pr in procs.values():
+                pr.join(timeout=30.0)
+        elif procs:
+            ended = wait([pr.sentinel for pr in procs.values()], timeout=2.0)
+            for pr in procs.values():
+                if pr.sentinel in ended:
+                    pr.join()  # reap it: the sentinel can close first
+        failed = {uid: pr.exitcode for uid, pr in procs.items()
+                  if pr.exitcode not in (0, None)}
+        _terminate(procs.values())
         self._sel.close()
         for conn in self._conns.values():
             conn.close()
+        if failed:
+            uid = min(failed)
+            raise HvacTradeError(f"agent for user {uid} failed: agent "
+                                 f"process exited with {failed[uid]}")
+
+
+def _terminate(procs):
+    """Terminate the processes still running, then reap them."""
+    survivors = [pr for pr in procs if pr.is_alive()]
+    for pr in survivors:
+        pr.terminate()
+    for pr in survivors:
+        pr.join(timeout=5.0)
 
 
 def barrier_collect(transport, iteration: int) -> list[TradeProposal]:
@@ -478,3 +550,20 @@ def run_agent_loop(agent, channel):
         channel.send(message)
         message = agent.step(channel.recv())
     return agent
+
+
+def _agent_main(agent, sock, inherited):
+    """Entry point of one forked agent process.
+
+    `sock` is the agent's end of its own connected socket pair.  The
+    process first closes `inherited`, the coordinator's ends that the
+    fork copied: an agent holding the coordinator's end of another
+    agent's pair would keep that agent from seeing the connection close.
+    """
+    for end in inherited:
+        end.close()
+    channel = SocketChannel(sock)
+    try:
+        run_agent_loop(agent, channel)
+    finally:
+        channel.close()

@@ -383,6 +383,16 @@ def test_admm_config_validation(bad):
         AdmmConfig(**bad)
 
 
+def test_unknown_transport_is_refused_before_any_solve(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solve_emp called")
+
+    monkeypatch.setattr(coordinator, "solve_emp", unreachable)
+    with pytest.raises(ValueError, match="unknown transport 'tcp'"):
+        run(load_scenario(FIXTURES / "two_user_complementary.yaml"),
+            transport="tcp")
+
+
 # --- proposal intake -----------------------------------------------------
 
 # A round's intake is barrier_collect, which names what is wrong with a

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import socket
 import struct
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hvactrade import protocol
 from hvactrade.agent import LocalAgent
-from hvactrade.coordinator import CoordinatorState, _fork_agents, run
+from hvactrade.coordinator import CoordinatorState, run
 from hvactrade.errors import (
     DecodeError,
     HvacTradeError,
@@ -755,22 +756,65 @@ def test_socket_run_names_an_agent_that_dies_before_its_first_proposal(
 
 def test_agent_sees_its_own_connection_close_at_once():
     """Closing the coordinator's end of user 1's pair ends user 1's agent,
-    while user 2's agent, forked after that end was made, keeps waiting:
-    no agent holds a copy of another agent's coordinator end."""
+    which the transport then names, while user 2's agent, forked after
+    that end was made, keeps waiting: no agent holds a copy of another
+    agent's coordinator end."""
     scenario = load_scenario(FIXTURES / "two_user_complementary.yaml")
     users = sorted(scenario.users, key=lambda u: u.id)
     state = CoordinatorState.initial([u.id for u in users],
                                      scenario.grid.horizon_len)
-    procs, ends = _fork_agents(scenario, users, state)
-    tr = SocketTransport(ends)
-    try:
-        assert len(barrier_collect(tr, 1)) == 2
-        ends[1].close()
-        procs[1].join(timeout=1.0)
-        assert procs[1].exitcode not in (0, None)
-        assert procs[2].is_alive()
-    finally:
-        for pr in procs.values():
-            pr.terminate()
-            pr.join(timeout=5.0)
-        tr.close()
+    tr = SocketTransport.fork(
+        [LocalAgent(u, scenario.tariff, scenario.grid, partner_ids=partners)
+         for u, (partners, _) in zip(users, state.counterparties)])
+    assert len(barrier_collect(tr, 1)) == 2
+    tr._conns[1].close()
+    tr._procs[1].join(timeout=1.0)
+    assert tr._procs[1].exitcode not in (0, None)
+    assert tr._procs[2].is_alive()
+    with pytest.raises(HvacTradeError, match="agent for user 1 failed"):
+        tr.close(finished=False)
+    assert multiprocessing.active_children() == []
+
+
+def test_no_agent_process_outlives_a_socket_run(monkeypatch):
+    """Every agent process has ended and been reaped when `run` returns,
+    and also when an agent crashed."""
+    scenario = load_scenario(FIXTURES / "two_user_complementary.yaml")
+    assert run(scenario, transport="socket").converged
+    assert multiprocessing.active_children() == []
+
+    coordinator_pid = os.getpid()
+    solve_llp = LocalAgent.solve_llp
+
+    def faulty(agent, *args, **kwargs):
+        if os.getpid() != coordinator_pid and agent.user_id == 1:
+            raise ValueError("injected fault")
+        return solve_llp(agent, *args, **kwargs)
+
+    monkeypatch.setattr(LocalAgent, "solve_llp", faulty)
+    with pytest.raises(HvacTradeError, match="agent for user 1 failed"):
+        run(scenario, transport="socket")
+    assert multiprocessing.active_children() == []
+
+
+def test_a_fork_that_fails_part_way_ends_the_agents_started(monkeypatch,
+                                                            capfd):
+    """When the second agent cannot be started, the first is stopped
+    before the error propagates, without a traceback of its own."""
+    scenario = load_scenario(FIXTURES / "two_user_complementary.yaml")
+    fork_process = multiprocessing.get_context("fork").Process
+    start = fork_process.start
+    starts = []
+
+    def flaky_start(process):
+        starts.append(process.name)
+        if len(starts) == 2:
+            raise OSError("injected fork failure")
+        start(process)
+
+    monkeypatch.setattr(fork_process, "start", flaky_start)
+    with pytest.raises(OSError, match="injected fork failure"):
+        run(scenario, transport="socket")
+    assert starts == ["agent-1", "agent-2"]
+    assert multiprocessing.active_children() == []
+    assert "Traceback" not in capfd.readouterr().err
