@@ -162,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", parents=[common, solver],
                            help="run the cooperative schedule with trading")
-    p_run.add_argument("--transport", choices=("inproc", "socket"),
+    p_run.add_argument("--transport", choices=sorted(coordinator.TRANSPORTS),
                        default="inproc",
                        help="agent transport (default: inproc)")
     p_run.set_defaults(func=cmd_run, parser=p_run)

@@ -15,7 +15,6 @@ net to zero by construction.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,10 +133,15 @@ def relaxed_proposals(p: np.ndarray, prev_aux: np.ndarray) -> np.ndarray:
 # extrapolated point is taken only while the residual |f_k| stays under
 # D |f_0| (n_AA + 1)^-(1 + eps), n_AA counting the points taken so far.
 # At the default penalty it cuts the rounds to agreement on every bundled
-# fixture (reference_10user 61 -> 35, csv_reference 123 -> 20,
-# two_user_complementary 158 -> 25); m = 3 / 5 / 10 gave 37 / 35 / 31
-# rounds on reference_10user.
-ANDERSON_MEMORY = 5
+# fixture (reference_10user 61 -> 31, csv_reference 123 -> 15,
+# two_user_complementary 158 -> 19).  Memory m = 3 / 5 / 8 / 10 / 12 /
+# 15 / 20 gave 37 / 35 / 32 / 31 / 31 / 31 / 34 rounds on
+# reference_10user, 37 / 20 / 13 / 15 / 17 / 20 / 25 on csv_reference,
+# 32 / 25 / 18 / 19 / 20 / 22 / 27 on two_user_complementary and
+# 44 / 36 / 34 / 33 / 32 / 32 / 33 on 16 synthetic homes over 12 slots
+# (seed 1); m = 10 also takes 40 homes over 24 slots (seed 2) from 58
+# rounds at m = 5 to 43, and 80 homes from 95 to 73.
+ANDERSON_MEMORY = 10
 ANDERSON_REGULARIZATION = 1e-8
 SAFEGUARD_D = 1e6
 SAFEGUARD_EPS = 1e-6
@@ -149,41 +153,55 @@ class Anderson:
     `step(x, g)` records one evaluation g = g(x), both flat arrays, and
     returns the point to evaluate next: g - dG gamma, where gamma fits
     the last ANDERSON_MEMORY residual differences dF to the residual
-    f = g - x, or g itself when the memory holds one pair or the
-    safeguard declines.  The extrapolation is formed one column at a
-    time with elementwise operations, so entries that are exact
-    negations in every recorded g stay exact negations.
+    f = g - x, or g itself before the first difference or when the
+    safeguard declines.  The differences live in two rings of
+    ANDERSON_MEMORY rows, each new one overwriting the oldest, and their
+    Gram matrix dF dF' is updated one row and column a step, so a step
+    costs O(m d) in the memory m and the length d.  The extrapolation is
+    formed one row of dG at a time with elementwise operations, so
+    entries that are exact negations in every recorded g stay exact
+    negations.
     """
 
     def __init__(self):
-        self._g: deque[np.ndarray] = deque(maxlen=ANDERSON_MEMORY + 1)
-        self._f: deque[np.ndarray] = deque(maxlen=ANDERSON_MEMORY + 1)
-        self._f0_norm: float | None = None
+        self._d_f = self._d_g = self._gram = None  # allocated at the first step
+        self._f = self._g = None  # the last residual and evaluation
+        self._filled = 0  # ring rows that hold a difference
+        self._slot = 0  # the ring row the next difference overwrites
+        self._f0_norm = 0.0
         self.accepted = 0
 
     def step(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         f = g - x
         f_norm = float(np.linalg.norm(f))
-        if self._f0_norm is None:
-            self._f0_norm = f_norm
-        self._g.append(g)
-        self._f.append(f)
-        if len(self._f) < 2:
+        if self._f is None:
+            m = ANDERSON_MEMORY
+            self._d_f, self._d_g = np.empty((m, f.size)), np.empty((m, f.size))
+            self._gram = np.empty((m, m))
+            self._f, self._g, self._f0_norm = f, g, f_norm
             return g
+        k = self._slot
+        np.subtract(f, self._f, out=self._d_f[k])
+        np.subtract(g, self._g, out=self._d_g[k])
+        self._f, self._g = f, g
+        cap = len(self._d_f)
+        self._slot = (k + 1) % cap
+        m = self._filled = min(self._filled + 1, cap)
+        d_f = self._d_f[:m]
+        self._gram[k, :m] = self._gram[:m, k] = d_f @ d_f[k]
         bound = (SAFEGUARD_D * self._f0_norm
                  * (self.accepted + 1) ** -(1.0 + SAFEGUARD_EPS))
         if f_norm > bound:
             return g
-        d_f = np.diff(np.array(self._f), axis=0)
-        gram = d_f @ d_f.T
+        gram = self._gram[:m, :m].copy()
         scale = float(np.trace(gram))
         if scale == 0.0:
             return g
         gram[np.diag_indices_from(gram)] += ANDERSON_REGULARIZATION * scale
         gamma = np.linalg.solve(gram, d_f @ f)
         out = g.copy()
-        for c, g_new, g_old in zip(gamma, list(self._g)[1:], self._g):
-            out -= c * (g_new - g_old)
+        for c, d_g in zip(gamma, self._d_g[:m]):
+            out -= c * d_g
         self.accepted += 1
         return out
 

@@ -380,7 +380,8 @@ class SocketTransport:
     SynchronizationTimeout naming the user rather than a hang.  A
     proposal that names another user than its connection's, or a
     connection that closes mid-run (as it does when the agent's process
-    exits), is a protocol violation.
+    exits), is a protocol violation; the transport remembers whose
+    connection it saw close.
     """
 
     def __init__(self, conns: Mapping[int, socket.socket]):
@@ -388,6 +389,7 @@ class SocketTransport:
         self.expected_ids = tuple(sorted(self._conns))
         self.wire_frames: list[bytes] = []
         self._procs: dict[int, multiprocessing.Process] = {}
+        self._dropped: set[int] = set()  # users whose connection closed
         self._sel = selectors.DefaultSelector()
         for uid, conn in self._conns.items():
             conn.settimeout(BARRIER_TIMEOUT)
@@ -436,6 +438,11 @@ class SocketTransport:
                 raise SynchronizationTimeout(
                     f"user {uid} stopped in the middle of a frame for "
                     f"{key.fileobj.gettimeout()}s", missing=(uid,))
+            except DecodeError:
+                raise
+            except ProtocolViolation:  # the connection closed
+                self._dropped.add(uid)
+                raise
             self.wire_frames.append(frame)
             message = decode(frame)
             if not isinstance(message, TradeProposal):
@@ -460,25 +467,31 @@ class SocketTransport:
             raise SynchronizationTimeout(
                 f"round {broadcast.iteration}: user {user_id} took no "
                 f"broadcast for {conn.gettimeout()}s", missing=(int(user_id),))
+        except OSError:
+            self._dropped.add(int(user_id))
+            raise
 
     def close(self, finished: bool = True):
         """End the agent processes, close every connection, and raise
         HvacTradeError for the first user whose process failed on its own.
 
         After a finished run every agent has been told to stop and gets
-        30 s to exit.  After a failure only the first exit is awaited,
-        briefly, since a dropped connection means its process is ending;
-        the rest are then terminated together.
+        30 s to exit.  After a failure only an agent whose connection was
+        seen to close is awaited, briefly, since its process is ending;
+        every agent still running then is terminated at once.  A process
+        that failed is named if it has exited by then.
         """
         procs = self._procs
         if finished:
             for pr in procs.values():
                 pr.join(timeout=30.0)
-        elif procs:
-            ended = wait([pr.sentinel for pr in procs.values()], timeout=2.0)
-            for pr in procs.values():
-                if pr.sentinel in ended:
-                    pr.join()  # reap it: the sentinel can close first
+        else:
+            dropped = [procs[u] for u in self._dropped if u in procs]
+            if dropped:
+                ended = wait([pr.sentinel for pr in dropped], timeout=2.0)
+                for pr in dropped:
+                    if pr.sentinel in ended:
+                        pr.join()  # reap it: the sentinel can close first
         failed = {uid: pr.exitcode for uid, pr in procs.items()
                   if pr.exitcode not in (0, None)}
         _terminate(procs.values())

@@ -378,18 +378,22 @@ class Workspace:
             return QpSolution(np.zeros(0), np.zeros(0), np.zeros(0),
                               prob.offset, QpStatus.OPTIMAL, 0.0, 0)
 
+        formed = {}  # active-set bytes -> its candidate, for this solve
         if self._have_solution:
             # The previous optimum's active set usually survives a small
             # change in the linear term; a direct solve on it is far
             # cheaper than splitting iterations.  The set last accepted
             # comes first, as its factorization is already cached; then
-            # the set the previous iterates suggest.
+            # the set the previous iterates suggest, which is often the
+            # same one and then is not solved again.
             if self._active is not None:
                 cand = self._polish_candidate(self._active)
+                formed[self._active.tobytes()] = cand
                 if cand is not None and cand.kkt_residual <= tol:
                     self._adopt(cand, self._active)
                     return cand
-            cand, active = self._polish(self._x, self._y, good_enough=tol)
+            cand, active = self._polish(self._x, self._y, formed,
+                                        good_enough=tol)
             if cand is not None and cand.kkt_residual <= tol:
                 self._adopt(cand, active)
                 return cand
@@ -430,7 +434,7 @@ class Workspace:
                          float(np.max(np.abs(c), initial=0.0)))
 
             if r_prim <= polish_gate * s_prim and r_dual <= polish_gate * s_dual:
-                cand, active = self._polish(x, y, good_enough=tol)
+                cand, active = self._polish(x, y, formed, good_enough=tol)
                 if cand is not None and cand.kkt_residual <= tol:
                     self._adopt(cand, active)
                     cand.iterations = k
@@ -575,10 +579,13 @@ class Workspace:
         cand.kkt_residual = check_kkt(prob, cand)
         return cand
 
-    def _polish(self, x, y, good_enough=0.0):
+    def _polish(self, x, y, formed, good_enough=0.0):
         """Polish on the active set detected from the iterates (x, y).
 
         Returns the best candidate and its active set, or (None, None).
+        `formed` maps each active set's bytes to the candidate already
+        formed on it under the current linear term; a set found there is
+        not solved again, and each new one is added.
         A general row is active where its multiplier exceeds 1e-6 of the
         largest, or its slack is under 1e-7 of the rows' scale.  A bound
         is active where its multiplier is that large, at the side the
@@ -604,7 +611,10 @@ class Workspace:
         # at the true optimum; releasing those rows and bounds and
         # re-solving walks to a sign-feasible assignment in a few steps.
         for _ in range(4):
-            cand = self._polish_candidate(active)
+            key = active.tobytes()
+            if key not in formed:
+                formed[key] = self._polish_candidate(active)
+            cand = formed[key]
             if cand is None:
                 break
             if best is None or cand.kkt_residual < best.kkt_residual:

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from hvactrade import coordinator
 from hvactrade.agent import LocalAgent, solve_emp
-from hvactrade.cli import main
+from hvactrade.cli import _build_parser, main
 from hvactrade.scenario import load_scenario
 
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
@@ -289,6 +290,16 @@ def test_bad_choice_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["run", TWO_USER, "--transport", "pipe"])
     assert exc.value.code == 2
+
+
+def test_run_accepts_exactly_the_coordinators_transports():
+    parser = _build_parser()
+    for name in coordinator.TRANSPORTS:
+        args = parser.parse_args(["run", TWO_USER, "--transport", name])
+        assert args.transport == name
+    transport = next(action for action in args.parser._actions
+                     if action.dest == "transport")
+    assert sorted(transport.choices) == sorted(coordinator.TRANSPORTS)
 
 
 @pytest.mark.parametrize("flag, value", [("--port", "5000"),

@@ -219,6 +219,38 @@ def test_anderson_reaches_a_linear_fixed_point_in_fewer_steps():
     assert np.allclose(x_plain, fixed, atol=1e-8)
 
 
+def test_ring_step_matches_a_least_squares_step_from_scratch():
+    """Over three times the memory, so the rings wrap, every step is the
+    regularized type-II step over the last m differences, rebuilt here
+    from the recorded pairs; entries fed as exact negations come out as
+    exact negations."""
+    m = coordinator.ANDERSON_MEMORY
+    rng = np.random.default_rng(11)
+
+    def point():  # 12 entries, then their negations, then 8 free ones
+        u = rng.normal(size=12)
+        return np.concatenate((u, -u, rng.normal(size=8)))
+
+    accel, xs, gs = Anderson(), [], []
+    for k in range(3 * m):
+        x, g = point(), point()
+        xs.append(x)
+        gs.append(g)
+        out = accel.step(x, g)
+        if k == 0:
+            assert out is g
+            continue
+        f = np.array(gs[-m - 1:]) - np.array(xs[-m - 1:])
+        d_f, d_g = np.diff(f, axis=0), np.diff(np.array(gs[-m - 1:]), axis=0)
+        gram = d_f @ d_f.T
+        gram += coordinator.ANDERSON_REGULARIZATION * np.trace(gram) * np.eye(
+            len(gram))
+        want = g - d_g.T @ np.linalg.solve(gram, d_f @ f[-1])
+        assert np.linalg.norm(out - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.array_equal(out[12:24], -out[:12])
+    assert accel.accepted == 3 * m - 1
+
+
 def test_anderson_returns_g_until_it_holds_two_pairs():
     accel = Anderson()
     g = np.array([1.0, 2.0])
@@ -552,11 +584,22 @@ def test_socket_agents_run_the_callers_package(tmp_path):
 
 
 @pytest.mark.parametrize("name, rounds", [
-    ("two_user_complementary", 25),  # 158 without acceleration, 191 plain
-    ("csv_reference", 20),           # 123 without, 132 plain
+    ("two_user_complementary", 19),  # 158 without acceleration, 191 plain
+    ("csv_reference", 15),           # 123 without, 132 plain
 ])
 def test_fixture_agrees_in_fewer_rounds_with_over_relaxation(name, rounds):
     report = run(load_scenario(FIXTURES / f"{name}.yaml"))
+    assert report.converged
+    assert report.iterations == rounds
+
+
+@pytest.mark.parametrize("n_users, horizon, seed, rounds", [
+    (16, 12, 1, 33),  # 36 at Anderson memory 5
+    (40, 24, 2, 43),  # 58 at memory 5
+])
+def test_synthetic_fleet_agrees_in_pinned_rounds(n_users, horizon, seed,
+                                                 rounds):
+    report = run(build_synth_scenario(n_users, horizon, seed=seed))
     assert report.converged
     assert report.iterations == rounds
 
@@ -637,7 +680,7 @@ def test_ten_home_run_at_rho0_3_writes_a_report(tmp_path):
     config = dataclasses.replace(scenario.admm, rho0=3.0)
     report = run(scenario, config=config)
     assert report.converged
-    assert report.iterations == 47
+    assert report.iterations == 46
     write_report(report, tmp_path)
     assert (tmp_path / "report.json").exists()
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hvactrade import protocol
+from hvactrade import coordinator, protocol
 from hvactrade.agent import LocalAgent
 from hvactrade.coordinator import CoordinatorState, run
 from hvactrade.errors import (
@@ -794,6 +794,23 @@ def test_no_agent_process_outlives_a_socket_run(monkeypatch):
     monkeypatch.setattr(LocalAgent, "solve_llp", faulty)
     with pytest.raises(HvacTradeError, match="agent for user 1 failed"):
         run(scenario, transport="socket")
+    assert multiprocessing.active_children() == []
+
+
+def test_a_coordinator_failure_ends_the_socket_agents_at_once(monkeypatch):
+    """When the coordinator itself fails, no agent's connection has
+    closed, so none is awaited: the error propagates well within a
+    second and every agent process has been ended and reaped."""
+    scenario = load_scenario(FIXTURES / "two_user_complementary.yaml")
+
+    def broken(p, state):
+        raise RuntimeError("injected coordinator fault")
+
+    monkeypatch.setattr(coordinator, "hlp_update", broken)
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="injected coordinator fault"):
+        run(scenario, transport="socket")
+    assert time.monotonic() - t0 < 1.0
     assert multiprocessing.active_children() == []
 
 

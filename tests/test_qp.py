@@ -394,6 +394,29 @@ def test_warm_resolve_with_a_stale_active_set_matches_cold(seed):
     assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_stale_set_solve_forms_each_candidate_once(seed, monkeypatch):
+    """The remembered set fails, and the previous iterates point at that
+    same set again; its candidate is reused, not formed a second time."""
+    rng = np.random.default_rng(seed)
+    prob = strictly_convex_qp(rng, n=8)
+    ws = Workspace(prob)
+    ws.solve()
+    stale = ws._active
+    ws.update(linear_term=-prob.linear_term + rng.normal(size=8) * 5.0)
+    formed = []
+    candidate = Workspace._polish_candidate
+
+    def record(self, active):
+        formed.append(active.tobytes())
+        return candidate(self, active)
+
+    monkeypatch.setattr(Workspace, "_polish_candidate", record)
+    assert ws.solve().status is QpStatus.OPTIMAL
+    assert formed[0] == stale.tobytes()
+    assert len(formed) == len(set(formed)) > 1
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_warm_resolve_rejects_a_non_finite_linear_term(bad):
     rng = np.random.default_rng(4)
