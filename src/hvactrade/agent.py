@@ -185,8 +185,9 @@ class LocalAgent:
         return self.params.id
 
     def _penalty(self, rho) -> float:
-        if not rho > 0:  # also refuses a NaN
-            raise ValueError(f"user {self.user_id}: rho must be positive")
+        if not 0 < rho < np.inf:  # False at a NaN
+            raise ValueError(f"user {self.user_id}: rho must be positive "
+                             f"and finite, got {rho}")
         return float(rho)
 
     def set_coupling(self, aux, duals, rho: float | None = None):

@@ -52,8 +52,19 @@ def _admm_config(base, args) -> coordinator.AdmmConfig:
         args.parser.error(str(exc))  # exits 2, as for any bad argument
 
 
+def _load(args) -> scenario.ScenarioConfig:
+    """The scenario file under the --seed override; a seed the library
+    refuses is a usage error, not a problem of the file."""
+    if args.seed is not None:
+        try:
+            scenario.check_seed(args.seed)
+        except ScenarioError as exc:
+            args.parser.error(str(exc))
+    return scenario.load_scenario(args.scenario, seed=args.seed)
+
+
 def cmd_run(args) -> int:
-    scn = scenario.load_scenario(args.scenario, seed=args.seed)
+    scn = _load(args)
     config = _admm_config(scn.admm, args)
     report = coordinator.run(scn, config, transport=args.transport)
     paths = reports.write_report(report, _out_dir(args))
@@ -67,7 +78,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    scn = scenario.load_scenario(args.scenario, seed=args.seed)
+    scn = _load(args)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     schedules = []
@@ -91,7 +102,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    scn = scenario.load_scenario(args.scenario, seed=args.seed)
+    scn = _load(args)
     config = _admm_config(scn.admm, args)
     report = coordinator.run(scn, config)
     out = _out_dir(args)
@@ -114,9 +125,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = scenario.build_synth_scenario(
-        args.users, args.horizon, seed=args.seed if args.seed is not None
-        else 0, slot_hours=args.slot_hours, name=args.name)
+    try:
+        config = scenario.build_synth_scenario(
+            args.users, args.horizon, seed=args.seed if args.seed is not None
+            else 0, slot_hours=args.slot_hours, name=args.name)
+    except ScenarioError as exc:
+        args.parser.error(str(exc))  # each value came from the command line
     scenario.save_scenario(config, args.out_path)
     print(f"wrote {args.out_path} ({args.users} users, "
           f"{args.horizon} slots, seed {config.seed})")
@@ -125,7 +139,7 @@ def cmd_synth(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        config = scenario.load_scenario(args.scenario, seed=args.seed)
+        config = _load(args)
     except ScenarioError as exc:
         for finding in exc.findings:
             print(f"  {finding}", file=sys.stderr)
@@ -169,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_base = sub.add_parser("baseline", parents=[common],
                             help="run per-user schedules without trading")
-    p_base.set_defaults(func=cmd_baseline)
+    p_base.set_defaults(func=cmd_baseline, parser=p_base)
 
     p_cmp = sub.add_parser("compare", parents=[common, solver],
                            help="run both and report per-user reductions")
@@ -188,11 +202,11 @@ def _build_parser() -> argparse.ArgumentParser:
                          dest="slot_hours", help="hours per slot")
     p_synth.add_argument("--name", default="synthetic",
                          help="scenario name")
-    p_synth.set_defaults(func=cmd_synth)
+    p_synth.set_defaults(func=cmd_synth, parser=p_synth)
 
     p_val = sub.add_parser("validate", parents=[common],
                            help="check a scenario file and print findings")
-    p_val.set_defaults(func=cmd_validate)
+    p_val.set_defaults(func=cmd_validate, parser=p_val)
     return parser
 
 

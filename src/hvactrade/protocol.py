@@ -140,8 +140,8 @@ class CoordinatorBroadcast:
         self.iteration = int(self.iteration)
         self.rho = float(self.rho)
         self.done = bool(self.done)
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.rho < np.inf:  # False at a NaN
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
         self.aux_row = Rows.of(self.aux_row)
         self.dual_row = Rows.of(self.dual_row)
         if (self.aux_row.ids != self.dual_row.ids

@@ -18,10 +18,12 @@ It then polishes the active set: each variable at an active bound is
 fixed there, and a regularized KKT system over the free variables, the
 equality rows and the active general rows is solved with iterative
 refinement, after free variables with a diagonal row of Q are
-eliminated from it in closed form.  Iterations start from zero, so
-repeated solves of the same problem are bit-identical.  A warm re-solve
-first polishes on the active set it last accepted, whose inverse is
-cached.  The kernels use numpy alone.
+eliminated from it in closed form.  Each refinement step measures the
+exact KKT residual at the current point from the problem's own Q and
+rows, so a cached active set keeps only its core inverse and its rows.
+Iterations start from zero, so repeated solves of the same problem are
+bit-identical.  A warm re-solve first polishes on the active set it
+last accepted, whose inverse is cached.  The kernels use numpy alone.
 
 A problem is declared infeasible from the splitting iterates alone: a
 dual step dy that translates the iterates, with A'dy negligible and a
@@ -224,27 +226,25 @@ _ALPHA = 1.6
 
 
 class _PolishFactor(NamedTuple):
-    """The reduced KKT system of one active set.
+    """The regularized reduced KKT system of one active set.
 
     The variables at an active bound are fixed at `x_fixed`.  The
-    unknowns t are the free variables, in the order `free` (first the
+    unknowns are the free variables, in the order `free` (first the
     core ones, then the separable ones), and the multipliers of the
-    equality rows and the active general rows `g`.  The regularized
-    system is solved in two parts: the separable variables are
-    eliminated in closed form, and `inverse` is that of the remaining
-    core."""
+    equality rows and the active general rows `g`, whose right-hand
+    sides are `b`.  The separable variables are eliminated in closed
+    form, and `inverse` is that of the remaining core.  The exact system
+    is not stored; refinement forms its residual from Q and the rows."""
 
     free: np.ndarray  # indices of the free variables
     x_fixed: np.ndarray  # fixed values, zero at the free variables
     general: np.ndarray  # indices of the active general inequality rows
     g: np.ndarray  # equality rows, then the active general rows
+    b: np.ndarray  # their right-hand sides
     fixed: np.ndarray  # indices of the variables at an active bound
-    kkt: np.ndarray  # [[Q_FF, G_F'], [G_F, 0]], for refinement
     h_sep: np.ndarray  # Q_jj + delta of the separable free variables
     g_sep: np.ndarray  # their columns of g
     inverse: np.ndarray  # of the regularized core system
-    rhs_top: np.ndarray  # -(Q x_fixed)[free]; the solve subtracts c[free]
-    rhs_bottom: np.ndarray  # b_G - G x_fixed
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """The regularized system's solution for the right-hand side r."""
@@ -513,32 +513,26 @@ class Workspace:
                                np.flatnonzero(sep)])
         q = prob.quadratic_term
         g = np.vstack([prob.eq_matrix, prob.ineq_matrix[general]])
-        g_free = g[:, free]
-        nf = free.size
         ma = g.shape[0]
-        kkt = np.zeros((nf + ma, nf + ma))
-        kkt[:nf, :nf] = q[np.ix_(free, free)]
-        kkt[:nf, nf:] = g_free.T
-        kkt[nf:, :nf] = g_free
         delta = 1e-8
         # Eliminating the separable free variables S, with H_S = Q_SS +
         # delta I diagonal, leaves the core over the other free variables
         # C and the rows: [[Q_CC + delta I, G_C'], [G_C, -delta I - G_S
         # H_S^-1 G_S']].
-        nc = nf - np.count_nonzero(sep)
+        nc = free.size - np.count_nonzero(sep)
+        core = free[:nc]
         h_sep = np.diag(q)[sep] + delta
-        g_sep = g_free[:, nc:]
+        g_sep = g[:, free[nc:]]
         kreg = np.empty((nc + ma, nc + ma))
-        kreg[:nc, :nc] = kkt[:nc, :nc] + delta * np.eye(nc)
-        kreg[:nc, nc:] = kkt[:nc, nf:]
-        kreg[nc:, :nc] = kkt[nf:, :nc]
+        kreg[:nc, :nc] = q[np.ix_(core, core)] + delta * np.eye(nc)
+        kreg[:nc, nc:] = g[:, core].T
+        kreg[nc:, :nc] = g[:, core]
         kreg[nc:, nc:] = -delta * np.eye(ma) - (g_sep / h_sep) @ g_sep.T
         try:
             entry = _PolishFactor(
-                free, x_fixed, general, g, fixed, kkt, h_sep, g_sep,
-                np.linalg.inv(kreg), -(q @ x_fixed)[free],
-                np.concatenate([prob.eq_rhs, prob.ineq_rhs[general]])
-                - g @ x_fixed)
+                free, x_fixed, general, g,
+                np.concatenate([prob.eq_rhs, prob.ineq_rhs[general]]), fixed,
+                h_sep, g_sep, np.linalg.inv(kreg))
         except np.linalg.LinAlgError:
             entry = None
         if len(self._polish_cache) >= 6:
@@ -549,27 +543,29 @@ class Workspace:
     def _polish_candidate(self, active):
         """Direct KKT solve on an active set.
 
-        Solves the reduced system with iterative refinement against its
-        unregularized form, then recovers each fixed variable's bound
-        multiplier from stationarity at it.  Returns None when the
+        From the fixed values and zero multipliers, takes four steps of
+        the regularized system against the exact KKT residual at the
+        current point, formed from the problem's Q and rows: a solve,
+        then three of iterative refinement.  The last stationarity
+        residual gives the bound multipliers.  Returns None when the
         system is singular or the point is not finite.
         """
         f = self._polish_factor(active)
         if f is None:
             return None
         prob = self.problem
-        c = prob.linear_term
-        rhs = np.concatenate([f.rhs_top - c[f.free], f.rhs_bottom])
-        t = f.solve(rhs)
-        for _ in range(3):  # refinement against the exact KKT system
-            t = t + f.solve(rhs - f.kkt @ t)
+        q, c = prob.quadratic_term, prob.linear_term
         nf = f.free.size
         xp = f.x_fixed.copy()
-        xp[f.free] = t[:nf]
+        lam = np.zeros(f.g.shape[0])
+        grad = q @ xp + c
+        for _ in range(4):
+            step = f.solve(np.concatenate([-grad[f.free], f.b - f.g @ xp]))
+            xp[f.free] += step[:nf]
+            lam += step[nf:]
+            grad = q @ xp + c + f.g.T @ lam
         if not np.all(np.isfinite(xp)):
             return None
-        lam = t[nf:]
-        grad = prob.quadratic_term @ xp + c + f.g.T @ lam
         mu = np.zeros(prob.n_ineq)
         mu[f.general] = lam[self._me:]
         nu = np.zeros(prob.n)

@@ -259,6 +259,15 @@ def _build_user(block: dict, reader: _TraceReader) -> UserParams:
     return params
 
 
+def check_seed(seed) -> int:
+    """A trace seed: an integer of at least 0, as numpy's SeedSequence
+    takes.  Raises ScenarioError naming the seed."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        raise ScenarioError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def load_scenario(path, seed=None) -> ScenarioConfig:
     """Parse and fully validate a scenario file.
 
@@ -297,10 +306,7 @@ def load_scenario(path, seed=None) -> ScenarioConfig:
     except ValueError as exc:
         raise ScenarioError(f"grid: {exc}") from exc
 
-    if seed is None:
-        seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ScenarioError("seed must be an integer")
+    seed = check_seed(raw.get("seed", 0) if seed is None else seed)
 
     reader = _TraceReader(path.parent, seed, grid)
 
@@ -375,7 +381,11 @@ def build_synth_scenario(n_users: int, horizon: int, seed: int = 0,
         raise ScenarioError("n_users must be at least 1")
     if horizon < 1:
         raise ScenarioError("horizon must be at least 1")
-    grid = TimeGrid(horizon_len=int(horizon), slot_hours=float(slot_hours))
+    seed = check_seed(seed)
+    try:
+        grid = TimeGrid(horizon_len=int(horizon), slot_hours=float(slot_hours))
+    except ValueError as exc:
+        raise ScenarioError(f"grid: {exc}") from exc
     tariff = Tariff(energy_price=0.25, peak_price=0.8,
                     trade_price=np.full(grid.horizon_len, 0.125))
     admm = AdmmConfig(rho0=1.0, tolerance=1e-6, max_iter=2000)
@@ -414,7 +424,7 @@ def build_synth_scenario(n_users: int, horizon: int, seed: int = 0,
             renewable_avail=renewable, inflexible_load=load,
             outdoor_temp=outdoor))
     return ScenarioConfig(name=name, grid=grid, tariff=tariff, users=users,
-                          admm=admm, seed=int(seed))
+                          admm=admm, seed=seed)
 
 
 def _user_doc(user: UserParams) -> dict:

@@ -366,7 +366,7 @@ def test_agent_rejects_self_and_duplicate_partners():
         LocalAgent(params, make_tariff(), partner_ids=(4, 4))
 
 
-@pytest.mark.parametrize("rho", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("rho", [0.0, -1.0, float("nan"), float("inf")])
 def test_agent_rejects_a_nonpositive_penalty(rho):
     with pytest.raises(ValueError, match="rho must be positive"):
         LocalAgent(make_params(), make_tariff(), partner_ids=(2,), rho=rho)

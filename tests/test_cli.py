@@ -272,6 +272,15 @@ def test_validate_missing_file_exits_13(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_validate_negative_seed_in_the_file_exits_13(tmp_path, capsys):
+    bad = tmp_path / "seed.yaml"
+    bad.write_text("seed: -1\n" + INFEASIBLE)
+    assert main(["validate", str(bad)]) == 13
+    err = capsys.readouterr().err
+    assert "seed must be a non-negative integer, got -1" in err
+    assert "1 problem(s)" in err
+
+
 # --- argument handling ------------------------------------------------------------
 
 def test_missing_scenario_argument_is_a_usage_error():
@@ -321,6 +330,28 @@ def test_run_help_lists_three_loop_overrides(capsys):
         assert flag in out
     assert "--rho-mode" not in out and "--norm" not in out
     assert "--host" not in out and "--port" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", str(FIXTURES / "reference_10user.yaml"), "--seed", "-1"],
+    ["run", TWO_USER, "--out", "out", "--seed", "-1"],
+    ["synth", "y.yaml", "--users", "2", "--horizon", "4", "--seed", "-3"],
+    ["synth", "y.yaml", "--users", "0", "--horizon", "4"],
+    ["synth", "y.yaml", "--users", "2", "--horizon", "0"],
+    ["synth", "y.yaml", "--users", "2", "--horizon", "4", "--slot-hours", "0"],
+    ["synth", "y.yaml", "--users", "2", "--horizon", "4", "--slot-hours", "nan"],
+    ["synth", "y.yaml", "--users", "2", "--horizon", "4", "--slot-hours", "inf"],
+], ids=["validate-seed", "run-seed", "synth-seed", "synth-users",
+        "synth-horizon", "synth-slot-0", "synth-slot-nan", "synth-slot-inf"])
+def test_value_the_library_refuses_is_a_usage_error(tmp_path, capsys,
+                                                     monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"hvactrade {argv[0]}: error:" in err and "internal error" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("override", [

@@ -296,6 +296,17 @@ def test_decode_rejects_self_trade():
         decode(frame)
 
 
+@pytest.mark.parametrize("rho", [float("nan"), float("inf"), 0.0, -1.0])
+def test_broadcast_penalty_must_be_positive_and_finite(rho):
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        broadcast(rho=rho)
+    # the penalty is the double after the tag and the u32 iteration
+    frame = bytearray(encode(broadcast(rho=1.0)))
+    struct.pack_into("<d", frame, 9, rho)
+    with pytest.raises(DecodeError, match="rho must be positive and finite"):
+        decode(bytes(frame))
+
+
 @pytest.mark.parametrize("template", ["proposal", "broadcast"])
 def test_single_byte_corruption_never_escapes_decode(template):
     """Any one-byte corruption either still parses or raises DecodeError;

@@ -508,13 +508,17 @@ def pinned_epigraph_qp():
     return b.build()
 
 
-@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, "coupled"])
 def test_bound_eliminated_polish_matches_the_full_kkt_polish(seed):
     """On the optimum's active set the reduced system returns the full
     system's point and multipliers, also for a variable pinned by
-    lb == ub and for an epigraph row."""
+    lb == ub, for an epigraph row, and for a dense core under four
+    active general rows."""
     if seed is None:
         prob = pinned_epigraph_qp()
+    elif seed == "coupled":
+        prob = random_box_qp(np.random.default_rng(8), n=12, general_rows=4,
+                             n_eq=2, box_rows=False)
     else:
         prob = random_box_qp(np.random.default_rng(seed), n=7, general_rows=2,
                              n_eq=1, box_rows=False)
@@ -528,6 +532,9 @@ def test_bound_eliminated_polish_matches_the_full_kkt_polish(seed):
         assert np.isfinite(prob.lower).all() and np.isfinite(prob.upper).all()
         assert side.any()
     ws = Workspace(prob)
+    if seed == "coupled":
+        # no free variable is eliminated in closed form
+        assert general.sum() == 4 and not ws._separable.any()
     # the active-set vector names a side for each bounded variable only
     cand = ws._polish_candidate(
         np.concatenate([general, side[ws._bounded]]).astype(np.int8))
@@ -540,6 +547,28 @@ def test_bound_eliminated_polish_matches_the_full_kkt_polish(seed):
     assert cand.ineq_duals == pytest.approx(want_mu, abs=1e-9)
     assert cand.bound_duals == pytest.approx(want_nu, abs=1e-9)
     assert check_kkt(prob, cand) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [None, 0])
+def test_cached_polish_factor_keeps_no_copy_of_the_kkt_system(seed):
+    """Besides its core inverse, a cached active set holds index lists,
+    its rows and vectors: no array larger than its rows `g`."""
+    if seed is None:
+        prob = pinned_epigraph_qp()
+    else:
+        prob = random_box_qp(np.random.default_rng(seed), n=7, general_rows=2,
+                             n_eq=1, box_rows=False)
+    ws = Workspace(prob)
+    first = ws.solve()
+    ws.update(linear_term=prob.linear_term + 0.01)
+    second = ws.solve()
+    assert first.status == second.status == QpStatus.OPTIMAL
+    factors = [f for f in ws._polish_cache.values() if f is not None]
+    assert factors
+    for f in factors:
+        for name, value in f._asdict().items():
+            if name != "inverse":
+                assert value.size <= f.g.size, name
 
 
 def test_solve_puts_a_primal_within_tol_of_a_bound_on_it(monkeypatch):

@@ -330,6 +330,10 @@ def test_build_synth_scenario_validates_sizes():
         build_synth_scenario(0, 24)
     with pytest.raises(ScenarioError, match="horizon"):
         build_synth_scenario(2, 0)
+    with pytest.raises(ScenarioError, match="slot_hours"):
+        build_synth_scenario(2, 4, slot_hours=float("nan"))
+    with pytest.raises(ScenarioError, match="seed must be a non-negative"):
+        build_synth_scenario(2, 4, seed=-1)
 
 
 # --- persistence -------------------------------------------------------------
