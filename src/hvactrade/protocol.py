@@ -28,25 +28,30 @@ auditing.  The in-process transport encodes nothing and its
 `wire_frames` stays empty: the codec carries float64 exactly, so the
 message an agent gets is the one a decode would have produced, and
 sharing one step keeps runs bit-identical across the transports.
+
+The socket stack (`multiprocessing`, `socket`, `selectors`) loads with
+the first socket run, not with the package: an in-process run never
+imports it.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import multiprocessing
-import selectors
-import socket
 import struct
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import (DecodeError, HvacTradeError, ProtocolViolation,
                      SynchronizationTimeout)
+
+if TYPE_CHECKING:
+    import multiprocessing
+    import socket
 
 TAG_PROPOSAL = 1
 TAG_BROADCAST = 2
@@ -390,6 +395,7 @@ class SocketTransport:
         self.wire_frames: list[bytes] = []
         self._procs: dict[int, multiprocessing.Process] = {}
         self._dropped: set[int] = set()  # users whose connection closed
+        import selectors
         self._sel = selectors.DefaultSelector()
         for uid, conn in self._conns.items():
             conn.settimeout(BARRIER_TIMEOUT)
@@ -405,6 +411,8 @@ class SocketTransport:
         is closed here once the fork has copied it.  A fork that fails
         part-way stops the agents already started before the error
         propagates."""
+        import multiprocessing
+        import socket
         ctx = multiprocessing.get_context("fork")
         procs, ends = {}, {}
         try:
@@ -488,6 +496,7 @@ class SocketTransport:
         else:
             dropped = [procs[u] for u in self._dropped if u in procs]
             if dropped:
+                from multiprocessing.connection import wait
                 ended = wait([pr.sentinel for pr in dropped], timeout=2.0)
                 for pr in dropped:
                     if pr.sentinel in ended:

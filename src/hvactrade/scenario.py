@@ -20,9 +20,11 @@ from .coordinator import AdmmConfig
 from .errors import ScenarioError
 from .model import USER_TRACES, Tariff, TimeGrid, UserParams
 
-# libyaml's parser where PyYAML was built with it: the same documents
-# and error positions, several times faster than the pure-Python one
+# libyaml's parser and emitter where PyYAML was built with it: the same
+# documents, error positions and output bytes, several times faster than
+# the pure-Python ones
 _YamlLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YamlDumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 _MERGE_TAG = "tag:yaml.org,2002:merge"
 
 
@@ -437,7 +439,10 @@ def _user_doc(user: UserParams) -> dict:
 
 
 def save_scenario(config: ScenarioConfig, path) -> Path:
-    """Write a config back to YAML with all traces materialized inline."""
+    """Write a config back to YAML with all traces materialized inline.
+
+    A file that cannot be written raises the OSError as it is.
+    """
     path = Path(path)
     doc = {
         "name": config.name,
@@ -451,9 +456,7 @@ def save_scenario(config: ScenarioConfig, path) -> Path:
                  for f in fields(AdmmConfig)},
         "users": [_user_doc(u) for u in config.users],
     }
-    try:
-        with open(path, "w") as fh:
-            yaml.safe_dump(doc, fh, sort_keys=True, default_flow_style=None)
-    except OSError as exc:
-        raise ScenarioError(f"cannot write {path}: {exc}") from exc
+    with open(path, "w") as fh:
+        yaml.dump(doc, fh, Dumper=_YamlDumper, sort_keys=True,
+                  default_flow_style=None)
     return path

@@ -206,6 +206,14 @@ def test_synth_is_deterministic_and_validates(tmp_path, capsys):
     assert "ok (3 users, 6 slots)" in capsys.readouterr().out
 
 
+def test_synth_into_a_missing_directory_exits_12(tmp_path, capsys):
+    out = tmp_path / "missing" / "y.yaml"
+    assert main(["synth", str(out), "--users", "2", "--horizon", "4"]) == 12
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and str(out) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_validate_broken_file_exits_13(tmp_path, capsys):
     bad = tmp_path / "broken.yaml"
     bad.write_text(INFEASIBLE.replace("temp_min: 20", "temp_min: 30"))

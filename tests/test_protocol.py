@@ -2,6 +2,8 @@ import multiprocessing
 import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -708,6 +710,32 @@ def test_socket_run_opens_no_listener(monkeypatch, tmp_path):
     write_report(run(scenario, transport="socket"), tmp_path / "socket")
     assert (tmp_path / "inproc" / "report.json").read_bytes() == \
         (tmp_path / "socket" / "report.json").read_bytes()
+
+
+def test_import_and_inproc_run_leave_the_socket_stack_unloaded():
+    """Importing the package and negotiating in process load none of
+    the modules only a socket run uses; the first socket run loads
+    them."""
+    src = str(Path(protocol.__file__).resolve().parent.parent)
+    stack = ("multiprocessing", "selectors", "socket")
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         f"stack = {stack!r}\n"
+         "before = {m for m in stack if m in sys.modules}\n"
+         "loaded = lambda: sorted(m for m in stack\n"
+         "                        if m in sys.modules and m not in before)\n"
+         "import hvactrade\n"
+         "print(loaded())\n"
+         "scenario = hvactrade.load_scenario(sys.argv[1])\n"
+         "print(hvactrade.run(scenario).converged, loaded())\n"
+         "hvactrade.run(scenario, transport='socket')\n"
+         "print(sorted(m for m in stack if m in sys.modules))",
+         str(FIXTURES / "two_user_complementary.yaml")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, check=True, timeout=120)
+    assert out.stdout.split("\n")[:3] == [
+        "[]", "True []", str(sorted(stack))]
 
 
 def test_inproc_run_starts_no_thread(monkeypatch):

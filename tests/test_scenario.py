@@ -370,6 +370,43 @@ def test_second_save_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: load_scenario(FIXTURES / "two_user_complementary.yaml"),
+    lambda: load_scenario(FIXTURES / "reference_10user.yaml"),
+    lambda: load_scenario(FIXTURES / "csv_reference.yaml"),
+    lambda: build_synth_scenario(16, 12, seed=1),
+] + [
+    lambda name=name: dataclasses.replace(
+        load_scenario(FIXTURES / "two_user_complementary.yaml"), name=name)
+    for name in ("h\u00e9t\u00e9rog\u00e8ne \u2603", "two\nlines", "yes", "")
+], ids=["two_user", "ref10", "csv_ref", "synth16x12", "name-unicode",
+        "name-newline", "name-yes", "name-empty"])
+def test_save_writes_the_bytes_of_the_pure_python_emitter(make, tmp_path):
+    """Whichever emitter saves it, a scenario's file holds exactly what
+    `yaml.safe_dump` writes for the document it holds."""
+    text = save_scenario(make(), tmp_path / "a.yaml").read_text()
+    assert text == yaml.safe_dump(yaml.safe_load(text), sort_keys=True,
+                                  default_flow_style=None)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"),
+                    reason="PyYAML built without libyaml")
+def test_save_emits_through_libyaml(tmp_path, monkeypatch):
+    assert scenario._YamlDumper is yaml.CSafeDumper
+    config = build_synth_scenario(16, 12, seed=1)
+    fast = save_scenario(config, tmp_path / "c.yaml")
+    monkeypatch.setattr(scenario, "_YamlDumper", yaml.SafeDumper)
+    slow = save_scenario(config, tmp_path / "py.yaml")
+    assert fast.read_bytes() == slow.read_bytes()
+
+
+def test_save_to_a_missing_directory_raises_oserror(tmp_path):
+    config = build_synth_scenario(2, 4, seed=1)
+    with pytest.raises(FileNotFoundError):
+        save_scenario(config, tmp_path / "missing" / "y.yaml")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_duplicate_user_ids_rejected(tmp_path):
     doc = MINIMAL.format(tmin=20, tmax=24)
     dup = doc + doc[doc.index("  - id: 1"):]
