@@ -33,9 +33,7 @@ from .model import (
     discomfort_cost,
     grid_cost,
     operating_cost,
-    thermal_step,
     trading_payment,
-    trajectory,
 )
 from .protocol import CoordinatorBroadcast, TradeProposal, decode, encode
 from .reports import ScenarioReport, UserResult, write_report

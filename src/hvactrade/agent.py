@@ -53,8 +53,15 @@ def build_user_qp(params: UserParams, tariff: Tariff, grid: TimeGrid,
     built at zero consensus and duals, where cbar is the trade price per
     slot; `LocalAgent.solve_llp` rewrites cbar and the offset each
     round.  The size is 5H+1 variables (5H without a peak charge) at any
-    M.  Returns (problem, index) where index maps variable groups to
-    their positions in the primal vector.
+    M.
+
+    The columns come in blocks of H slots: renewable use p_re, grid draw
+    p_g, HVAC power p_ac and indoor temperature t_in, then s when the
+    user has partners, and last the peak draw when the tariff prices it.
+    The first H equality rows are the thermal recursion, the next H the
+    supply balance; the H inequality rows bound each p_g by the peak.
+    Returns (problem, index) where index maps variable groups to their
+    positions in the primal vector.
     """
     h = params.horizon
     if grid.horizon_len != h:
@@ -66,47 +73,76 @@ def build_user_qp(params: UserParams, tariff: Tariff, grid: TimeGrid,
             f"slots, expected {h}")
     sh = grid.slot_hours
     npart = len(partner_ids)
+    priced = tariff.peak_price > 0.0
+    blocks = 5 if npart else 4
+    n = blocks * h + (1 if priced else 0)
+    cols = np.arange(blocks * h).reshape(blocks, h)
+    p_re, p_g, p_ac, t_in = cols[:4]
+    s = cols[4] if npart else np.empty(0, dtype=int)
+    peak = n - 1 if priced else None
 
-    b = qp.QpBuilder()
-    p_re = b.add_vars(h, "p_re", lb=0.0, ub=params.renewable_avail)
-    p_g = b.add_vars(h, "p_g", lb=0.0, ub=params.grid_cap)
-    p_ac = b.add_vars(h, "p_ac", lb=0.0, ub=params.hvac_cap)
-    t_in = b.add_vars(h, "t_in", lb=params.temp_min, ub=params.temp_max)
-    s = b.add_vars(h, "s") if npart else np.empty(0, dtype=int)
+    lower = np.full(n, -np.inf)
+    upper = np.full(n, np.inf)
+    lower[:3 * h] = 0.0
+    upper[p_re] = params.renewable_avail
+    upper[p_g] = params.grid_cap
+    upper[p_ac] = params.hvac_cap
+    lower[t_in] = params.temp_min
+    upper[t_in] = params.temp_max
 
-    # indoor temperature recursion as equality rows
+    # indoor temperature recursion, then the per-slot supply/demand balance
     cr = params.thermal_capacitance * params.thermal_resistance
     a = 1.0 - 1.0 / cr
     k_out = 1.0 / cr
     k_ac = params.hvac_efficiency / params.thermal_capacitance
-    b.add_eq([t_in[0], p_ac[0]], [1.0, k_ac],
-             a * params.temp_initial + k_out * params.outdoor_temp[0])
-    for t in range(1, h):
-        b.add_eq([t_in[t], t_in[t - 1], p_ac[t]], [1.0, -a, k_ac],
-                 k_out * params.outdoor_temp[t])
-
-    # per-slot supply/demand balance
-    for t in range(h):
-        idx = [p_re[t], p_g[t], p_ac[t]] + ([s[t]] if npart else [])
-        coefs = [1.0, 1.0, -1.0] + ([1.0] if npart else [])
-        b.add_eq(idx, coefs, params.inflexible_load[t])
-
-    b.add_linear(p_g, tariff.energy_price * sh)
-    peak = None
-    if tariff.peak_price > 0.0:
-        peak = qp.epigraph_max(b, p_g)
-        b.add_linear([peak], [tariff.peak_price])
-    if params.comfort_weight > 0.0:
-        for t in range(h):
-            b.add_square(t_in[t], params.comfort_weight, center=params.temp_ref)
+    t = np.arange(h)
+    eq = np.zeros((2 * h, n))
+    eq[t, t_in] = 1.0
+    eq[t[1:], t_in[:-1]] = -a
+    eq[t, p_ac] = k_ac
+    eq[h + t, p_re] = 1.0
+    eq[h + t, p_g] = 1.0
+    eq[h + t, p_ac] = -1.0
     if npart:
-        b.add_linear(s, tariff.trade_price * sh)
-        for t in range(h):
-            b.add_square(s[t], 0.5 * rho / npart)
+        eq[h + t, s] = 1.0
+    eq_rhs = np.empty(2 * h)
+    eq_rhs[0] = a * params.temp_initial + k_out * params.outdoor_temp[0]
+    eq_rhs[1:h] = k_out * params.outdoor_temp[1:]
+    eq_rhs[h:] = params.inflexible_load
 
+    # each p_g at most the peak
+    ineq = np.zeros((h if priced else 0, n))
+    if priced:
+        ineq[t, p_g] = 1.0
+        ineq[:, peak] = -1.0
+
+    # each term is added to zero, so a -0.0 coefficient is stored as 0.0
+    q = np.zeros((n, n))
+    c = np.zeros(n)
+    c[p_g] += tariff.energy_price * sh
+    if priced:
+        c[peak] += tariff.peak_price
+    offset = 0.0
+    w = params.comfort_weight
+    if w > 0.0:
+        # w (t_in - temp_ref)^2 per slot
+        q[t_in, t_in] += 2.0 * w
+        if params.temp_ref:
+            c[t_in] += -2.0 * w * params.temp_ref
+            # one term per slot in turn: H * term, np.sum and Python 3.12's
+            # compensated sum each round differently
+            term = w * params.temp_ref * params.temp_ref
+            for _ in range(h):
+                offset += term
+    if npart:
+        c[s] += tariff.trade_price * sh
+        q[s, s] += 2.0 * (0.5 * rho / npart)
+
+    problem = qp.QpProblem(q, c, eq, eq_rhs, ineq, np.zeros(len(ineq)),
+                           lower, upper, offset=offset)
     index = {"renewable": p_re, "grid": p_g, "hvac": p_ac, "temp": t_in,
              "net_import": s, "peak": peak}
-    return b.build(), index
+    return problem, index
 
 
 def _extract_schedule(solution: qp.QpSolution, index, trades,

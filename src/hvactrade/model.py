@@ -13,6 +13,7 @@ the peak draw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +24,10 @@ __all__ = [
     "USER_TRACES",
     "Tariff",
     "Schedule",
-    "thermal_step",
-    "trajectory",
     "grid_cost",
     "discomfort_cost",
     "operating_cost",
     "trading_payment",
-    "verify_schedule",
 ]
 
 
@@ -42,6 +40,16 @@ def _trace(values, name, horizon=None):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _finite(obj, names, where=""):
+    """Refuse a NaN or infinite scalar field.  These fields enter the
+    terms and right-hand sides of the user's QP, where only a bound may
+    be infinite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{where}{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +102,8 @@ class UserParams:
         self.outdoor_temp = _trace(self.outdoor_temp, f"user {uid}: outdoor_temp", h)
         if self.temp_initial is None:
             self.temp_initial = float(self.temp_ref)
+        _finite(self, ("hvac_efficiency", "comfort_weight", "temp_ref",
+                       "temp_initial"), f"user {uid}: ")
         checks = [
             (self.thermal_capacitance > 0, "thermal_capacitance must be positive"),
             (self.thermal_resistance > 0, "thermal_resistance must be positive"),
@@ -137,6 +147,7 @@ class Tariff:
     trade_price: np.ndarray
 
     def __post_init__(self):
+        _finite(self, ("energy_price", "peak_price"))
         self.trade_price = _trace(self.trade_price, "trade_price")
         if self.energy_price < 0:
             raise ValueError("energy_price must be nonnegative")
@@ -178,36 +189,6 @@ class Schedule:
     def horizon(self) -> int:
         return self.renewable_use.shape[0]
 
-    def net_imports(self) -> np.ndarray:
-        """Net kW bought from all peers per slot (negative = net seller)."""
-        return self.trades.sum(axis=0)
-
-
-def thermal_step(t_prev: float, t_out: float, p_ac: float, params: UserParams) -> float:
-    """Advance the indoor temperature by one slot.
-
-    The house leaks toward `t_out` at rate 1/(C*R) and the HVAC shifts the
-    temperature by eta/C degrees per kW (sign of eta decides direction).
-    """
-    c = params.thermal_capacitance
-    r = params.thermal_resistance
-    return t_prev - (t_prev - t_out + params.hvac_efficiency * r * p_ac) / (c * r)
-
-
-def trajectory(hvac_power, params: UserParams) -> np.ndarray:
-    """Indoor temperature over the horizon for a given HVAC plan.
-
-    Slot t uses the outdoor temperature of slot t; the recursion starts
-    from `params.temp_initial`.
-    """
-    p = _trace(hvac_power, "hvac_power", params.horizon)
-    out = np.empty(params.horizon)
-    temp = float(params.temp_initial)
-    for t in range(params.horizon):
-        temp = thermal_step(temp, params.outdoor_temp[t], p[t], params)
-        out[t] = temp
-    return out
-
 
 def grid_cost(grid_draw, tariff: Tariff, slot_hours: float = 1.0) -> float:
     """Two-part grid bill: volumetric energy charge plus peak demand charge."""
@@ -247,35 +228,3 @@ def trading_payment(trades, tariff: Tariff, slot_hours: float = 1.0) -> float:
         )
     net = arr.sum(axis=0)
     return float(tariff.trade_price @ net) * slot_hours
-
-
-def verify_schedule(schedule: Schedule, params: UserParams, tol: float = 1e-6) -> list[str]:
-    """Check a schedule against the user's physical limits.
-
-    Returns human-readable findings; empty means clean.  The temperature
-    recursion is re-derived independently from hvac_power.
-    """
-    findings = []
-    uid = params.id
-
-    def check(ok, msg):
-        if not ok:
-            findings.append(f"user {uid}: {msg}")
-
-    s = schedule
-    check(s.horizon == params.horizon, "schedule horizon does not match traces")
-    if s.horizon != params.horizon:
-        return findings
-    check(np.all(s.renewable_use >= -tol), "renewable_use below zero")
-    check(np.all(s.renewable_use <= params.renewable_avail + tol),
-          "renewable_use exceeds availability")
-    check(np.all(s.grid_draw >= -tol), "grid_draw below zero")
-    check(np.all(s.grid_draw <= params.grid_cap + tol), "grid_draw exceeds grid_cap")
-    check(np.all(s.hvac_power >= -tol), "hvac_power below zero")
-    check(np.all(s.hvac_power <= params.hvac_cap + tol), "hvac_power exceeds hvac_cap")
-    check(np.all(s.indoor_temp >= params.temp_min - tol), "indoor_temp below temp_min")
-    check(np.all(s.indoor_temp <= params.temp_max + tol), "indoor_temp above temp_max")
-    recur = trajectory(s.hvac_power, params)
-    check(bool(np.max(np.abs(recur - s.indoor_temp)) <= tol),
-          "indoor_temp inconsistent with thermal recursion")
-    return findings

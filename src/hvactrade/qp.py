@@ -45,11 +45,9 @@ __all__ = [
     "QpStatus",
     "QpProblem",
     "QpSolution",
-    "QpBuilder",
     "Workspace",
     "solve",
     "check_kkt",
-    "epigraph_max",
     "dump_problem",
 ]
 
@@ -634,93 +632,6 @@ class Workspace:
 def solve(problem: QpProblem, tol: float = 1e-8, max_iter: int = 20000) -> QpSolution:
     """One-shot solve; see Workspace for reuse across related problems."""
     return Workspace(problem).solve(tol=tol, max_iter=max_iter)
-
-
-class QpBuilder:
-    """Incremental dense QP assembly with named variables and bounds.
-
-    Bounds stay per-variable bounds of the built problem; rows keep the
-    order in which they were added.
-    """
-
-    def __init__(self):
-        self._names: list[str] = []
-        self._lb: list[float] = []
-        self._ub: list[float] = []
-        self._quad: list[tuple[int, float]] = []
-        self._lin: list[tuple[int, float]] = []
-        self._offset = 0.0
-        self._eq: list[tuple[np.ndarray, np.ndarray, float]] = []
-        self._ineq: list[tuple[np.ndarray, np.ndarray, float]] = []
-
-    def add_var(self, name=None, lb=None, ub=None) -> int:
-        idx = len(self._names)
-        self._names.append(name if name is not None else f"x{idx}")
-        self._lb.append(-np.inf if lb is None else float(lb))
-        self._ub.append(np.inf if ub is None else float(ub))
-        return idx
-
-    def add_vars(self, count, prefix, lb=None, ub=None) -> np.ndarray:
-        lbs = np.broadcast_to(np.asarray(-np.inf if lb is None else lb, dtype=float),
-                              (count,))
-        ubs = np.broadcast_to(np.asarray(np.inf if ub is None else ub, dtype=float),
-                              (count,))
-        return np.array([self.add_var(f"{prefix}[{t}]", lbs[t], ubs[t])
-                         for t in range(count)])
-
-    def add_square(self, var, weight, center=0.0):
-        """Add weight * (x_var - center)^2 to the objective."""
-        self._quad.append((int(var), 2.0 * weight))
-        if center:
-            self._lin.append((int(var), -2.0 * weight * center))
-            self._offset += weight * center * center
-
-    def add_linear(self, vars, coefs):
-        coefs = np.broadcast_to(np.asarray(coefs, dtype=float), (len(vars),))
-        for v, co in zip(vars, coefs):
-            self._lin.append((int(v), float(co)))
-
-    def add_eq(self, vars, coefs, rhs):
-        self._eq.append((np.asarray(vars, dtype=int),
-                         np.asarray(coefs, dtype=float), float(rhs)))
-
-    def add_ineq(self, vars, coefs, rhs):
-        """Row sum(coefs * x[vars]) <= rhs."""
-        self._ineq.append((np.asarray(vars, dtype=int),
-                           np.asarray(coefs, dtype=float), float(rhs)))
-
-    def build(self) -> QpProblem:
-        n = len(self._names)
-        q = np.zeros((n, n))
-        for i, w in self._quad:
-            q[i, i] += w
-        c = np.zeros(n)
-        for i, co in self._lin:
-            c[i] += co
-        a_in = np.zeros((len(self._ineq), n))
-        b_in = np.zeros(len(self._ineq))
-        for r, (idx, co, rhs) in enumerate(self._ineq):
-            a_in[r, idx] = co
-            b_in[r] = rhs
-        a_eq = np.zeros((len(self._eq), n))
-        b_eq = np.zeros(len(self._eq))
-        for r, (idx, co, rhs) in enumerate(self._eq):
-            a_eq[r, idx] = co
-            b_eq[r] = rhs
-        return QpProblem(q, c, a_eq, b_eq, a_in, b_in, self._lb, self._ub,
-                         var_names=list(self._names), offset=self._offset)
-
-
-def epigraph_max(builder: QpBuilder, vars) -> int:
-    """Bound max(x[vars]) from above with a fresh variable.
-
-    Adds m with x_v <= m for each v and returns m's index; minimizing a
-    positive weight on m prices the peak of the given variables.
-    """
-    m = builder.add_var("epi_max")
-    for v in vars:
-        builder.add_ineq([int(v), m], [1.0, -1.0], 0.0)
-    return m
 
 
 def dump_problem(problem: QpProblem, path):

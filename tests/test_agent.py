@@ -8,16 +8,18 @@ from hypothesis.extra import numpy as hnp
 from hvactrade import qp
 from hvactrade.agent import LocalAgent, build_user_qp, solve_emp
 from hvactrade.errors import ProtocolViolation
-from hvactrade.model import (
-    Tariff,
-    TimeGrid,
-    UserParams,
+from hvactrade.model import Tariff, TimeGrid, UserParams
+from hvactrade.protocol import CoordinatorBroadcast
+from hvactrade.scenario import build_synth_scenario, load_scenario
+
+from oracles import (
+    build_pairwise_llp,
+    grid_search_schedule,
+    net_imports,
+    reference_user_qp,
+    solve_cemp,
     verify_schedule,
 )
-from hvactrade.protocol import CoordinatorBroadcast
-from hvactrade.scenario import load_scenario
-
-from oracles import build_pairwise_llp, grid_search_schedule, solve_cemp
 
 
 def make_params(horizon=3, **over):
@@ -194,7 +196,7 @@ def test_llp_matches_pairwise_qp(data, npart, rho):
         assert got == pytest.approx(x[index[key]], abs=1e-6)
     assert agent.last_objective == pytest.approx(full.objective, abs=1e-7)
     balance = (schedule.renewable_use + schedule.grid_draw
-               + schedule.net_imports()
+               + net_imports(schedule)
                - params.inflexible_load - schedule.hvac_power)
     assert np.max(np.abs(balance)) <= 1e-6
 
@@ -263,7 +265,7 @@ def test_llp_schedules_stay_feasible(aux, duals):
     schedule = agent.solve_llp()
     assert verify_schedule(schedule, params) == []
     balance = (schedule.renewable_use + schedule.grid_draw
-               + schedule.net_imports()
+               + net_imports(schedule)
                - params.inflexible_load - schedule.hvac_power)
     assert np.max(np.abs(balance)) <= 1e-6
 
@@ -458,6 +460,56 @@ def test_build_user_qp_checks_trade_price_length():
     bad = Tariff(0.25, 0.5, np.full(5, 0.1))
     with pytest.raises(ValueError, match="trade_price"):
         build_user_qp(params, bad, TimeGrid(3), partner_ids=(2,))
+
+
+def _homes(source):
+    """(params, tariff, grid, partner ids) of each home of a fleet."""
+    if source == "edge":
+        # heats, no comfort term, a zero reference and no peak charge; C*R
+        # = 1 puts -0.0 in the thermal rows, and the trade price is -0.0
+        params = make_params(horizon=4, thermal_capacitance=2.0,
+                             thermal_resistance=0.5, hvac_efficiency=-2.5,
+                             comfort_weight=0.0, temp_ref=0.0, temp_min=-3.0,
+                             temp_max=3.0, outdoor_temp=np.full(4, -6.0))
+        tariff = make_tariff(4, peak=0.0, trade=-0.0)
+        return [(params, tariff, TimeGrid(4), (2, 3))]
+    if source.startswith("synth"):
+        n, h, seed = (int(v) for v in source.split("_")[1:])
+        scn = build_synth_scenario(n, h, seed=seed)
+    else:
+        scn = load_scenario(Path(__file__).resolve().parent.parent
+                            / "scenarios" / f"{source}.yaml")
+    ids = [u.id for u in scn.users]
+    return [(u, scn.tariff, scn.grid, tuple(j for j in ids if j != u.id))
+            for u in scn.users]
+
+
+@pytest.mark.parametrize("source", [
+    "two_user_complementary", "csv_reference", "reference_10user",
+    "synth_16_12_1", "synth_5_96_3", "edge"])
+def test_user_qp_matches_the_builder_reference_bit_for_bit(source):
+    """The directly written arrays equal the entry-by-entry assembly of
+    the reference, -0.0 included, and the offset is summed slot by slot
+    as the reference sums it."""
+    for params, tariff, grid, partners in _homes(source):
+        for ids, rho in (((), 0.0), (partners, 1.0), (partners, 6.0)):
+            got, index = build_user_qp(params, tariff, grid, ids, rho=rho)
+            want, want_index = reference_user_qp(params, tariff, grid, ids,
+                                                 rho=rho)
+            for name in ("quadratic_term", "linear_term", "eq_matrix",
+                         "eq_rhs", "ineq_matrix", "ineq_rhs", "lower",
+                         "upper"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                assert a.tobytes() == b.tobytes(), (params.id, rho, name)
+            assert repr(got.offset) == repr(want.offset), (params.id, rho)
+            assert index.keys() == want_index.keys()
+            for key, b in want_index.items():
+                a = index[key]
+                if isinstance(b, np.ndarray):
+                    assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), key
+                else:
+                    assert type(a) is type(b) and a == b, key
 
 
 @pytest.mark.parametrize("name", ["two_user_complementary", "csv_reference",

@@ -267,6 +267,14 @@ def test_validate_non_finite_loop_setting_exits_13(tmp_path, capsys):
     assert "rho0 must be finite and positive" in capsys.readouterr().err
 
 
+def test_validate_non_finite_peak_price_exits_13(tmp_path, capsys):
+    bad = tmp_path / "nan_peak.yaml"
+    bad.write_text(Path(TWO_USER).read_text().replace(
+        "peak_price: 0.6", "peak_price: .nan"))
+    assert main(["validate", str(bad)]) == 13
+    assert "tariff: peak_price must be finite, got nan" in capsys.readouterr().err
+
+
 def test_validate_repeated_key_exits_13(tmp_path, capsys):
     bad = tmp_path / "twice.yaml"
     bad.write_text(Path(TWO_USER).read_text().replace(

@@ -10,11 +10,10 @@ from hvactrade.model import (
     discomfort_cost,
     grid_cost,
     operating_cost,
-    thermal_step,
     trading_payment,
-    trajectory,
-    verify_schedule,
 )
+
+from oracles import net_imports, thermal_step, trajectory, verify_schedule
 
 
 def make_params(horizon=3, **over):
@@ -77,6 +76,30 @@ def test_params_reject_trace_length_mismatch():
 def test_params_reject_negative_renewable():
     with pytest.raises(ValueError, match="renewable_avail"):
         make_params(renewable_avail=np.array([0.0, -1.0, 0.0]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["hvac_efficiency", "comfort_weight",
+                                   "temp_ref", "temp_initial"])
+def test_params_reject_non_finite_scalars(field, value):
+    """These fields enter the QP's terms and right-hand sides; an open
+    comfort band does not let an infinite temperature through."""
+    with pytest.raises(ValueError, match=f"user 1: {field} must be finite"):
+        make_params(temp_max=np.inf, **{field: value})
+
+
+def test_params_keep_infinite_caps_and_band():
+    p = make_params(grid_cap=np.inf, hvac_cap=np.inf, temp_min=-np.inf,
+                    temp_max=np.inf)
+    assert p.grid_cap == p.hvac_cap == p.temp_max == np.inf
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["energy_price", "peak_price"])
+def test_tariff_rejects_non_finite_prices(field, value):
+    prices = {"energy_price": 0.1, "peak_price": 5.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        Tariff(trade_price=np.full(3, 0.05), **prices)
 
 
 def test_params_initial_temp_defaults_to_ref():
@@ -327,4 +350,4 @@ def test_schedule_net_imports():
         trades=np.array([[1.0, -2.0], [0.5, 0.5]]),
         partner_ids=(2, 3),
     )
-    assert np.allclose(sched.net_imports(), [1.5, -1.5])
+    assert np.allclose(net_imports(sched), [1.5, -1.5])

@@ -9,18 +9,16 @@ import pytest
 import hvactrade
 from hvactrade import qp
 from hvactrade.qp import (
-    QpBuilder,
     QpProblem,
     QpSolution,
     QpStatus,
     Workspace,
     check_kkt,
     dump_problem,
-    epigraph_max,
     solve,
 )
 
-from oracles import active_set_oracle, random_psd_qp
+from oracles import QpBuilder, active_set_oracle, epigraph_max, random_psd_qp
 from test_cli import INFEASIBLE as HOT_BOX
 
 
