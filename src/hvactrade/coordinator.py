@@ -158,13 +158,14 @@ class Anderson:
     ANDERSON_MEMORY rows, each new one overwriting the oldest, and their
     Gram matrix dF dF' is updated one row and column a step, so a step
     costs O(m d) in the memory m and the length d.  The extrapolation is
-    formed one row of dG at a time with elementwise operations, so
-    entries that are exact negations in every recorded g stay exact
-    negations.
+    formed one row of dG at a time with elementwise operations, each
+    product written into one reused buffer, so entries that are exact
+    negations in every recorded g stay exact negations.
     """
 
     def __init__(self):
-        self._d_f = self._d_g = self._gram = None  # allocated at the first step
+        # allocated at the first step
+        self._d_f = self._d_g = self._gram = self._product = None
         self._f = self._g = None  # the last residual and evaluation
         self._filled = 0  # ring rows that hold a difference
         self._slot = 0  # the ring row the next difference overwrites
@@ -177,6 +178,7 @@ class Anderson:
         if self._f is None:
             m = ANDERSON_MEMORY
             self._d_f, self._d_g = np.empty((m, f.size)), np.empty((m, f.size))
+            self._product = np.empty(f.size)  # one term c d_g at a time
             self._gram = np.empty((m, m))
             self._f, self._g, self._f0_norm = f, g, f_norm
             return g
@@ -201,7 +203,7 @@ class Anderson:
         gamma = np.linalg.solve(gram, d_f @ f)
         out = g.copy()
         for c, d_g in zip(gamma, self._d_g[:m]):
-            out -= c * d_g
+            out -= np.multiply(c, d_g, out=self._product)
         self.accepted += 1
         return out
 

@@ -8,22 +8,30 @@ Problems have the form
                 lower <= x <= upper
 
 with Q symmetric positive semidefinite and any bound possibly
-infinite.  The solver runs an over-relaxed operator-splitting iteration
-on the form l <= Ax <= u of Stellato et al. (*OSQP*, 2020): A stacks
-the equality rows, the general rows and one identity row per bounded
-variable, whose interval is [lower, upper].  In the reduced form
-(section 3.1) each step applies the inverse of the n x n positive
-definite matrix Q + sigma I + A' diag(rho) A, formed once per penalty.
-It then polishes the active set: each variable at an active bound is
-fixed there, and a regularized KKT system over the free variables, the
-equality rows and the active general rows is solved with iterative
-refinement, after free variables with a diagonal row of Q are
+infinite.  The solver polishes an active set: each variable at an
+active bound is fixed there, and a regularized KKT system over the free
+variables, the equality rows and the active general rows is solved with
+iterative refinement, after free variables with a diagonal row of Q are
 eliminated from it in closed form.  Each refinement step measures the
 exact KKT residual at the current point from the problem's own Q and
-rows, so a cached active set keeps only its core inverse and its rows.
-Iterations start from zero, so repeated solves of the same problem are
-bit-identical.  A warm re-solve first polishes on the active set it
-last accepted, whose inverse is cached.  The kernels use numpy alone.
+rows, so a cached active set keeps only its core inverse and its rows,
+and refinement stops once that residual reaches the rounding floor.
+Where the candidate fails the KKT check, a primal-dual active-set walk
+releases wrong-signed multipliers and activates violated bounds and
+rows, for at most four sets.
+
+A warm re-solve polishes on the active set it last accepted, whose
+inverse is cached, starting from the point and multipliers accepted
+there, and walks from it on a miss.  A cold solve, or a warm one whose
+walk fails, runs an over-relaxed operator-splitting iteration on the
+form l <= Ax <= u of Stellato et al. (*OSQP*, 2020), and polishes the
+set its iterates suggest: A stacks the equality rows, the general rows
+and one identity row per bounded variable, whose interval is [lower,
+upper].  In the reduced form (section 3.1) each step applies the
+inverse of the n x n positive definite matrix Q + sigma I + A' diag(rho)
+A, formed once per penalty.  Iterations start from zero, so repeated
+solves of the same problem are bit-identical.  The kernels use numpy
+alone.
 
 A problem is declared infeasible from the splitting iterates alone: a
 dual step dy that translates the iterates, with A'dy negligible and a
@@ -222,6 +230,11 @@ _RHO = 0.1
 _SIGMA = 1e-6
 _ALPHA = 1.6
 
+# Refinement on an active set stops once the largest entry of the
+# reduced KKT residual is at most this fraction of the linear term's
+# scale: past it, further steps only move the last bits.
+_FLOOR = 1e-13
+
 
 class _PolishFactor(NamedTuple):
     """The regularized reduced KKT system of one active set.
@@ -259,12 +272,14 @@ class _PolishFactor(NamedTuple):
 class Workspace:
     """Reusable solve state for one problem structure.
 
-    Keeps the inverse of the splitting matrix Q + sigma I + A' diag(rho) A
-    and the last iterates, so a sequence of solves that only change the
-    linear term (the trading subproblem across iterations) forms it once
-    and warm-starts each subsequent solve.  An active set is an int8
-    vector: 1 at each active general row, then for each bounded variable
-    +1 at its upper bound, -1 at its lower bound and 0 when it is free.
+    Keeps the polish systems of the last six active sets, with the point
+    last accepted on each, the inverse of the splitting matrix Q + sigma
+    I + A' diag(rho) A and the last iterates, so a sequence of solves
+    that only change the linear term (the trading subproblem across
+    iterations) forms each once and warm-starts each subsequent solve.
+    An active set is an int8 vector: 1 at each active general row, then
+    for each bounded variable +1 at its upper bound, -1 at its lower
+    bound and 0 when it is free.
     """
 
     def __init__(self, problem: QpProblem):
@@ -288,9 +303,12 @@ class Workspace:
         self._z = np.clip(np.zeros(m), self._lower, self._upper)
         self._y = np.zeros(m)
         self._inverse = None
-        self._have_solution = False
         self._active = None  # active set of the last accepted polish
+        self._accepted = None  # and its candidate
         self._polish_cache = {}  # active-set bytes -> _PolishFactor or None
+        # active-set bytes -> the primal and row multipliers last accepted
+        # on that set, where its refinement starts
+        self._polish_start = {}
         # Variables whose row of Q holds only a diagonal entry that is not
         # small next to the constraint coefficients: the polish eliminates
         # them in closed form, and each pivot adds entries of at most 1e3
@@ -333,14 +351,16 @@ class Workspace:
             self.problem.offset = float(offset)
 
     def _adopt(self, cand, active):
-        """Store a polished optimum and its active set as the warm-start
-        state."""
+        """Accept a polished optimum: its active set is tried first by the
+        next solve, and its point and row multipliers are where the next
+        refinement on that set starts.  The splitting state is formed
+        from it only when a later solve runs splitting."""
         self._x = cand.primal.copy()
-        self._z = np.clip(self._A @ cand.primal, self._lower, self._upper)
-        self._y = np.concatenate([cand.eq_duals, cand.ineq_duals,
-                                  cand.bound_duals[self._bounded]])
-        self._active = active
-        self._have_solution = True
+        self._z = self._y = None
+        self._active, self._accepted = active, cand
+        general = np.flatnonzero(active[:self.problem.n_ineq])
+        self._polish_start[active.tobytes()] = (
+            self._x, np.concatenate([cand.eq_duals, cand.ineq_duals[general]]))
 
     def _iterate(self, x, y, status, k):
         """The splitting iterate (x, y) as a solution, scored by check_kkt."""
@@ -377,27 +397,24 @@ class Workspace:
                               prob.offset, QpStatus.OPTIMAL, 0.0, 0)
 
         formed = {}  # active-set bytes -> its candidate, for this solve
-        if self._have_solution:
+        if self._active is not None:
             # The previous optimum's active set usually survives a small
-            # change in the linear term; a direct solve on it is far
-            # cheaper than splitting iterations.  The set last accepted
-            # comes first, as its factorization is already cached; then
-            # the set the previous iterates suggest, which is often the
-            # same one and then is not solved again.
-            if self._active is not None:
-                cand = self._polish_candidate(self._active)
-                formed[self._active.tobytes()] = cand
-                if cand is not None and cand.kkt_residual <= tol:
-                    self._adopt(cand, self._active)
-                    return cand
-            cand, active = self._polish(self._x, self._y, formed,
-                                        good_enough=tol)
+            # change in the linear term, and a direct solve on it is far
+            # cheaper than splitting iterations; where it does not, the
+            # walk from it usually reaches the new set.
+            cand, active = self._polish(self._active, formed, tol)
             if cand is not None and cand.kkt_residual <= tol:
                 self._adopt(cand, active)
                 return cand
 
         if self._inverse is None:
             self._factorize()
+        if self._y is None:
+            # splitting resumes from the last accepted optimum
+            acc = self._accepted
+            self._z = np.clip(self._A @ self._x, self._lower, self._upper)
+            self._y = np.concatenate([acc.eq_duals, acc.ineq_duals,
+                                      acc.bound_duals[self._bounded]])
         q = prob.quadratic_term
         c = prob.linear_term
         A = self._A
@@ -432,7 +449,7 @@ class Workspace:
                          float(np.max(np.abs(c), initial=0.0)))
 
             if r_prim <= polish_gate * s_prim and r_dual <= polish_gate * s_dual:
-                cand, active = self._polish(x, y, formed, good_enough=tol)
+                cand, active = self._polish(self._detect(x, y), formed, tol)
                 if cand is not None and cand.kkt_residual <= tol:
                     self._adopt(cand, active)
                     cand.iterations = k
@@ -445,7 +462,6 @@ class Workspace:
                 if raw.kkt_residual <= tol:
                     self._x, self._z, self._y = x, z, y
                     self._active = None
-                    self._have_solution = True
                     return raw
                 best = raw
 
@@ -534,17 +550,21 @@ class Workspace:
         except np.linalg.LinAlgError:
             entry = None
         if len(self._polish_cache) >= 6:
-            self._polish_cache.pop(next(iter(self._polish_cache)))
+            old = next(iter(self._polish_cache))
+            self._polish_cache.pop(old)
+            self._polish_start.pop(old, None)
         self._polish_cache[key] = entry
         return entry
 
     def _polish_candidate(self, active):
         """Direct KKT solve on an active set.
 
-        From the fixed values and zero multipliers, takes four steps of
-        the regularized system against the exact KKT residual at the
-        current point, formed from the problem's Q and rows: a solve,
-        then three of iterative refinement.  The last stationarity
+        Starts from the primal and row multipliers last accepted on the
+        set, or from its fixed values and zero multipliers, and takes
+        steps of the regularized system against the exact KKT residual
+        at the current point, formed from the problem's Q and rows,
+        until that residual is at the rounding floor: at most four, a
+        solve and then iterative refinement.  The last stationarity
         residual gives the bound multipliers.  Returns None when the
         system is singular or the point is not finite.
         """
@@ -554,11 +574,18 @@ class Workspace:
         prob = self.problem
         q, c = prob.quadratic_term, prob.linear_term
         nf = f.free.size
-        xp = f.x_fixed.copy()
-        lam = np.zeros(f.g.shape[0])
-        grad = q @ xp + c
+        start = self._polish_start.get(active.tobytes())
+        if start is None:
+            xp, lam = f.x_fixed.copy(), np.zeros(f.g.shape[0])
+        else:
+            xp, lam = start[0].copy(), start[1].copy()
+        grad = q @ xp + c + f.g.T @ lam
+        floor = _FLOOR * max(1.0, float(np.max(np.abs(c), initial=0.0)))
         for _ in range(4):
-            step = f.solve(np.concatenate([-grad[f.free], f.b - f.g @ xp]))
+            r = np.concatenate([-grad[f.free], f.b - f.g @ xp])
+            if np.max(np.abs(r), initial=0.0) <= floor:
+                break
+            step = f.solve(r)
             xp[f.free] += step[:nf]
             lam += step[nf:]
             grad = q @ xp + c + f.g.T @ lam
@@ -573,19 +600,13 @@ class Workspace:
         cand.kkt_residual = check_kkt(prob, cand)
         return cand
 
-    def _polish(self, x, y, formed, good_enough=0.0):
-        """Polish on the active set detected from the iterates (x, y).
+    def _detect(self, x, y):
+        """The active set the splitting iterates (x, y) suggest.
 
-        Returns the best candidate and its active set, or (None, None).
-        `formed` maps each active set's bytes to the candidate already
-        formed on it under the current linear term; a set found there is
-        not solved again, and each new one is added.
         A general row is active where its multiplier exceeds 1e-6 of the
         largest, or its slack is under 1e-7 of the rows' scale.  A bound
         is active where its multiplier is that large, at the side the
         multiplier's sign names, or else where x lies that near it.
-        Stops at the first candidate whose residual is at most
-        `good_enough`.
         """
         prob = self.problem
         me, mi = self._me, self._mi
@@ -597,13 +618,27 @@ class Workspace:
         ts = 1e-7 * _magnitude(self._lower[me:], self._upper[me:])
         near = np.where(upper - xb < ts, 1, np.where(xb - lower < ts, -1, 0))
         side = np.where(np.abs(y_b) > ty, np.sign(y_b), near)
-        active = np.concatenate([(y_in > ty) | (slack < ts),
-                                 side]).astype(np.int8)
+        return np.concatenate([(y_in > ty) | (slack < ts), side]).astype(np.int8)
 
+    def _polish(self, active, formed, tol):
+        """Polish on an active set, walking to a neighbouring set while
+        the candidate fails the KKT check.
+
+        Returns the best candidate and its active set, or (None, None).
+        `formed` maps each active set's bytes to the candidate already
+        formed on it under the current linear term; a set found there is
+        not solved again, and each new one is added.  Each step of the
+        walk, a primal-dual active-set step (Hintermueller, Ito and
+        Kunisch, SIAM J. Optim. 13, 2002), releases every row and bound
+        whose multiplier has the wrong sign, fixes every free bounded
+        variable that lies more than `tol` beyond a bound at that bound,
+        and activates every inactive general row violated by more than
+        `tol`.  Stops at the first candidate whose residual is at most
+        `tol`, when no such change remains, or after four sets.
+        """
+        prob = self.problem
+        lower, upper = self._lower[self._mi:], self._upper[self._mi:]
         best = best_active = None
-        # A rank-deficient row set can yield a wrong-signed multiplier even
-        # at the true optimum; releasing those rows and bounds and
-        # re-solving walks to a sign-feasible assignment in a few steps.
         for _ in range(4):
             key = active.tobytes()
             if key not in formed:
@@ -613,19 +648,26 @@ class Workspace:
                 break
             if best is None or cand.kkt_residual < best.kkt_residual:
                 best, best_active = cand, active
-            if best.kkt_residual <= good_enough:
+            if best.kkt_residual <= tol:
                 break
             # each multiplier times its sign in `active`: negative where
-            # it is wrong-signed, zero where inactive
+            # it is wrong-signed, zero where inactive.  A rank-deficient
+            # row set can yield one even at the true optimum.
             held = active * np.concatenate(
                 [cand.ineq_duals, cand.bound_duals[self._bounded]])
             scale = max(1.0, float(np.max(np.abs(held), initial=0.0)))
             wrong = held < -1e-9 * scale
             # a variable with lower == upper takes either sign
             wrong[prob.n_ineq:] &= lower < upper
-            if not wrong.any():
+            # each inactive general row the candidate violates, and each
+            # free bounded variable beyond a bound, at the side it crossed
+            xb = cand.primal[self._bounded]
+            enter = (active == 0) * np.concatenate([
+                prob.ineq_matrix @ cand.primal - prob.ineq_rhs > tol,
+                np.where(xb > upper + tol, 1, np.where(xb < lower - tol, -1, 0))])
+            if not (wrong.any() or enter.any()):
                 break
-            active = np.where(wrong, 0, active).astype(np.int8)
+            active = (np.where(wrong, 0, active) + enter).astype(np.int8)
         return best, best_active
 
 

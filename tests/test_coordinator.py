@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hvactrade import coordinator, protocol
+from hvactrade import coordinator, protocol, qp
 from hvactrade.coordinator import (
     AdmmConfig,
     Anderson,
@@ -248,6 +248,34 @@ def test_ring_step_matches_a_least_squares_step_from_scratch():
         want = g - d_g.T @ np.linalg.solve(gram, d_f @ f[-1])
         assert np.linalg.norm(out - want) <= 1e-10 * np.linalg.norm(want)
         assert np.array_equal(out[12:24], -out[:12])
+    assert accel.accepted == 3 * m - 1
+
+
+def test_extrapolation_equals_the_per_row_expression_bit_for_bit(monkeypatch):
+    """Each step returns g - c_1 dG_1 - ... - c_m dG_m, subtracted row by
+    row in ring order as `out -= c * d_g`, to the last bit, on random
+    rings that wrap."""
+    m = coordinator.ANDERSON_MEMORY
+    rng = np.random.default_rng(23)
+    solve = np.linalg.solve
+    gammas = []
+
+    def recorded_solve(a, b):
+        gammas.append(solve(a, b))
+        return gammas[-1]
+
+    monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+    accel = Anderson()
+    for k in range(3 * m):
+        x = rng.normal(size=257) * 10.0 ** rng.integers(-3, 4)
+        g = x + rng.normal(size=257)
+        out = accel.step(x, g)
+        if k == 0:
+            continue
+        want = g.copy()
+        for c, d_g in zip(gammas[-1], accel._d_g[:min(k, m)]):
+            want -= c * d_g
+        assert out.tobytes() == want.tobytes()
     assert accel.accepted == 3 * m - 1
 
 
@@ -602,6 +630,37 @@ def test_synthetic_fleet_agrees_in_pinned_rounds(n_users, horizon, seed,
     report = run(build_synth_scenario(n_users, horizon, seed=seed))
     assert report.converged
     assert report.iterations == rounds
+
+
+@pytest.mark.parametrize("fleet, warm_splitting", [
+    ("reference_10user", 1),  # 16 when warm misses fell back to splitting
+    ("csv_reference", 0),  # 1
+    ("two_user_complementary", 0),  # 2
+    ("synth_16_12_1", 0),  # 15
+])
+def test_warm_solves_run_no_splitting_on_the_bundled_fleets(
+        fleet, warm_splitting, monkeypatch):
+    """A warm solve, one on a workspace that has solved before, settles
+    on the last accepted active set or by the walk from it; the pinned
+    count of those that still run splitting iterations is exact."""
+    if fleet.startswith("synth"):
+        scenario = build_synth_scenario(16, 12, seed=1)
+    else:
+        scenario = load_scenario(FIXTURES / f"{fleet}.yaml")
+    solved, splitting = set(), []
+    solve = qp.Workspace.solve
+
+    def counted(ws, **kwargs):
+        sol = solve(ws, **kwargs)
+        if ws in solved and sol.iterations > 0:
+            splitting.append(sol.iterations)
+        solved.add(ws)
+        return sol
+
+    monkeypatch.setattr(qp.Workspace, "solve", counted)
+    report = run(scenario)
+    assert report.converged
+    assert len(splitting) == warm_splitting
 
 
 # Rounds to agreement at rho0 = 0.1, 0.3, 1, 3 and 10 with over-relaxation

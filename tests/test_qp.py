@@ -8,6 +8,7 @@ import pytest
 
 import hvactrade
 from hvactrade import qp
+from hvactrade.agent import LocalAgent
 from hvactrade.qp import (
     QpProblem,
     QpSolution,
@@ -17,6 +18,7 @@ from hvactrade.qp import (
     dump_problem,
     solve,
 )
+from hvactrade.scenario import build_synth_scenario, load_scenario
 
 from oracles import QpBuilder, active_set_oracle, epigraph_max, random_psd_qp
 from test_cli import INFEASIBLE as HOT_BOX
@@ -394,8 +396,9 @@ def test_warm_resolve_with_a_stale_active_set_matches_cold(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_a_stale_set_solve_forms_each_candidate_once(seed, monkeypatch):
-    """The remembered set fails, and the previous iterates point at that
-    same set again; its candidate is reused, not formed a second time."""
+    """The remembered set fails and the walk leaves it; the walk and any
+    polish of splitting iterates form each set's candidate once, the
+    remembered one first."""
     rng = np.random.default_rng(seed)
     prob = strictly_convex_qp(rng, n=8)
     ws = Workspace(prob)
@@ -413,6 +416,143 @@ def test_a_stale_set_solve_forms_each_candidate_once(seed, monkeypatch):
     assert ws.solve().status is QpStatus.OPTIMAL
     assert formed[0] == stale.tobytes()
     assert len(formed) == len(set(formed)) > 1
+
+
+def warm_matches_cold(prob, new_c):
+    """Solve `prob`, move its linear term to `new_c` and re-solve warm;
+    the warm solve is checked against a cold solve of the new problem.
+    Returns the first and the warm solution."""
+    ws = Workspace(prob)
+    first = ws.solve()
+    assert first.status is QpStatus.OPTIMAL and ws._active is not None
+    ws.update(linear_term=new_c)
+    warm = ws.solve()
+    cold = solve(QpProblem(prob.quadratic_term, new_c, prob.eq_matrix,
+                           prob.eq_rhs, prob.ineq_matrix, prob.ineq_rhs,
+                           lower=prob.lower, upper=prob.upper))
+    assert warm.status is cold.status is QpStatus.OPTIMAL
+    assert warm.iterations == 0  # no splitting iteration
+    assert check_kkt(ws.problem, warm) <= 1e-8
+    assert warm.primal == pytest.approx(cold.primal, abs=1e-9)
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    return first, warm
+
+
+def test_warm_walk_fixes_a_variable_pushed_past_its_bound():
+    """x1 sits at its upper bound and x0 inside the box.  The new linear
+    term moves the optimum on that set to x0 = 1.5, beyond x0's upper
+    bound; the walk fixes x0 there and lands on the optimum (1, 1)."""
+    prob = QpProblem(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([-2.0, -5.0]),
+                     lower=np.zeros(2), upper=np.ones(2))
+    first, warm = warm_matches_cold(prob, np.array([-4.0, -5.0]))
+    assert first.primal == pytest.approx([0.5, 1.0], abs=1e-12)
+    assert warm.primal == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert warm.bound_duals == pytest.approx([1.0, 2.0], abs=1e-9)
+
+
+def test_warm_walk_activates_a_violated_row():
+    """The row x0 + x1 <= 1 is slack at the first optimum (0.2, 0.3); the
+    new linear term moves the unconstrained optimum to (1, 1.5), which
+    violates it.  The walk activates the row and lands on (0.25, 0.75)."""
+    prob = QpProblem(np.eye(2), np.array([-0.2, -0.3]),
+                     ineq_matrix=np.array([[1.0, 1.0]]), ineq_rhs=np.array([1.0]))
+    first, warm = warm_matches_cold(prob, np.array([-1.0, -1.5]))
+    assert first.primal == pytest.approx([0.2, 0.3], abs=1e-12)
+    assert warm.primal == pytest.approx([0.25, 0.75], abs=1e-12)
+    assert warm.ineq_duals == pytest.approx([0.75], abs=1e-9)
+
+
+def four_steps_from_zero(ws, active):
+    """The polish candidate's point, row multipliers and bound
+    multipliers after four steps from the fixed values and zero
+    multipliers, against the exact residual."""
+    f = ws._polish_factor(active)
+    q, c = ws.problem.quadratic_term, ws.problem.linear_term
+    nf = f.free.size
+    xp, lam = f.x_fixed.copy(), np.zeros(f.g.shape[0])
+    grad = q @ xp + c
+    for _ in range(4):
+        step = f.solve(np.concatenate([-grad[f.free], f.b - f.g @ xp]))
+        xp[f.free] += step[:nf]
+        lam += step[nf:]
+        grad = q @ xp + c + f.g.T @ lam
+    nu = np.zeros(ws.problem.n)
+    nu[f.fixed] = -grad[f.fixed]
+    return np.concatenate([xp, lam, nu])
+
+
+def assert_warm_refinement_matches(ws, rng, scale):
+    """Re-solve on the set `ws` accepted last, after a small change in
+    the linear term, and compare with four steps from zero."""
+    active = ws._active
+    assert active is not None and active.tobytes() in ws._polish_start
+    prob = ws.problem
+    ws.update(linear_term=prob.linear_term
+              + scale * rng.normal(size=prob.n))
+    cand = ws._polish_candidate(active)
+    f = ws._polish_factor(active)
+    got = np.concatenate([cand.primal, cand.eq_duals,
+                          cand.ineq_duals[f.general], cand.bound_duals])
+    want = four_steps_from_zero(ws, active)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_warm_refinement_matches_four_steps_from_zero_on_random_qps():
+    """Criterion 2's random PSD QPs: the refinement started from the
+    point last accepted on the set ends where four steps from zero do."""
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(100):
+        ws = Workspace(random_psd_qp(rng))
+        ws.solve()
+        if ws._active is None:  # settled by a splitting iterate
+            continue
+        assert_warm_refinement_matches(ws, rng, 1e-3)
+        checked += 1
+    assert checked >= 90
+
+
+@pytest.mark.parametrize("fleet", ["reference_10user", "synth_5_96_3"])
+def test_warm_refinement_matches_four_steps_from_zero_on_agent_qps(fleet,
+                                                                    monkeypatch):
+    """On agent QPs too, and in steady state a same-set hit takes at
+    most two steps of the reduced system."""
+    if fleet == "reference_10user":
+        scn = load_scenario(Path(__file__).resolve().parent.parent / "scenarios"
+                            / "reference_10user.yaml")
+    else:
+        scn = build_synth_scenario(5, 96, seed=3)
+    user = scn.users[0]
+    agent = LocalAgent(user, scn.tariff, scn.grid, partner_ids=tuple(
+        u.id for u in scn.users if u.id != user.id))
+    rng = np.random.default_rng(1)
+    shape = agent.received_aux.shape
+    aux = rng.normal(size=shape) * 0.5
+    agent.set_coupling(aux, np.zeros(shape), 1.0)
+    agent.solve_llp()
+    assert_warm_refinement_matches(agent._ws, rng, 1e-3)
+
+    steps, solutions = [], []
+    step, solve_ws = qp._PolishFactor.solve, Workspace.solve
+
+    def counted(f, r):
+        steps.append(r)
+        return step(f, r)
+
+    def recorded(ws, **kwargs):
+        solutions.append(solve_ws(ws, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(qp._PolishFactor, "solve", counted)
+    monkeypatch.setattr(Workspace, "solve", recorded)
+    for _ in range(6):
+        aux = aux + 1e-3 * rng.normal(size=shape)
+        agent.set_coupling(aux, np.zeros(shape), 1.0)
+        last = agent._ws._active
+        steps.clear()
+        agent.solve_llp()
+        assert solutions[-1].iterations == 0 and agent._ws._active is last
+        assert 1 <= len(steps) <= 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
