@@ -29,9 +29,10 @@ set its iterates suggest: A stacks the equality rows, the general rows
 and one identity row per bounded variable, whose interval is [lower,
 upper].  In the reduced form (section 3.1) each step applies the
 inverse of the n x n positive definite matrix Q + sigma I + A' diag(rho)
-A, formed once per penalty.  Iterations start from zero, so repeated
-solves of the same problem are bit-identical.  The kernels use numpy
-alone.
+A.  Each splitting run starts from zero with the initial penalty, forms
+that inverse itself, again whenever it changes the penalty, and keeps
+none of its state once the solve returns, so what it does depends on
+the current problem alone.  The kernels use numpy alone.
 
 A problem is declared infeasible from the splitting iterates alone: a
 dual step dy that translates the iterates, with A'dy negligible and a
@@ -94,7 +95,6 @@ class QpProblem:
     ineq_rhs: np.ndarray | None = None
     lower: np.ndarray | None = None  # per-variable bounds, default -inf
     upper: np.ndarray | None = None  # default +inf
-    var_names: list[str] | None = None
     offset: float = 0.0
 
     def __post_init__(self):
@@ -132,8 +132,6 @@ class QpProblem:
                       & (self.upper > -np.inf)):
             raise ValueError("bounds must satisfy lower <= upper, lower < +inf "
                              "and upper > -inf, with no NaN")
-        if self.var_names is not None and len(self.var_names) != n:
-            raise ValueError("var_names length must match variable count")
         self.offset = float(self.offset)
 
     @property
@@ -273,10 +271,10 @@ class Workspace:
     """Reusable solve state for one problem structure.
 
     Keeps the polish systems of the last six active sets, with the point
-    last accepted on each, the inverse of the splitting matrix Q + sigma
-    I + A' diag(rho) A and the last iterates, so a sequence of solves
-    that only change the linear term (the trading subproblem across
-    iterations) forms each once and warm-starts each subsequent solve.
+    last accepted on each, so a sequence of solves that only change the
+    linear term (the trading subproblem across iterations) forms each
+    once and warm-starts each subsequent solve on the set accepted last.
+    The splitting iteration keeps nothing between solves.
     An active set is an int8 vector: 1 at each active general row, then
     for each bounded variable +1 at its upper bound, -1 at its lower
     bound and 0 when it is free.
@@ -289,7 +287,6 @@ class Workspace:
                                        | np.isfinite(problem.upper))
         self._A = np.vstack([problem.eq_matrix, problem.ineq_matrix,
                              np.eye(n)[self._bounded]])
-        m = self._A.shape[0]
         self._me = problem.n_eq
         self._mi = self._me + problem.n_ineq  # the first bound row
         self._lower = np.concatenate([problem.eq_rhs,
@@ -297,14 +294,7 @@ class Workspace:
                                       problem.lower[self._bounded]])
         self._upper = np.concatenate([problem.eq_rhs, problem.ineq_rhs,
                                       problem.upper[self._bounded]])
-        self._rho_base = _RHO
-        self._rho = self._make_rho(self._rho_base)
-        self._x = np.zeros(n)
-        self._z = np.clip(np.zeros(m), self._lower, self._upper)
-        self._y = np.zeros(m)
-        self._inverse = None
         self._active = None  # active set of the last accepted polish
-        self._accepted = None  # and its candidate
         self._polish_cache = {}  # active-set bytes -> _PolishFactor or None
         # active-set bytes -> the primal and row multipliers last accepted
         # on that set, where its refinement starts
@@ -323,21 +313,21 @@ class Workspace:
         rho[:self._me] *= 1e3  # stiffer weight keeps equality rows tight
         return np.clip(rho, 1e-6, 1e6)
 
-    def _factorize(self):
+    def _factorize(self, rho):
+        """The inverse of M = Q + sigma I + A' diag(rho) A."""
         a = self._A
-        m = self.problem.quadratic_term + a.T @ (self._rho[:, None] * a)
+        m = self.problem.quadratic_term + a.T @ (rho[:, None] * a)
         m[np.diag_indices_from(m)] += _SIGMA
-        self._inverse = np.linalg.inv(m)
+        return np.linalg.inv(m)
 
-    def _split_step(self, x, z, y):
+    def _split_step(self, rho, inverse, x, z, y):
         """The splitting subproblem at (x, z, y), in reduced form:
         x~ = M^-1 (sigma x - c + A'(rho z - y)) and z~ = A x~, the same
         point as the stacked KKT system [[Q + sigma I, A'], [A, -1/rho]]
         gives."""
         a = self._A
-        rhs = (_SIGMA * x - self.problem.linear_term
-               + a.T @ (self._rho * z - y))
-        xt = _apply(self._inverse, rhs)
+        rhs = _SIGMA * x - self.problem.linear_term + a.T @ (rho * z - y)
+        xt = _apply(inverse, rhs)
         return xt, a @ xt
 
     def update(self, linear_term=None, offset=None):
@@ -353,14 +343,12 @@ class Workspace:
     def _adopt(self, cand, active):
         """Accept a polished optimum: its active set is tried first by the
         next solve, and its point and row multipliers are where the next
-        refinement on that set starts.  The splitting state is formed
-        from it only when a later solve runs splitting."""
-        self._x = cand.primal.copy()
-        self._z = self._y = None
-        self._active, self._accepted = active, cand
+        refinement on that set starts."""
+        self._active = active
         general = np.flatnonzero(active[:self.problem.n_ineq])
         self._polish_start[active.tobytes()] = (
-            self._x, np.concatenate([cand.eq_duals, cand.ineq_duals[general]]))
+            cand.primal.copy(),
+            np.concatenate([cand.eq_duals, cand.ineq_duals[general]]))
 
     def _iterate(self, x, y, status, k):
         """The splitting iterate (x, y) as a solution, scored by check_kkt."""
@@ -378,8 +366,8 @@ class Workspace:
         A primal coordinate that lies outside its bound by at most `tol`
         is returned on the bound, so an optimum with an active bound
         never sits a rounding error outside it.  The objective is that
-        of the returned point; the KKT residual and the warm-start state
-        are those of the solver's own iterate.
+        of the returned point; the KKT residual is that of the solver's
+        own iterate.
         """
         sol = self._solve(tol, max_iter)
         x, lower, upper = sol.primal, self.problem.lower, self.problem.upper
@@ -407,20 +395,15 @@ class Workspace:
                 self._adopt(cand, active)
                 return cand
 
-        if self._inverse is None:
-            self._factorize()
-        if self._y is None:
-            # splitting resumes from the last accepted optimum
-            acc = self._accepted
-            self._z = np.clip(self._A @ self._x, self._lower, self._upper)
-            self._y = np.concatenate([acc.eq_duals, acc.ineq_duals,
-                                      acc.bound_duals[self._bounded]])
         q = prob.quadratic_term
         c = prob.linear_term
         A = self._A
-        rho = self._rho
-        x, z, y = self._x, self._z, self._y
         lower, upper = self._lower, self._upper
+        rho_base = _RHO
+        rho = self._make_rho(rho_base)
+        inverse = self._factorize(rho)
+        x, y = np.zeros(prob.n), np.zeros(A.shape[0])
+        z = np.clip(0.0, lower, upper)
 
         check_every = 10
         polish_gate = max(1e-4, tol)
@@ -430,7 +413,7 @@ class Workspace:
         k = 0
         while k < max_iter:
             k += 1
-            xt, zt = self._split_step(x, z, y)
+            xt, zt = self._split_step(rho, inverse, x, z, y)
             x = _ALPHA * xt + (1.0 - _ALPHA) * x
             ztmp = _ALPHA * zt + (1.0 - _ALPHA) * z + y / rho
             z = np.clip(ztmp, lower, upper)
@@ -454,13 +437,11 @@ class Workspace:
                     self._adopt(cand, active)
                     cand.iterations = k
                     return cand
-                self._x, self._z, self._y = x, z, y
                 polish_gate = max(polish_gate * 1e-2, tol * 1e-2)
 
             if r_prim <= tol and r_dual <= tol:
                 raw = self._iterate(x, y, QpStatus.OPTIMAL, k)
                 if raw.kkt_residual <= tol:
-                    self._x, self._z, self._y = x, z, y
                     self._active = None
                     return raw
                 best = raw
@@ -487,14 +468,12 @@ class Workspace:
             if k % (check_every * 20) == 0 and rho_updates < 15:
                 ratio = (r_prim / s_prim) / max(r_dual / s_dual, 1e-16)
                 if ratio > 25.0 or ratio < 0.04:
-                    self._rho_base = float(np.clip(
-                        self._rho_base * np.sqrt(ratio), 1e-6, 1e6))
-                    self._rho = self._make_rho(self._rho_base)
-                    rho = self._rho
-                    self._factorize()
+                    rho_base = float(np.clip(rho_base * np.sqrt(ratio),
+                                             1e-6, 1e6))
+                    rho = self._make_rho(rho_base)
+                    inverse = self._factorize(rho)
                     rho_updates += 1
 
-        self._x, self._z, self._y = x, z, y
         if best is None:
             best = self._iterate(x, y, QpStatus.ITERATION_LIMIT, max_iter)
         best.status = QpStatus.ITERATION_LIMIT
@@ -697,7 +676,3 @@ def dump_problem(problem: QpProblem, path):
         block(fh, "ineq_rhs", problem.ineq_rhs)
         block(fh, "lower", problem.lower)
         block(fh, "upper", problem.upper)
-        if problem.var_names:
-            fh.write("%%block var_names\n")
-            for name in problem.var_names:
-                fh.write(name + "\n")

@@ -95,7 +95,7 @@ class QpBuilder:
             a_eq[r, idx] = co
             b_eq[r] = rhs
         return qp.QpProblem(q, c, a_eq, b_eq, a_in, b_in, self._lb, self._ub,
-                            var_names=list(self._names), offset=self._offset)
+                            offset=self._offset)
 
 
 def epigraph_max(builder, vars) -> int:

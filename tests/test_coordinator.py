@@ -632,6 +632,12 @@ def test_synthetic_fleet_agrees_in_pinned_rounds(n_users, horizon, seed,
     assert report.iterations == rounds
 
 
+# Splitting inverses per run: three cold solves per home, plus one for
+# each warm solve that runs splitting.
+SPLITTING_INVERSES = {"reference_10user": 31, "csv_reference": 6,
+                      "two_user_complementary": 6, "synth_16_12_1": 48}
+
+
 @pytest.mark.parametrize("fleet, warm_splitting", [
     ("reference_10user", 1),  # 16 when warm misses fell back to splitting
     ("csv_reference", 0),  # 1
@@ -642,7 +648,9 @@ def test_warm_solves_run_no_splitting_on_the_bundled_fleets(
         fleet, warm_splitting, monkeypatch):
     """A warm solve, one on a workspace that has solved before, settles
     on the last accepted active set or by the walk from it; the pinned
-    count of those that still run splitting iterations is exact."""
+    count of those that still run splitting iterations is exact.  So is
+    the count of splitting inverses, which holds splitting to the homes'
+    cold solves and those fallbacks."""
     if fleet.startswith("synth"):
         scenario = build_synth_scenario(16, 12, seed=1)
     else:
@@ -657,10 +665,18 @@ def test_warm_solves_run_no_splitting_on_the_bundled_fleets(
         solved.add(ws)
         return sol
 
+    factorize, formed = qp.Workspace._factorize, []
+
+    def counted_factorize(ws, rho):
+        formed.append(ws)
+        return factorize(ws, rho)
+
     monkeypatch.setattr(qp.Workspace, "solve", counted)
+    monkeypatch.setattr(qp.Workspace, "_factorize", counted_factorize)
     report = run(scenario)
     assert report.converged
     assert len(splitting) == warm_splitting
+    assert len(formed) == SPLITTING_INVERSES[fleet]
 
 
 # Rounds to agreement at rho0 = 0.1, 0.3, 1, 3 and 10 with over-relaxation

@@ -593,13 +593,14 @@ def test_reduced_splitting_step_matches_the_stacked_kkt_solve(seed):
     prob = random_box_qp(rng, n=8, general_rows=3, n_eq=2,
                          box_rows=not seed % 2)
     ws = Workspace(prob)
-    ws._factorize()
+    rho = ws._make_rho(qp._RHO)
+    inverse = ws._factorize(rho)
     n, m = prob.n, ws._A.shape[0]
     assert m == 2 + 3 + (8 if seed % 2 else 2 * 8)
     x, z, y = rng.normal(size=n), rng.normal(size=m), rng.normal(size=m)
-    xt, zt = ws._split_step(x, z, y)
+    xt, zt = ws._split_step(rho, inverse, x, z, y)
 
-    rho, sigma, a = ws._rho, qp._SIGMA, ws._A
+    sigma, a = qp._SIGMA, ws._A
     kkt = np.block([[prob.quadratic_term + sigma * np.eye(n), a.T],
                     [a, -np.diag(1.0 / rho)]])
     sol = np.linalg.solve(kkt, np.concatenate([sigma * x - prob.linear_term,
@@ -607,6 +608,47 @@ def test_reduced_splitting_step_matches_the_stacked_kkt_solve(seed):
     want_x, want_z = sol[:n], z + (sol[n:] - y) / rho
     assert np.linalg.norm(xt - want_x) <= 1e-10 * np.linalg.norm(want_x)
     assert np.linalg.norm(zt - want_z) <= 1e-10 * np.linalg.norm(want_z)
+
+
+def test_splitting_after_a_failed_walk_starts_cold_and_keeps_nothing(
+        monkeypatch):
+    """A warm solve whose walk fails runs splitting from x = 0, y = 0,
+    not from the last accepted optimum, and once a solve returns the
+    workspace holds no n x n array: no splitting inverse survives it."""
+    rng = np.random.default_rng(7)
+    prob = random_box_qp(rng, n=6, general_rows=2, n_eq=1, box_rows=False)
+    ws = Workspace(prob)
+    first = ws.solve()
+    assert first.status is QpStatus.OPTIMAL
+    assert np.any(first.primal != 0.0) and np.any(first.eq_duals != 0.0)
+
+    fail_walk, starts = [True], []
+    polish, split_step = Workspace._polish, Workspace._split_step
+
+    def failing_polish(self, *args):
+        if fail_walk:  # the warm walk, the solve's first polish
+            fail_walk.pop()
+            return None, None
+        return polish(self, *args)
+
+    def recorded_step(self, *args):
+        x, _, y = args[-3:]
+        starts.append((x.copy(), y.copy()))
+        return split_step(self, *args)
+
+    monkeypatch.setattr(Workspace, "_polish", failing_polish)
+    monkeypatch.setattr(Workspace, "_split_step", recorded_step)
+    ws.update(linear_term=prob.linear_term + rng.normal(size=prob.n) * 0.1)
+    sol = ws.solve()
+    assert not fail_walk and starts
+    x0, y0 = starts[0]
+    assert not x0.any() and not y0.any()
+    assert sol.status is QpStatus.OPTIMAL
+    assert check_kkt(prob, sol) <= 1e-8
+    n = prob.n
+    assert ws._A.shape != (n, n)
+    assert not [name for name, value in vars(ws).items()
+                if isinstance(value, np.ndarray) and value.shape == (n, n)]
 
 
 def full_kkt_polish(prob, general, fixed, values, delta=1e-8):
