@@ -30,9 +30,9 @@ def _exchange_terms(price, aux, duals, rho: float):
     constant (rho/2) aux_j^2, with c = price - dual - rho*aux.
     """
     c = price - duals - rho * aux
-    cbar = c.mean(axis=0)
-    offset = (0.5 * rho * float(np.sum(aux * aux))
-              - float(np.sum((c - cbar) ** 2)) / (2.0 * rho))
+    cbar = c.sum(axis=0) / c.shape[0]  # the bits of c.mean(axis=0)
+    offset = (0.5 * rho * float((aux * aux).sum())
+              - float(((c - cbar) ** 2).sum()) / (2.0 * rho))
     return c, cbar, offset
 
 
@@ -147,12 +147,12 @@ def build_user_qp(params: UserParams, tariff: Tariff, grid: TimeGrid,
 
 def _extract_schedule(solution: qp.QpSolution, index, trades,
                       partner_ids) -> Schedule:
-    x = solution.primal
-    return Schedule(renewable_use=x[index["renewable"]],
-                    grid_draw=x[index["grid"]],
-                    hvac_power=x[index["hvac"]],
-                    indoor_temp=x[index["temp"]],
-                    trades=trades, partner_ids=partner_ids)
+    # the four blocks are the first 4H columns, one block of H after
+    # another (build_user_qp), so they are the rows of one reshape
+    h = index["renewable"].size
+    p_re, p_g, p_ac, t_in = solution.primal[:4 * h].reshape(4, h)
+    return Schedule(renewable_use=p_re, grid_draw=p_g, hvac_power=p_ac,
+                    indoor_temp=t_in, trades=trades, partner_ids=partner_ids)
 
 
 def _check_status(solution: qp.QpSolution, uid: int, what: str):
@@ -186,8 +186,8 @@ class LocalAgent:
     Holds the private parameters, the penalty weight `rho` (given at
     construction; a broadcast may carry another), the latest coupling
     values received from the coordinator, and a cached solver workspace
-    so consecutive rounds at the same penalty weight reuse one
-    factorization and warm start from the previous iterate.  Partner ids
+    so consecutive rounds at the same penalty weight reuse its cached
+    polish sets and start from the point last accepted.  Partner ids
     are kept in ascending order; trade matrices use that row order
     throughout.
     """
@@ -259,8 +259,9 @@ class LocalAgent:
 
         The QP is built once per penalty weight; each round then only
         rewrites the net-import entries of the linear term and the
-        offset, reusing the factorization and warm start.  The pairwise
-        trades are recovered from the net import in closed form."""
+        offset, and the workspace re-solves on its cached polish sets
+        from the point it accepted last.  The pairwise trades are
+        recovered from the net import in closed form."""
         rho = self.rho
         if self._ws is None or self._ws_rho != rho:
             problem, index = build_user_qp(

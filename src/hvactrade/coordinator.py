@@ -60,6 +60,7 @@ class CoordinatorState:
     index: dict[int, int] = field(init=False, repr=False)
     counterparties: list[tuple[tuple[int, ...], np.ndarray]] = field(
         init=False, repr=False)
+    off_diagonal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.index = {u: i for i, u in enumerate(self.ids)}
@@ -68,6 +69,15 @@ class CoordinatorState:
         self.counterparties = [(self.ids[:i] + self.ids[i + 1:],
                                 np.delete(everyone, i))
                                for i in range(len(self.ids))]
+        # every pair (i, j) with j != i, user after user
+        self.off_diagonal = ~np.eye(len(self.ids), dtype=bool)
+
+    def user_rows(self, tensor: np.ndarray) -> np.ndarray:
+        """Each user's rows of an N x N x H tensor, without the diagonal:
+        row i of the result holds tensor[i, cols] for user i's
+        counterparty positions cols."""
+        n = len(self.ids)
+        return tensor[self.off_diagonal].reshape(n, n - 1, tensor.shape[2])
 
     @classmethod
     def initial(cls, ids, horizon: int) -> "CoordinatorState":
@@ -80,30 +90,49 @@ class CoordinatorState:
 def proposal_tensor(proposals, state: CoordinatorState) -> np.ndarray:
     """Stack one round's proposals into the N x N x H tensor the updates
     take, checking that every user proposed once, for every counterparty
-    and every slot."""
+    and every slot, and that every trade is finite."""
     n = len(state.ids)
     h = state.aux_trades.shape[2]
     senders = sorted(msg.user_id for msg in proposals)
     if senders != list(state.ids):
         raise ProtocolViolation(f"proposals come from users {senders}, "
                                 f"expected one from each of {list(state.ids)}")
-    p = np.zeros((n, n, h))
+    blocks = [None] * n
     for msg in proposals:
         i = state.index[msg.user_id]
         trades = msg.trades
-        partners, cols = state.counterparties[i]
+        partners = state.counterparties[i][0]
         if trades.ids != partners:
             raise ProtocolViolation(
                 f"user {msg.user_id}: proposal covers counterparties "
                 f"{list(trades.ids)}, expected {list(partners)}")
-        if not partners:
-            continue
-        if trades.block.shape[1] != h:
+        if partners and trades.block.shape[1] != h:
             raise ProtocolViolation(
                 f"user {msg.user_id}: trade rows have "
                 f"{trades.block.shape[1]} slots, expected {h}")
-        p[i, cols] = trades.block
+        blocks[i] = trades.block
+    p = np.zeros((n, n, h))
+    if n > 1:
+        rows = np.concatenate(blocks)
+        if not np.isfinite(rows).all():
+            _refuse_non_finite(blocks, state)
+        p[state.off_diagonal] = rows
     return p
+
+
+def _refuse_non_finite(blocks, state: CoordinatorState):
+    """Name the first sender, counterparty and slot of a non-finite trade:
+    it would reach every update and, through the next broadcast, the
+    counterparty's own solve."""
+    for uid, block, (partners, _) in zip(state.ids, blocks,
+                                          state.counterparties):
+        bad = np.argwhere(~np.isfinite(block))
+        if bad.size:
+            row, slot = bad[0]
+            value = float(block[row, slot])
+            raise ProtocolViolation(
+                f"user {uid}: proposal holds a non-finite trade ({value}) "
+                f"with counterparty {partners[row]} in slot {slot}")
 
 
 # Over-relaxation factor of the consensus and dual updates (Eckstein &
@@ -361,11 +390,12 @@ def _negotiate(scenario, config, transport) -> ScenarioReport:
                                     state.duals.ravel())))
                 state.aux_trades, state.duals = x_next.reshape(
                     (2,) + state.aux_trades.shape)
-            for i, (partners, cols) in enumerate(state.counterparties):
+            aux_rows = state.user_rows(state.aux_trades)
+            dual_rows = state.user_rows(state.duals)
+            for i, (partners, _) in enumerate(state.counterparties):
                 tr.send_to(ids[i], CoordinatorBroadcast(
-                    iteration=k,
-                    aux_row=Rows(partners, state.aux_trades[i, cols]),
-                    dual_row=Rows(partners, state.duals[i, cols]),
+                    iteration=k, aux_row=Rows(partners, aux_rows[i]),
+                    dual_row=Rows(partners, dual_rows[i]),
                     rho=state.rho, done=done))
             if err <= cfg.tolerance:
                 converged = True

@@ -16,9 +16,14 @@ eliminated from it in closed form.  Each refinement step measures the
 exact KKT residual at the current point from the problem's own Q and
 rows, so a cached active set keeps only its core inverse and its rows,
 and refinement stops once that residual reaches the rounding floor.
-Where the candidate fails the KKT check, a primal-dual active-set walk
-releases wrong-signed multipliers and activates violated bounds and
-rows, for at most four sets.
+A candidate is accepted once its KKT residual is at most the
+tolerance.  That residual is check_kkt's, but gathered from the last
+refinement residual, which already holds the stationarity of the free
+variables and the residuals of the active rows, plus the few terms it
+lacks, instead of being formed again from Q and every row.  Where the
+candidate fails, a primal-dual active-set walk releases wrong-signed
+multipliers and activates violated bounds and rows, for at most four
+sets.
 
 A warm re-solve polishes on the active set it last accepted, whose
 inverse is cached, starting from the point and multipliers accepted
@@ -32,7 +37,12 @@ inverse of the n x n positive definite matrix Q + sigma I + A' diag(rho)
 A.  Each splitting run starts from zero with the initial penalty, forms
 that inverse itself, again whenever it changes the penalty, and keeps
 none of its state once the solve returns, so what it does depends on
-the current problem alone.  The kernels use numpy alone.
+the current problem alone.  The first polish comes as soon as both
+splitting residuals are within 1e-2 of their scales, and after each
+failed one the threshold tightens a hundredfold.  An early polish costs
+little: the walk reaches the optimal set from a nearby one, and the
+polished point depends only on the set it lands on, not on the iterate
+that suggested it.  The kernels use numpy alone.
 
 A problem is declared infeasible from the splitting iterates alone: a
 dual step dy that translates the iterates, with A'dy negligible and a
@@ -251,6 +261,7 @@ class _PolishFactor(NamedTuple):
     g: np.ndarray  # equality rows, then the active general rows
     b: np.ndarray  # their right-hand sides
     fixed: np.ndarray  # indices of the variables at an active bound
+    bound_sign: np.ndarray  # +1.0 where that bound is the upper, else -1.0
     h_sep: np.ndarray  # Q_jj + delta of the separable free variables
     g_sep: np.ndarray  # their columns of g
     inverse: np.ndarray  # of the regularized core system
@@ -262,9 +273,11 @@ class _PolishFactor(NamedTuple):
         v = r[nc:nf] / self.h_sep
         core = _apply(self.inverse,
                       np.concatenate([r[:nc], r[nf:] - self.g_sep @ v]))
-        lam = core[nc:]
-        return np.concatenate(
-            [core[:nc], v - (self.g_sep.T @ lam) / self.h_sep, lam])
+        out = np.empty(r.size)
+        out[:nc] = core[:nc]
+        out[nf:] = core[nc:]
+        np.subtract(v, (self.g_sep.T @ core[nc:]) / self.h_sep, out=out[nc:nf])
+        return out
 
 
 class Workspace:
@@ -295,6 +308,7 @@ class Workspace:
         self._upper = np.concatenate([problem.eq_rhs, problem.ineq_rhs,
                                       problem.upper[self._bounded]])
         self._active = None  # active set of the last accepted polish
+        self._keyed = (None, b"")  # the last active set keyed, and its key
         self._polish_cache = {}  # active-set bytes -> _PolishFactor or None
         # active-set bytes -> the primal and row multipliers last accepted
         # on that set, where its refinement starts
@@ -331,7 +345,9 @@ class Workspace:
         return xt, a @ xt
 
     def update(self, linear_term=None, offset=None):
-        """Swap the linear objective without touching the factorization."""
+        """Swap the linear term and the offset.  The cached polish sets
+        and the points last accepted on them stay, so the next solve
+        starts on the set accepted last."""
         if linear_term is not None:
             c = np.asarray(linear_term, dtype=np.float64)
             if c.shape != (self.problem.n,):
@@ -340,13 +356,21 @@ class Workspace:
         if offset is not None:
             self.problem.offset = float(offset)
 
+    def _key(self, active):
+        """An active set's cache key, its bytes.  The walk hands one array
+        to each stage of a candidate, so the key is formed once for it."""
+        if self._keyed[0] is not active:
+            self._keyed = (active, active.tobytes())
+        return self._keyed[1]
+
     def _adopt(self, cand, active):
         """Accept a polished optimum: its active set is tried first by the
         next solve, and its point and row multipliers are where the next
         refinement on that set starts."""
         self._active = active
-        general = np.flatnonzero(active[:self.problem.n_ineq])
-        self._polish_start[active.tobytes()] = (
+        key = self._key(active)
+        general = self._polish_cache[key].general
+        self._polish_start[key] = (
             cand.primal.copy(),
             np.concatenate([cand.eq_duals, cand.ineq_duals[general]]))
 
@@ -371,11 +395,13 @@ class Workspace:
         """
         sol = self._solve(tol, max_iter)
         x, lower, upper = sol.primal, self.problem.lower, self.problem.upper
-        outside = (((x < lower) & (x >= lower - tol))
-                   | ((x > upper) & (x <= upper + tol)))
-        if outside.any():
-            sol.primal = np.where(outside, np.clip(x, lower, upper), x)
-            sol.objective = self.problem.objective_value(sol.primal)
+        below, above = x < lower, x > upper
+        if below.any() or above.any():
+            outside = ((below & (x >= lower - tol))
+                       | (above & (x <= upper + tol)))
+            if outside.any():
+                sol.primal = np.where(outside, np.where(below, lower, upper), x)
+                sol.objective = self.problem.objective_value(sol.primal)
         return sol
 
     def _solve(self, tol, max_iter) -> QpSolution:
@@ -406,7 +432,7 @@ class Workspace:
         z = np.clip(0.0, lower, upper)
 
         check_every = 10
-        polish_gate = max(1e-4, tol)
+        polish_gate = max(1e-2, tol)
         best = None
         y_mark = y.copy()
         rho_updates = 0
@@ -488,7 +514,7 @@ class Workspace:
         The system involves only the quadratic term and the constraint
         rows, so it survives linear-term updates across repeated solves.
         """
-        key = active.tobytes()
+        key = self._key(active)
         if key in self._polish_cache:
             return self._polish_cache[key]
         prob = self.problem
@@ -496,9 +522,9 @@ class Workspace:
         general = np.flatnonzero(active[:prob.n_ineq])
         side = active[prob.n_ineq:]
         fixed = self._bounded[side != 0]
+        at_upper = side[side != 0] > 0
         x_fixed = np.zeros(n)
-        x_fixed[fixed] = np.where(side[side != 0] > 0, prob.upper[fixed],
-                                  prob.lower[fixed])
+        x_fixed[fixed] = np.where(at_upper, prob.upper[fixed], prob.lower[fixed])
         is_fixed = np.zeros(n, dtype=bool)
         is_fixed[fixed] = True
         sep = self._separable & ~is_fixed
@@ -525,7 +551,7 @@ class Workspace:
             entry = _PolishFactor(
                 free, x_fixed, general, g,
                 np.concatenate([prob.eq_rhs, prob.ineq_rhs[general]]), fixed,
-                h_sep, g_sep, np.linalg.inv(kreg))
+                np.where(at_upper, 1.0, -1.0), h_sep, g_sep, np.linalg.inv(kreg))
         except np.linalg.LinAlgError:
             entry = None
         if len(self._polish_cache) >= 6:
@@ -546,37 +572,64 @@ class Workspace:
         solve and then iterative refinement.  The last stationarity
         residual gives the bound multipliers.  Returns None when the
         system is singular or the point is not finite.
+
+        The candidate's KKT residual is check_kkt's, gathered from that
+        last residual instead of formed again: its entries are the
+        stationarity of the free variables and the residuals of the
+        equality rows.  The bound multipliers make the stationarity of
+        the fixed variables zero, and each fixed variable sits on its
+        bound.  What the residual lacks is added: the general rows'
+        violations, the sign and complementarity of the active rows'
+        multipliers, the bounds, which only a free variable can cross, and,
+        for a bound
+        multiplier of the wrong sign, its product with the distance to
+        the other bound.  The two agree up to rounding.
         """
         f = self._polish_factor(active)
         if f is None:
             return None
         prob = self.problem
         q, c = prob.quadratic_term, prob.linear_term
-        nf = f.free.size
-        start = self._polish_start.get(active.tobytes())
+        nf, me = f.free.size, self._me
+        start = self._polish_start.get(self._key(active))
         if start is None:
             xp, lam = f.x_fixed.copy(), np.zeros(f.g.shape[0])
         else:
             xp, lam = start[0].copy(), start[1].copy()
         grad = q @ xp + c + f.g.T @ lam
-        floor = _FLOOR * max(1.0, float(np.max(np.abs(c), initial=0.0)))
-        for _ in range(4):
+        floor = _FLOOR * max(1.0, float(np.abs(c).max(initial=0.0)))
+        for steps in range(5):
             r = np.concatenate([-grad[f.free], f.b - f.g @ xp])
-            if np.max(np.abs(r), initial=0.0) <= floor:
+            size = np.abs(r)
+            if steps == 4 or size.max(initial=0.0) <= floor:
                 break
             step = f.solve(r)
             xp[f.free] += step[:nf]
             lam += step[nf:]
             grad = q @ xp + c + f.g.T @ lam
-        if not np.all(np.isfinite(xp)):
+        if not np.isfinite(xp).all():
             return None
         mu = np.zeros(prob.n_ineq)
-        mu[f.general] = lam[self._me:]
+        mu[f.general] = lam[me:]
         nu = np.zeros(prob.n)
-        nu[f.fixed] = -grad[f.fixed]
-        cand = QpSolution(xp, lam[:self._me], mu, prob.objective_value(xp),
+        nu_fixed = -grad[f.fixed]
+        nu[f.fixed] = nu_fixed
+        cand = QpSolution(xp, lam[:me], mu, prob.objective_value(xp),
                           QpStatus.OPTIMAL, 0.0, 0, nu)
-        cand.kkt_residual = check_kkt(prob, cand)
+
+        # check_kkt's terms, from the last residual and the few it lacks
+        terms = [size[:nf + me], prob.lower - xp, xp - prob.upper]
+        if prob.n_ineq:
+            terms += [prob.ineq_matrix @ xp - prob.ineq_rhs, -lam[me:],
+                      np.abs(lam[me:] * r[nf + me:])]
+        wrong = nu_fixed * f.bound_sign < 0.0
+        if wrong.any():
+            j = f.fixed[wrong]
+            terms.append(np.abs(nu_fixed[wrong]) * (prob.upper[j] - prob.lower[j]))
+        res = float(np.concatenate(terms).max(initial=0.0))
+        # a NaN anywhere, or a non-finite bound multiplier, scores +inf
+        finite = not math.isnan(res) and np.isfinite(nu_fixed).all()
+        cand.kkt_residual = res if finite else float("inf")
         return cand
 
     def _detect(self, x, y):
@@ -619,7 +672,7 @@ class Workspace:
         lower, upper = self._lower[self._mi:], self._upper[self._mi:]
         best = best_active = None
         for _ in range(4):
-            key = active.tobytes()
+            key = self._key(active)
             if key not in formed:
                 formed[key] = self._polish_candidate(active)
             cand = formed[key]

@@ -299,7 +299,9 @@ def test_llp_warm_resolve_matches_cold():
 def test_llp_warm_resolve_builds_one_polish_candidate(monkeypatch):
     """In steady state a round's small change in the consensus values
     keeps the last accepted active set: the warm re-solve builds one
-    polish candidate on it and runs no splitting iteration."""
+    polish candidate on it, gates it once from its own refinement's
+    residual, without a call to check_kkt, and runs no splitting
+    iteration."""
     scn = load_scenario(Path(__file__).resolve().parent.parent / "scenarios"
                         / "reference_10user.yaml")
     user = scn.users[0]
@@ -312,14 +314,20 @@ def test_llp_warm_resolve_builds_one_polish_candidate(monkeypatch):
     agent.set_coupling(aux, duals, 1.0)
     agent.solve_llp()
 
-    factors, kkts, solutions = [], [], []
+    factors, gates, kkts, solutions = [], [], [], []
     polish_factor = qp.Workspace._polish_factor
+    polish_candidate = qp.Workspace._polish_candidate
     check_kkt = qp.check_kkt
     solve = qp.Workspace.solve
 
     def counted_factor(ws, mask):
         factors.append(mask)
         return polish_factor(ws, mask)
+
+    def counted_candidate(ws, mask):
+        # each candidate carries one gate evaluation, its kkt_residual
+        gates.append(polish_candidate(ws, mask))
+        return gates[-1]
 
     def counted_kkt(prob, sol):
         kkts.append(sol)
@@ -330,6 +338,7 @@ def test_llp_warm_resolve_builds_one_polish_candidate(monkeypatch):
         return solutions[-1]
 
     monkeypatch.setattr(qp.Workspace, "_polish_factor", counted_factor)
+    monkeypatch.setattr(qp.Workspace, "_polish_candidate", counted_candidate)
     monkeypatch.setattr(qp, "check_kkt", counted_kkt)
     monkeypatch.setattr(qp.Workspace, "solve", recorded_solve)
     for _ in range(6):
@@ -337,11 +346,14 @@ def test_llp_warm_resolve_builds_one_polish_candidate(monkeypatch):
         duals = duals + 1e-4 * rng.normal(size=shape)
         agent.set_coupling(aux, duals, 1.0)
         factors.clear()
+        gates.clear()
         kkts.clear()
         agent.solve_llp()
-        assert len(factors) == 1 and len(kkts) == 1
+        assert len(factors) == 1 and len(gates) == 1 and not kkts
+        assert gates[0] is solutions[-1]
         assert solutions[-1].iterations == 0  # no splitting iteration
         assert solutions[-1].kkt_residual <= 1e-8  # qp's default tol
+        assert check_kkt(agent._ws.problem, solutions[-1]) <= 1e-8
 
 
 def test_llp_rho_change_rebuilds_cleanly():

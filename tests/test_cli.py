@@ -137,6 +137,30 @@ def test_run_crashed_agent_exits_70_without_traceback(tmp_path, capsys,
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+def test_run_non_finite_proposal_exits_70_naming_its_sender(
+        tmp_path, capsys, monkeypatch, transport):
+    """User 2 proposes a NaN trade in round 3: intake refuses it and names
+    user 2, before the NaN reaches user 1's solve through a broadcast."""
+    outbound = LocalAgent.outbound_message
+
+    def poisoned(agent):
+        msg = outbound(agent)
+        if agent.user_id == 2 and agent.iteration == 3:
+            msg.trades.block[0, 1] = float("nan")
+        return msg
+
+    monkeypatch.setattr(LocalAgent, "outbound_message", poisoned)
+    code = main(["run", TWO_USER, "--out", str(tmp_path / "out"),
+                 "--transport", transport])
+    assert code == 70
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "protocol failure: user 2: proposal holds a non-finite trade (nan) "
+        "with counterparty 1 in slot 1"]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_run_unexpected_exception_exits_70_with_one_line(tmp_path, capsys,
                                                         monkeypatch):
     def broken(args):

@@ -522,6 +522,35 @@ def test_wrong_row_length_rejected():
         proposal_tensor(msgs, state)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_trade_rejected_naming_sender_counterparty_and_slot(bad):
+    state = CoordinatorState.initial((1, 2, 3), horizon=4)
+    rows = np.zeros(4)
+    rows[2] = bad
+    msgs = [TradeProposal(1, 1, {2: np.zeros(4), 3: np.zeros(4)}),
+            TradeProposal(2, 1, {1: np.zeros(4), 3: rows}),
+            TradeProposal(3, 1, {1: np.zeros(4), 2: np.zeros(4)})]
+    with pytest.raises(ProtocolViolation,
+                       match=f"user 2: proposal holds a non-finite trade "
+                             f"\\({bad}\\) with counterparty 3 in slot 2"):
+        proposal_tensor(msgs, state)
+
+
+def test_proposal_tensor_places_each_row_at_its_pair():
+    """Entry (i, j, t) of the tensor is user i's trade with user j in
+    slot t, and the diagonal is zero."""
+    ids, h = (3, 5, 8, 9), 2
+    state = CoordinatorState.initial(ids, horizon=h)
+    msgs = [TradeProposal(u, 1, {j: np.array([100.0 * u + j, -t])
+                                 for t, j in enumerate(ids) if j != u})
+            for u in reversed(ids)]
+    p = proposal_tensor(msgs, state)
+    for i, u in enumerate(ids):
+        for t, j in enumerate(ids):
+            want = [0.0, 0.0] if i == t else [100.0 * u + j, -t]
+            assert p[i, t].tolist() == want
+
+
 # --- full negotiation ----------------------------------------------------
 
 def test_single_user_run_converges_immediately():
@@ -636,6 +665,11 @@ def test_synthetic_fleet_agrees_in_pinned_rounds(n_users, horizon, seed,
 # each warm solve that runs splitting.
 SPLITTING_INVERSES = {"reference_10user": 31, "csv_reference": 6,
                       "two_user_complementary": 6, "synth_16_12_1": 48}
+# Splitting iterations per run, over every solve: the polish starts once
+# both splitting residuals are within 1e-2 of their scales (1110 / 170 /
+# 190 / 1400 when it started at 1e-4).
+SPLITTING_ITERATIONS = {"reference_10user": 510, "csv_reference": 70,
+                        "two_user_complementary": 110, "synth_16_12_1": 600}
 
 
 @pytest.mark.parametrize("fleet, warm_splitting", [
@@ -648,18 +682,20 @@ def test_warm_solves_run_no_splitting_on_the_bundled_fleets(
         fleet, warm_splitting, monkeypatch):
     """A warm solve, one on a workspace that has solved before, settles
     on the last accepted active set or by the walk from it; the pinned
-    count of those that still run splitting iterations is exact.  So is
+    count of those that still run splitting iterations is exact.  So are
     the count of splitting inverses, which holds splitting to the homes'
-    cold solves and those fallbacks."""
+    cold solves and those fallbacks, and the splitting iterations they
+    run in all."""
     if fleet.startswith("synth"):
         scenario = build_synth_scenario(16, 12, seed=1)
     else:
         scenario = load_scenario(FIXTURES / f"{fleet}.yaml")
-    solved, splitting = set(), []
+    solved, splitting, iterations = set(), [], []
     solve = qp.Workspace.solve
 
     def counted(ws, **kwargs):
         sol = solve(ws, **kwargs)
+        iterations.append(sol.iterations)
         if ws in solved and sol.iterations > 0:
             splitting.append(sol.iterations)
         solved.add(ws)
@@ -677,6 +713,7 @@ def test_warm_solves_run_no_splitting_on_the_bundled_fleets(
     assert report.converged
     assert len(splitting) == warm_splitting
     assert len(formed) == SPLITTING_INVERSES[fleet]
+    assert sum(iterations) == SPLITTING_ITERATIONS[fleet]
 
 
 # Rounds to agreement at rho0 = 0.1, 0.3, 1, 3 and 10 with over-relaxation

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hvactrade
-from hvactrade import qp
+from hvactrade import coordinator, qp
 from hvactrade.agent import LocalAgent
 from hvactrade.qp import (
     QpProblem,
@@ -553,6 +553,115 @@ def test_warm_refinement_matches_four_steps_from_zero_on_agent_qps(fleet,
         agent.solve_llp()
         assert solutions[-1].iterations == 0 and agent._ws._active is last
         assert 1 <= len(steps) <= 2
+
+
+def kkt_scale(prob, sol):
+    """The largest magnitude among the terms the KKT residual sums: Q and
+    the rows times the point, the rows times their multipliers, the
+    linear term, the right-hand sides, the finite bounds and the bound
+    multipliers."""
+    rows = np.vstack([prob.eq_matrix, prob.ineq_matrix])
+    mult = np.concatenate([sol.eq_duals, sol.ineq_duals])
+    x = np.max(np.abs(sol.primal), initial=0.0)
+    a = np.max(np.abs(rows), initial=0.0)
+    bounds = np.concatenate([prob.lower, prob.upper])
+    return max(1.0, np.max(np.abs(prob.quadratic_term)) * x,
+               np.max(np.abs(prob.linear_term)), a * x,
+               a * np.max(np.abs(mult), initial=0.0),
+               np.max(np.abs(np.concatenate([prob.eq_rhs, prob.ineq_rhs])),
+                      initial=0.0),
+               np.max(np.abs(bounds[np.isfinite(bounds)]), initial=0.0),
+               np.max(np.abs(sol.bound_duals)))
+
+
+def check_every_gate(monkeypatch):
+    """Compare each polish candidate's gate, its kkt_residual, with
+    check_kkt on the problem it was formed for, and record check_kkt of
+    each accepted candidate.  Returns the lists the solves fill: gate
+    gaps relative to kkt_scale, check_kkt of the candidates, and check_kkt
+    of the accepted ones."""
+    gaps, residuals, accepted = [], [], []
+    candidate, adopt = Workspace._polish_candidate, Workspace._adopt
+
+    def checked(ws, active):
+        cand = candidate(ws, active)
+        if cand is not None:
+            want = check_kkt(ws.problem, cand)
+            residuals.append(want)
+            if np.isinf(want) or np.isinf(cand.kkt_residual):
+                assert cand.kkt_residual == want
+            else:
+                gaps.append(abs(cand.kkt_residual - want)
+                            / kkt_scale(ws.problem, cand))
+        return cand
+
+    def adopted(ws, cand, active):
+        accepted.append(check_kkt(ws.problem, cand))
+        return adopt(ws, cand, active)
+
+    monkeypatch.setattr(Workspace, "_polish_candidate", checked)
+    monkeypatch.setattr(Workspace, "_adopt", adopted)
+    return gaps, residuals, accepted
+
+
+def test_gate_matches_check_kkt_on_random_qps(monkeypatch):
+    """Criterion 2's random PSD QPs, each solved cold and then warm after
+    a change in its linear term: every candidate's gate matches check_kkt
+    to 1e-12 of the problem's scale, and every accepted one has check_kkt
+    within tol."""
+    gaps, residuals, accepted = check_every_gate(monkeypatch)
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        ws = Workspace(random_psd_qp(rng))
+        assert ws.solve().status is QpStatus.OPTIMAL
+        ws.update(linear_term=ws.problem.linear_term
+                  + 0.5 * rng.normal(size=ws.problem.n))
+        assert ws.solve().status is QpStatus.OPTIMAL
+    assert max(gaps) <= 1e-12
+    assert len(accepted) >= 150 and max(accepted) <= 1e-8
+    # the walk's rejected candidates are gated too
+    assert sum(r > 1e-8 for r in residuals) >= 20
+
+
+@pytest.mark.parametrize("fleet", ["reference_10user", "synth_5_96_3"])
+def test_gate_matches_check_kkt_on_agent_qps(fleet, monkeypatch):
+    """The same over every agent QP of a whole negotiation."""
+    if fleet == "reference_10user":
+        scn = load_scenario(Path(__file__).resolve().parent.parent / "scenarios"
+                            / "reference_10user.yaml")
+    else:
+        scn = build_synth_scenario(5, 96, seed=3)
+    gaps, residuals, accepted = check_every_gate(monkeypatch)
+    assert coordinator.run(scn).converged
+    assert max(gaps) <= 1e-12
+    assert len(accepted) >= 100 and max(accepted) <= 1e-8
+    assert sum(r > 1e-8 for r in residuals) >= 10
+
+
+@pytest.mark.parametrize("upper, want", [(3.0, 6.0), (np.inf, np.inf),
+                                         (0.0, 0.0)])
+def test_gate_scores_a_wrong_signed_bound_multiplier_as_check_kkt(upper, want):
+    """(x - 1)^2 over 0 <= x <= upper, polished with x fixed at 0: the
+    bound multiplier 2 has the wrong sign for a lower bound, and the gate
+    scores it as check_kkt does, times the distance to the other bound:
+    +inf where that bound is infinite, 0 where the bounds coincide."""
+    prob = QpProblem(np.array([[2.0]]), np.array([-2.0]), lower=np.zeros(1),
+                     upper=np.array([upper]))
+    cand = Workspace(prob)._polish_candidate(np.array([-1], dtype=np.int8))
+    assert cand.primal.tolist() == [0.0] and cand.bound_duals.tolist() == [2.0]
+    assert cand.kkt_residual == check_kkt(prob, cand) == want
+
+
+def test_gate_scores_a_non_finite_bound_multiplier_inf():
+    """A NaN in the linear term at a fixed variable reaches only that
+    variable's bound multiplier, not the refinement residual: the gate
+    still scores the candidate +inf, as check_kkt does."""
+    prob = QpProblem(2.0 * np.eye(2), np.array([np.nan, -1.0]),
+                     lower=np.zeros(2), upper=np.ones(2))
+    cand = Workspace(prob)._polish_candidate(np.array([-1, 0], dtype=np.int8))
+    assert cand.primal == pytest.approx([0.0, 0.5], abs=1e-12)
+    assert np.isnan(cand.bound_duals[0])
+    assert cand.kkt_residual == check_kkt(prob, cand) == np.inf
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
