@@ -6,10 +6,10 @@ and a trading subproblem (`solve_llp`) in which pairwise trades are
 pulled toward the coordinator's consensus values by a quadratic penalty
 plus a linear dual term.  The subproblem is solved for the net import
 per slot and the pairwise trades follow from it in closed form, so its
-size does not grow with the fleet.  The only data that ever leaves an
-agent is its trade matrix: `outbound_message` packages it as a
-`TradeProposal`, whose only fields are the user id, the round and the
-trades.
+size does not grow with the fleet.  Its `Schedule` stays with the
+agent; the only data that ever leaves an agent is its trade matrix:
+`outbound_message` packages it as a `TradeProposal`, whose only fields
+are the user id, the round and the trades.
 """
 
 from __future__ import annotations
@@ -145,14 +145,13 @@ def build_user_qp(params: UserParams, tariff: Tariff, grid: TimeGrid,
     return problem, index
 
 
-def _extract_schedule(solution: qp.QpSolution, index, trades,
-                      partner_ids) -> Schedule:
+def _extract_schedule(solution: qp.QpSolution, index) -> Schedule:
     # the four blocks are the first 4H columns, one block of H after
     # another (build_user_qp), so they are the rows of one reshape
     h = index["renewable"].size
     p_re, p_g, p_ac, t_in = solution.primal[:4 * h].reshape(4, h)
     return Schedule(renewable_use=p_re, grid_draw=p_g, hvac_power=p_ac,
-                    indoor_temp=t_in, trades=trades, partner_ids=partner_ids)
+                    indoor_temp=t_in)
 
 
 def _check_status(solution: qp.QpSolution, uid: int, what: str):
@@ -175,9 +174,7 @@ def solve_emp(params: UserParams, tariff: Tariff, grid: TimeGrid | None = None):
     problem, index = build_user_qp(params, tariff, grid)
     solution = qp.solve(problem)
     _check_status(solution, params.id, "standalone problem")
-    schedule = _extract_schedule(solution, index,
-                                 np.empty((0, params.horizon)), ())
-    return schedule, solution.objective
+    return _extract_schedule(solution, index), solution.objective
 
 
 class LocalAgent:
@@ -188,8 +185,9 @@ class LocalAgent:
     values received from the coordinator, and a cached solver workspace
     so consecutive rounds at the same penalty weight reuse its cached
     polish sets and start from the point last accepted.  Partner ids
-    are kept in ascending order; trade matrices use that row order
-    throughout.
+    are kept in ascending order.  `last_trades[j, t]`, from the latest
+    solve, is kW bought from `partner_ids[j]` during slot t; negative
+    entries are sales.
     """
 
     def __init__(self, params: UserParams, tariff: Tariff,
@@ -208,7 +206,7 @@ class LocalAgent:
         self.received_duals = np.zeros(shape)
         self.rho = self._penalty(rho)
         self.iteration = 0
-        self.last_schedule: Schedule | None = None
+        self.last_trades: np.ndarray | None = None
         self.last_objective: float | None = None
         self._ws: qp.Workspace | None = None
         self._ws_rho: float | None = None
@@ -254,8 +252,8 @@ class LocalAgent:
         self.set_coupling(aux.block, duals.block, broadcast.rho)
 
     def solve_llp(self) -> Schedule:
-        """Solve the trading subproblem at the current penalty weight and
-        cache the schedule.
+        """Solve the trading subproblem at the current penalty weight,
+        keep its trades as `last_trades` and return its schedule.
 
         The QP is built once per penalty weight; each round then only
         rewrites the net-import entries of the linear term and the
@@ -284,14 +282,12 @@ class LocalAgent:
         solution = self._ws.solve()
         _check_status(solution, self.user_id, "trading subproblem")
         if self.partner_ids:
-            trades = _recover_trades(solution.primal[s], c, cbar, rho)
+            self.last_trades = _recover_trades(solution.primal[s], c, cbar,
+                                               rho)
         else:
-            trades = np.empty((0, self.params.horizon))
-        schedule = _extract_schedule(solution, self._index, trades,
-                                     self.partner_ids)
-        self.last_schedule = schedule
+            self.last_trades = np.empty((0, self.params.horizon))
         self.last_objective = solution.objective
-        return schedule
+        return _extract_schedule(solution, self._index)
 
     def step(self, broadcast=None):
         """One negotiation round: apply the coordinator's broadcast (none
@@ -311,9 +307,9 @@ class LocalAgent:
 
     def outbound_message(self):
         """Package the current round's trades for the coordinator."""
-        if self.last_schedule is None:
+        if self.last_trades is None:
             raise ProtocolViolation(
                 f"user {self.user_id}: no schedule solved this round")
         return TradeProposal(
             user_id=self.user_id, iteration=self.iteration,
-            trades=Rows(self.partner_ids, self.last_schedule.trades.copy()))
+            trades=Rows(self.partner_ids, self.last_trades.copy()))

@@ -157,19 +157,15 @@ class Tariff:
 
 @dataclass
 class Schedule:
-    """One user's decisions over the horizon.
-
-    `trades[j, t]` is kW bought from `partner_ids[j]` during slot t;
-    negative entries are sales.  `indoor_temp` is derived from
-    `hvac_power` through the thermal recursion.
-    """
+    """One user's physical plan over the horizon: the four traces of its
+    QP.  `indoor_temp` is derived from `hvac_power` through the thermal
+    recursion.  The plan stays with its user; its trades are the rows
+    an agent proposes and a report's `UserResult.trades`."""
 
     renewable_use: np.ndarray
     grid_draw: np.ndarray
     hvac_power: np.ndarray
     indoor_temp: np.ndarray
-    trades: np.ndarray
-    partner_ids: tuple[int, ...] = ()
 
     def __post_init__(self):
         self.renewable_use = _trace(self.renewable_use, "renewable_use")
@@ -177,13 +173,6 @@ class Schedule:
         self.grid_draw = _trace(self.grid_draw, "grid_draw", h)
         self.hvac_power = _trace(self.hvac_power, "hvac_power", h)
         self.indoor_temp = _trace(self.indoor_temp, "indoor_temp", h)
-        self.trades = np.asarray(self.trades, dtype=np.float64)
-        self.partner_ids = tuple(int(p) for p in self.partner_ids)
-        if self.trades.ndim != 2 or self.trades.shape != (len(self.partner_ids), h):
-            raise ValueError(
-                f"trades must have shape ({len(self.partner_ids)}, {h}), "
-                f"got {self.trades.shape}"
-            )
 
     @property
     def horizon(self) -> int:

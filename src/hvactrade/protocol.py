@@ -264,6 +264,8 @@ def decode(frame: bytes):
             return TradeProposal(user_id, iteration, Rows(ids, values[:, 0]))
         if tag == TAG_BROADCAST:
             (iteration, rho, done, n_rows, h), off = _take(frame, 5, "<IdBII")
+            if done > 1:  # encode writes 0 or 1
+                raise DecodeError(f"done byte {done} at offset 17 is not 0 or 1")
             ids, values = _decode_rows(frame, off, n_rows, h, 2)
             return CoordinatorBroadcast(iteration, Rows(ids, values[:, 0]),
                                         Rows(ids, values[:, 1]), rho,

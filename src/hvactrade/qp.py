@@ -380,7 +380,7 @@ class Workspace:
         nu[self._bounded] = y[self._mi:]
         sol = QpSolution(x.copy(), y[:self._me].copy(),
                          np.maximum(y[self._me:self._mi], 0.0),
-                         self.problem.objective_value(x), status, 0.0, k, nu)
+                         math.nan, status, 0.0, k, nu)
         sol.kkt_residual = check_kkt(self.problem, sol)
         return sol
 
@@ -390,8 +390,8 @@ class Workspace:
         A primal coordinate that lies outside its bound by at most `tol`
         is returned on the bound, so an optimum with an active bound
         never sits a rounding error outside it.  The objective is that
-        of the returned point; the KKT residual is that of the solver's
-        own iterate.
+        of the returned point, formed once here; the KKT residual is
+        that of the solver's own iterate.
         """
         sol = self._solve(tol, max_iter)
         x, lower, upper = sol.primal, self.problem.lower, self.problem.upper
@@ -401,7 +401,7 @@ class Workspace:
                        | (above & (x <= upper + tol)))
             if outside.any():
                 sol.primal = np.where(outside, np.where(below, lower, upper), x)
-                sol.objective = self.problem.objective_value(sol.primal)
+        sol.objective = self.problem.objective_value(sol.primal)
         return sol
 
     def _solve(self, tol, max_iter) -> QpSolution:
@@ -614,8 +614,8 @@ class Workspace:
         nu = np.zeros(prob.n)
         nu_fixed = -grad[f.fixed]
         nu[f.fixed] = nu_fixed
-        cand = QpSolution(xp, lam[:me], mu, prob.objective_value(xp),
-                          QpStatus.OPTIMAL, 0.0, 0, nu)
+        cand = QpSolution(xp, lam[:me], mu, math.nan, QpStatus.OPTIMAL,
+                          0.0, 0, nu)
 
         # check_kkt's terms, from the last residual and the few it lacks
         terms = [size[:nf + me], prob.lower - xp, xp - prob.upper]

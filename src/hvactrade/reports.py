@@ -20,7 +20,9 @@ from .model import Schedule
 
 @dataclass
 class UserResult:
-    """One user's outcome: costs, final schedule, and consistent trades."""
+    """One user's outcome: costs, final schedule, and consistent trades.
+    `trades[j, t]`, the negotiated consensus, is kW bought from
+    `partner_ids[j]` during slot t; negative entries are sales."""
 
     user_id: int
     baseline_cost: float

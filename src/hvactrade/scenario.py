@@ -162,9 +162,11 @@ class _TraceReader:
 
     def resolve(self, spec, where: str, user_id: int = 0) -> np.ndarray:
         h = self.grid.horizon_len
-        if isinstance(spec, (int, float)):
+        if isinstance(spec, (int, float)) and not isinstance(spec, bool):
             return np.full(h, float(spec))
         if isinstance(spec, (list, tuple)):
+            if any(isinstance(v, bool) for v in spec):
+                raise ScenarioError(f"{where}: inline trace must be numeric")
             try:
                 arr = np.asarray(spec, dtype=np.float64)
             except (TypeError, ValueError):
@@ -193,6 +195,10 @@ class _TraceReader:
             return np.asarray(vals, dtype=np.float64)
         if isinstance(spec, dict) and "synth" in spec:
             knobs = {k: v for k, v in spec.items() if k != "synth"}
+            for k, v in knobs.items():
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise ScenarioError(f"{where}: synth knob {k!r} must be "
+                                        f"a number, got {v!r}")
             return synth_traces(self.seed, self.grid, str(spec["synth"]),
                                 user_id=user_id, **knobs)
         raise ScenarioError(

@@ -110,11 +110,6 @@ def epigraph_max(builder, vars) -> int:
     return m
 
 
-def net_imports(schedule) -> np.ndarray:
-    """Net kW bought from all peers per slot (negative = net seller)."""
-    return schedule.trades.sum(axis=0)
-
-
 def thermal_step(t_prev: float, t_out: float, p_ac: float, params) -> float:
     """Advance the indoor temperature by one slot.
 
@@ -379,7 +374,7 @@ def solve_cemp(users, tariff, grid):
         p_re, p_g, p_ac, t_in = per_user[u.id]
         schedules[u.id] = model.Schedule(
             renewable_use=x[p_re], grid_draw=x[p_g], hvac_power=x[p_ac],
-            indoor_temp=x[t_in], trades=np.empty((0, h)))
+            indoor_temp=x[t_in])
     trades = np.zeros((n, n, h))
     pos = {uid: k for k, uid in enumerate(ids)}
     for (a_id, b_id), e in pair_vars.items():

@@ -15,7 +15,6 @@ from hvactrade.scenario import build_synth_scenario, load_scenario
 from oracles import (
     build_pairwise_llp,
     grid_search_schedule,
-    net_imports,
     reference_user_qp,
     solve_cemp,
     verify_schedule,
@@ -143,7 +142,7 @@ def test_llp_without_partners_equals_emp():
     assert np.array_equal(llp.hvac_power, emp.hvac_power)
     assert np.array_equal(llp.indoor_temp, emp.indoor_temp)
     assert agent.last_objective == emp_cost
-    assert llp.trades.shape == (0, 3)
+    assert agent.last_trades.shape == (0, 3)
 
 
 def test_llp_penalty_sweep_pins_trade_size():
@@ -156,11 +155,11 @@ def test_llp_penalty_sweep_pins_trade_size():
     for rho in (1.0, 10.0, 100.0):
         agent.set_coupling(np.zeros((1, 3)), np.zeros((1, 3)), rho=rho)
         schedule = agent.solve_llp()
-        assert schedule.trades == pytest.approx(
+        assert agent.last_trades == pytest.approx(
             np.full((1, 3), 0.15 / rho), abs=1e-6)
         assert schedule.grid_draw == pytest.approx(
             np.full(3, 1.5 - 0.15 / rho), abs=1e-6)
-        norms.append(float(np.abs(schedule.trades).sum()))
+        norms.append(float(np.abs(agent.last_trades).sum()))
     assert norms[0] > norms[1] > norms[2]
 
 
@@ -192,11 +191,11 @@ def test_llp_matches_pairwise_qp(data, npart, rho):
                      (schedule.grid_draw, "grid"),
                      (schedule.hvac_power, "hvac"),
                      (schedule.indoor_temp, "temp"),
-                     (schedule.trades, "trades")):
+                     (agent.last_trades, "trades")):
         assert got == pytest.approx(x[index[key]], abs=1e-6)
     assert agent.last_objective == pytest.approx(full.objective, abs=1e-7)
     balance = (schedule.renewable_use + schedule.grid_draw
-               + net_imports(schedule)
+               + agent.last_trades.sum(axis=0)
                - params.inflexible_load - schedule.hvac_power)
     assert np.max(np.abs(balance)) <= 1e-6
 
@@ -265,7 +264,7 @@ def test_llp_schedules_stay_feasible(aux, duals):
     schedule = agent.solve_llp()
     assert verify_schedule(schedule, params) == []
     balance = (schedule.renewable_use + schedule.grid_draw
-               + net_imports(schedule)
+               + agent.last_trades.sum(axis=0)
                - params.inflexible_load - schedule.hvac_power)
     assert np.max(np.abs(balance)) <= 1e-6
 
@@ -291,7 +290,7 @@ def test_llp_warm_resolve_matches_cold():
     cold.set_coupling(a2, d2, rho=2.0)
     s_cold = cold.solve_llp()
 
-    assert s_warm.trades == pytest.approx(s_cold.trades, abs=1e-6)
+    assert warm.last_trades == pytest.approx(cold.last_trades, abs=1e-6)
     assert s_warm.grid_draw == pytest.approx(s_cold.grid_draw, abs=1e-6)
     assert warm.last_objective == pytest.approx(cold.last_objective, abs=1e-7)
 
@@ -363,11 +362,11 @@ def test_llp_rho_change_rebuilds_cleanly():
     agent.set_coupling(np.zeros((1, 3)), np.zeros((1, 3)), rho=1.0)
     agent.solve_llp()
     agent.set_coupling(np.zeros((1, 3)), np.zeros((1, 3)), rho=4.0)
-    s_warm = agent.solve_llp()
+    agent.solve_llp()
     fresh = LocalAgent(params, tariff, partner_ids=(2,))
     fresh.set_coupling(np.zeros((1, 3)), np.zeros((1, 3)), rho=4.0)
-    s_cold = fresh.solve_llp()
-    assert s_warm.trades == pytest.approx(s_cold.trades, abs=1e-8)
+    fresh.solve_llp()
+    assert agent.last_trades == pytest.approx(fresh.last_trades, abs=1e-8)
 
 
 # --- coupling state ------------------------------------------------------
@@ -389,8 +388,9 @@ def test_agent_rejects_a_nonpositive_penalty(rho):
 def test_agent_solves_at_its_construction_penalty():
     params = make_params(inflexible_load=np.full(3, 1.5))
     tariff = Tariff(0.25, 0.0, np.full(3, 0.1))
-    schedule = LocalAgent(params, tariff, partner_ids=(2,), rho=10.0).solve_llp()
-    assert schedule.trades == pytest.approx(np.full((1, 3), 0.015), abs=1e-6)
+    agent = LocalAgent(params, tariff, partner_ids=(2,), rho=10.0)
+    agent.solve_llp()
+    assert agent.last_trades == pytest.approx(np.full((1, 3), 0.015), abs=1e-6)
 
 
 def test_set_coupling_validates_shape_and_rho():
@@ -462,9 +462,9 @@ def test_outbound_carries_exactly_three_fields():
     assert message.user_id == 1
     assert message.iteration == 3
     assert set(message.trades) == {2, 5}
-    # rows are copies, not views into the cached schedule
+    # rows are copies, not views into the agent's last trades
     message.trades[2][0] += 99.0
-    assert agent.last_schedule.trades[0, 0] != message.trades[2][0]
+    assert agent.last_trades[0, 0] != message.trades[2][0]
 
 
 def test_build_user_qp_checks_trade_price_length():

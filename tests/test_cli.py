@@ -407,3 +407,28 @@ def test_bad_loop_override_is_a_usage_error(tmp_path, capsys, override):
     err = capsys.readouterr().err
     assert "hvactrade run: error:" in err and "internal error" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("renewable_avail: [3.5, 4.2, 4.8, 4.6, 3.8, 2.5]", "renewable_avail: true",
+     "user 1: renewable_avail: expected a number, a list"),
+    ("trade_price: 0.125", "trade_price: [true, false, true, false, true, false]",
+     "tariff: trade_price: inline trace must be numeric"),
+    ("renewable_avail: [3.5, 4.2, 4.8, 4.6, 3.8, 2.5]",
+     "renewable_avail: {synth: solar, scale: true}",
+     "user 1: renewable_avail: synth knob 'scale' must be a number, got True"),
+    ("renewable_avail: [3.5, 4.2, 4.8, 4.6, 3.8, 2.5]",
+     "renewable_avail: {synth: solar, scale: big}",
+     "user 1: renewable_avail: synth knob 'scale' must be a number, got 'big'"),
+], ids=["bool-trace", "bool-list", "bool-knob", "string-knob"])
+def test_validate_non_numeric_trace_value_exits_13(tmp_path, capsys, old, new,
+                                                   message):
+    """A boolean or a string where a trace or a synth knob takes a number
+    is refused naming the field, never read as 1 or 0, nor left to end
+    the command as an internal error."""
+    text = Path(TWO_USER).read_text()
+    assert old in text
+    bad = tmp_path / "bad_trace.yaml"
+    bad.write_text(text.replace(old, new, 1))
+    assert main(["validate", str(bad)]) == 13
+    assert message in capsys.readouterr().err

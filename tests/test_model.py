@@ -13,7 +13,7 @@ from hvactrade.model import (
     trading_payment,
 )
 
-from oracles import net_imports, thermal_step, trajectory, verify_schedule
+from oracles import thermal_step, trajectory, verify_schedule
 
 
 def make_params(horizon=3, **over):
@@ -268,7 +268,6 @@ def test_operating_cost_is_sum_of_parts():
         grid_draw=np.array([1.0, 2.0, 3.0]),
         hvac_power=np.zeros(3),
         indoor_temp=np.array([21.0, 23.0, 22.0]),
-        trades=np.zeros((0, 3)),
     )
     want = grid_cost(sched.grid_draw, t) + discomfort_cost(sched.indoor_temp, p)
     assert operating_cost(sched, p, t) == pytest.approx(want, abs=1e-12)
@@ -322,7 +321,6 @@ def test_verify_schedule_flags_band_violation():
         grid_draw=np.zeros(3),
         hvac_power=np.zeros(3),
         indoor_temp=trajectory(np.zeros(3), p),
-        trades=np.zeros((0, 3)),
     )
     # outdoor 30 with no HVAC drifts above temp_max=26 within 3 slots
     findings = verify_schedule(sched, p)
@@ -336,18 +334,6 @@ def test_verify_schedule_clean():
         grid_draw=np.zeros(3),
         hvac_power=np.zeros(3),
         indoor_temp=trajectory(np.zeros(3), p),
-        trades=np.zeros((0, 3)),
     )
     assert verify_schedule(sched, p) == []
 
-
-def test_schedule_net_imports():
-    sched = Schedule(
-        renewable_use=np.zeros(2),
-        grid_draw=np.zeros(2),
-        hvac_power=np.zeros(2),
-        indoor_temp=np.full(2, 22.0),
-        trades=np.array([[1.0, -2.0], [0.5, 0.5]]),
-        partner_ids=(2, 3),
-    )
-    assert np.allclose(net_imports(sched), [1.5, -1.5])

@@ -309,6 +309,20 @@ def test_broadcast_penalty_must_be_positive_and_finite(rho):
         decode(bytes(frame))
 
 
+@pytest.mark.parametrize("value", [2, 7, 255])
+def test_decode_rejects_a_done_byte_other_than_0_or_1(value):
+    """encode writes the done flag as 0 or 1; any other value is a
+    corrupt frame, named with its offset, not a done broadcast."""
+    # the flag is the byte after the tag, the u32 iteration and the penalty
+    frame = bytearray(encode(broadcast(done=True)))
+    assert frame[17] == 1
+    frame[17] = value
+    with pytest.raises(DecodeError, match=f"done byte {value} at offset 17"):
+        decode(bytes(frame))
+    frame[17] = 0
+    assert decode(bytes(frame)).done is False
+
+
 @pytest.mark.parametrize("template", ["proposal", "broadcast"])
 def test_single_byte_corruption_never_escapes_decode(template):
     """Any one-byte corruption either still parses or raises DecodeError;
@@ -432,8 +446,7 @@ def test_inproc_messages_share_no_array_with_their_sender():
     agents = pair_agents()
     tr = InProcTransport(agents)
     first = tr.poll(0.0)
-    assert not np.shares_memory(first.trades[2],
-                                agents[0].last_schedule.trades)
+    assert not np.shares_memory(first.trades[2], agents[0].last_trades)
     reply = broadcast(iteration=1, ids=(2,), h=2, rho=0.5)
     tr.send_to(1, reply)
     reply.aux_row[2][:] = 99.0

@@ -652,6 +652,39 @@ def test_gate_scores_a_wrong_signed_bound_multiplier_as_check_kkt(upper, want):
     assert cand.kkt_residual == check_kkt(prob, cand) == want
 
 
+def test_a_solve_forms_its_objective_once(monkeypatch):
+    """x^2 + 2x over 0 <= x <= 1 puts x on its lower bound; with the
+    linear term moved to -1 the warm re-solve's first candidate, on that
+    set, has a wrong-signed multiplier, and the walk accepts the free
+    x = 0.5.  The solve forms one objective, that of the point it
+    returns."""
+    prob = QpProblem(np.array([[2.0]]), np.array([2.0]), lower=np.zeros(1),
+                     upper=np.ones(1))
+    ws = Workspace(prob)
+    assert ws.solve().primal.tolist() == [0.0]
+    ws.update(linear_term=np.array([-1.0]))
+    formed, points = [], []
+    candidate, objective = Workspace._polish_candidate, QpProblem.objective_value
+
+    def record_candidate(self, active):
+        cand = candidate(self, active)
+        formed.append(cand)
+        return cand
+
+    def record_objective(self, x):
+        points.append(np.array(x))
+        return objective(self, x)
+
+    monkeypatch.setattr(Workspace, "_polish_candidate", record_candidate)
+    monkeypatch.setattr(QpProblem, "objective_value", record_objective)
+    sol = ws.solve()
+    assert sol.status is QpStatus.OPTIMAL and sol.iterations == 0
+    assert len(formed) == 2 and formed[0].kkt_residual > 1e-8
+    assert sol is formed[1] and sol.primal.tolist() == [0.5]
+    assert len(points) == 1 and np.array_equal(points[0], sol.primal)
+    assert sol.objective == -0.25
+
+
 def test_gate_scores_a_non_finite_bound_multiplier_inf():
     """A NaN in the linear term at a fixed variable reaches only that
     variable's bound multiplier, not the refinement residual: the gate
