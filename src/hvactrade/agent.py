@@ -147,11 +147,9 @@ def build_user_qp(params: UserParams, tariff: Tariff, grid: TimeGrid,
 
 def _extract_schedule(solution: qp.QpSolution, index) -> Schedule:
     # the four blocks are the first 4H columns, one block of H after
-    # another (build_user_qp), so they are the rows of one reshape
+    # another (build_user_qp): the rows of one reshape, in field order
     h = index["renewable"].size
-    p_re, p_g, p_ac, t_in = solution.primal[:4 * h].reshape(4, h)
-    return Schedule(renewable_use=p_re, grid_draw=p_g, hvac_power=p_ac,
-                    indoor_temp=t_in)
+    return Schedule(*solution.primal[:4 * h].reshape(4, h))
 
 
 def _check_status(solution: qp.QpSolution, uid: int, what: str):
@@ -312,4 +310,4 @@ class LocalAgent:
                 f"user {self.user_id}: no schedule solved this round")
         return TradeProposal(
             user_id=self.user_id, iteration=self.iteration,
-            trades=Rows(self.partner_ids, self.last_trades.copy()))
+            trades=Rows._trusted(self.partner_ids, self.last_trades.copy()))

@@ -394,8 +394,8 @@ def _negotiate(scenario, config, transport) -> ScenarioReport:
             dual_rows = state.user_rows(state.duals)
             for i, (partners, _) in enumerate(state.counterparties):
                 tr.send_to(ids[i], CoordinatorBroadcast(
-                    iteration=k, aux_row=Rows(partners, aux_rows[i]),
-                    dual_row=Rows(partners, dual_rows[i]),
+                    iteration=k, aux_row=Rows._trusted(partners, aux_rows[i]),
+                    dual_row=Rows._trusted(partners, dual_rows[i]),
                     rho=state.rho, done=done))
             if err <= cfg.tolerance:
                 converged = True

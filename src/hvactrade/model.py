@@ -160,19 +160,14 @@ class Schedule:
     """One user's physical plan over the horizon: the four traces of its
     QP.  `indoor_temp` is derived from `hvac_power` through the thermal
     recursion.  The plan stays with its user; its trades are the rows
-    an agent proposes and a report's `UserResult.trades`."""
+    an agent proposes and a report's `UserResult.trades`.  A plain
+    record: the package cuts every plan from an accepted, hence finite,
+    solve, and `grid_cost` and `discomfort_cost` check what they price."""
 
     renewable_use: np.ndarray
     grid_draw: np.ndarray
     hvac_power: np.ndarray
     indoor_temp: np.ndarray
-
-    def __post_init__(self):
-        self.renewable_use = _trace(self.renewable_use, "renewable_use")
-        h = self.renewable_use.shape[0]
-        self.grid_draw = _trace(self.grid_draw, "grid_draw", h)
-        self.hvac_power = _trace(self.hvac_power, "hvac_power", h)
-        self.indoor_temp = _trace(self.indoor_temp, "indoor_temp", h)
 
     @property
     def horizon(self) -> int:

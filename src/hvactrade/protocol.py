@@ -28,6 +28,9 @@ auditing.  The in-process transport encodes nothing and its
 `wire_frames` stays empty: the codec carries float64 exactly, so the
 message an agent gets is the one a decode would have produced, and
 sharing one step keeps runs bit-identical across the transports.
+Checks sit where data enters: `decode` and the public constructors of
+`Rows` and both messages.  A round's own rows are built unchecked, and
+each receiver checks what it reads.
 
 The socket stack (`multiprocessing`, `socket`, `selectors`) loads with
 the first socket run, not with the package: an in-process run never
@@ -66,9 +69,16 @@ BARRIER_TIMEOUT = 60.0
 class Rows(Mapping):
     """One message's rows: ascending counterparty ids and one float64
     block with a row per id.  Reads as the mapping {id: row}, each row a
-    view into the block."""
+    view into the block.  `Rows(...)` and `Rows.of` check their parts;
+    `_trusted` takes parts the library built as they are."""
 
     __slots__ = ("ids", "block")
+
+    @classmethod
+    def _trusted(cls, ids: tuple[int, ...], block: np.ndarray) -> "Rows":
+        rows = cls.__new__(cls)  # ascending distinct ints, 2-D float64
+        rows.ids, rows.block = ids, block
+        return rows
 
     def __init__(self, ids, block):
         ids = tuple(map(int, ids))
@@ -78,8 +88,7 @@ class Rows(Mapping):
                              f"rows, got shape {block.shape}")
         if ids != tuple(sorted(set(ids))):
             raise ValueError("counterparty ids must be distinct and ascending")
-        self.ids = ids
-        self.block = block
+        self.ids, self.block = ids, block
 
     @classmethod
     def of(cls, rows) -> "Rows":

@@ -67,7 +67,7 @@ def synth_traces(seed: int, grid: TimeGrid, profile: str,
     load (daily demand shape around `base`), weather (diurnal sinusoid
     around `mean`, hottest mid-afternoon).
     """
-    if profile not in _KIND_CODES:
+    if not isinstance(profile, str) or profile not in _KIND_CODES:
         raise ScenarioError(f"unknown synth profile {profile!r}; "
                             f"expected one of {sorted(_KIND_CODES)}")
     rng = np.random.default_rng(
@@ -165,15 +165,10 @@ class _TraceReader:
         if isinstance(spec, (int, float)) and not isinstance(spec, bool):
             return np.full(h, float(spec))
         if isinstance(spec, (list, tuple)):
-            if any(isinstance(v, bool) for v in spec):
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       for v in spec):
                 raise ScenarioError(f"{where}: inline trace must be numeric")
-            try:
-                arr = np.asarray(spec, dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ScenarioError(f"{where}: inline trace must be numeric") from None
-            if arr.ndim != 1:
-                raise ScenarioError(f"{where}: inline trace must be flat")
-            return arr
+            return np.array(spec, dtype=np.float64)
         if isinstance(spec, dict) and "file" in spec:
             extra = set(spec) - {"file", "column"}
             if extra:
@@ -194,13 +189,16 @@ class _TraceReader:
                     f"expected {h}")
             return np.asarray(vals, dtype=np.float64)
         if isinstance(spec, dict) and "synth" in spec:
-            knobs = {k: v for k, v in spec.items() if k != "synth"}
+            knobs = {str(k): v for k, v in spec.items() if k != "synth"}
             for k, v in knobs.items():
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise ScenarioError(f"{where}: synth knob {k!r} must be "
                                         f"a number, got {v!r}")
-            return synth_traces(self.seed, self.grid, str(spec["synth"]),
-                                user_id=user_id, **knobs)
+            try:
+                return synth_traces(self.seed, self.grid, spec["synth"],
+                                    user_id=user_id, **knobs)
+            except ScenarioError as exc:
+                raise ScenarioError(f"{where}: {exc}") from None
         raise ScenarioError(
             f"{where}: expected a number, a list, {{file, column}}, or "
             f"{{synth: kind}}, got {type(spec).__name__}")

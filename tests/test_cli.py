@@ -420,12 +420,30 @@ def test_bad_loop_override_is_a_usage_error(tmp_path, capsys, override):
     ("renewable_avail: [3.5, 4.2, 4.8, 4.6, 3.8, 2.5]",
      "renewable_avail: {synth: solar, scale: big}",
      "user 1: renewable_avail: synth knob 'scale' must be a number, got 'big'"),
-], ids=["bool-trace", "bool-list", "bool-knob", "string-knob"])
+    ("renewable_avail: [3.5, 4.2, 4.8, 4.6, 3.8, 2.5]",
+     'renewable_avail: ["3.5", "4.2", "4.8", "4.6", "3.8", "2.5"]',
+     "user 1: renewable_avail: inline trace must be numeric"),
+    ("renewable_avail: [3.5, 4.2, 4.8, 4.6, 3.8, 2.5]",
+     "renewable_avail: {synth: tidal}",
+     "user 1: renewable_avail: unknown synth profile 'tidal'"),
+    ("renewable_avail: [3.5, 4.2, 4.8, 4.6, 3.8, 2.5]",
+     "renewable_avail: {synth: wind, frequency: 2}",
+     "user 1: renewable_avail: synth profile 'wind' does not take "
+     "['frequency']"),
+    ("renewable_avail: [3.5, 4.2, 4.8, 4.6, 3.8, 2.5]",
+     "renewable_avail: {synth: wind, 3: 2}",
+     "user 1: renewable_avail: synth profile 'wind' does not take ['3']"),
+    ("renewable_avail: [3.5, 4.2, 4.8, 4.6, 3.8, 2.5]",
+     "renewable_avail: {synth: [solar]}",
+     "user 1: renewable_avail: unknown synth profile ['solar']"),
+], ids=["bool-trace", "bool-list", "bool-knob", "string-knob", "string-list",
+        "synth-profile", "synth-knob", "synth-number-knob", "synth-list"])
 def test_validate_non_numeric_trace_value_exits_13(tmp_path, capsys, old, new,
                                                    message):
     """A boolean or a string where a trace or a synth knob takes a number
     is refused naming the field, never read as 1 or 0, nor left to end
-    the command as an internal error."""
+    the command as an internal error; so is a synth spec that names no
+    profile or knob the generator has."""
     text = Path(TWO_USER).read_text()
     assert old in text
     bad = tmp_path / "bad_trace.yaml"

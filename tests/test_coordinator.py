@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hvactrade import coordinator, protocol, qp
+from hvactrade import coordinator, model, protocol, qp
 from hvactrade.coordinator import (
     AdmmConfig,
     Anderson,
@@ -603,6 +603,34 @@ def test_run_builds_one_proposal_tensor_per_round(monkeypatch):
     monkeypatch.setattr(coordinator, "proposal_tensor", counting)
     report = run(load_scenario(FIXTURES / "two_user_complementary.yaml"))
     assert calls == list(range(1, report.iterations + 1))
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+def test_a_round_rechecks_nothing_the_library_built(monkeypatch, transport):
+    """The coordinator and the agents build a round's rows from parts
+    they already hold, so the only checked Rows in the coordinator's
+    process are the proposals it decodes, one per home and round on the
+    socket transport and none in-process.  A plan is checked only where
+    the report prices it: two traces per home."""
+    scenario = load_scenario(FIXTURES / "reference_10user.yaml")
+    calls = {"rows": 0, "traces": 0}
+    rows_init, trace = protocol.Rows.__init__, model._trace
+
+    def counted_rows(self, *args):
+        calls["rows"] += 1
+        rows_init(self, *args)
+
+    def counted_trace(*args):
+        calls["traces"] += 1
+        return trace(*args)
+
+    monkeypatch.setattr(protocol.Rows, "__init__", counted_rows)
+    monkeypatch.setattr(model, "_trace", counted_trace)
+    report = run(scenario, transport=transport)
+    n = len(scenario.users)
+    decoded = n * report.iterations if transport == "socket" else 0
+    assert (report.iterations, calls) == (31, {"rows": decoded,
+                                               "traces": 2 * n})
 
 
 _DECOY = """\

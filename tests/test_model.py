@@ -273,6 +273,22 @@ def test_operating_cost_is_sum_of_parts():
     assert operating_cost(sched, p, t) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("grid_draw", np.array([1.0, np.nan, 3.0]),
+     "grid_draw contains non-finite entries"),
+    ("indoor_temp", np.full((3, 1), 22.0),
+     r"indoor_temp must be one-dimensional, got shape \(3, 1\)"),
+])
+def test_operating_cost_refuses_a_malformed_plan(name, value, message):
+    """A Schedule is a plain record; the traces it prices are checked
+    where they are priced."""
+    traces = dict(renewable_use=np.zeros(3), grid_draw=np.ones(3),
+                  hvac_power=np.zeros(3), indoor_temp=np.full(3, 22.0))
+    traces[name] = value
+    with pytest.raises(ValueError, match=message):
+        operating_cost(Schedule(**traces), make_params(), make_tariff())
+
+
 def test_trading_payment_known_value():
     t = Tariff(0.1, 5.0, np.array([1.0, 2.0]))
     trades = np.array([[3.0, -1.0]])
