@@ -335,9 +335,9 @@ def run(scenario, config: AdmmConfig | None = None,
     from a process with no other Python threads running.  That is not
     one OS thread: a process that has imported numpy also holds
     OpenBLAS's pool thread, inside the one-thread scope too, and
-    OpenBLAS's own fork handler stops that pool before each fork.  Every
-    OpenBLAS runs on one thread for the whole run and gets the caller's
-    thread count back afterwards.
+    OpenBLAS's own fork handler stops that pool before each fork.
+    numpy's OpenBLAS, the only BLAS the package calls, runs on one thread
+    for the whole run and gets the caller's thread count back afterwards.
     Raises NonConvergenceError (with the partial history attached) if the
     disagreement never falls under tolerance, and HvacTradeError naming
     the user when an agent fails.

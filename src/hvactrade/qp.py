@@ -67,7 +67,6 @@ __all__ = [
     "Workspace",
     "solve",
     "check_kkt",
-    "dump_problem",
 ]
 
 
@@ -707,25 +706,3 @@ def solve(problem: QpProblem, tol: float = 1e-8, max_iter: int = 20000) -> QpSol
     """One-shot solve; see Workspace for reuse across related problems."""
     return Workspace(problem).solve(tol=tol, max_iter=max_iter)
 
-
-def dump_problem(problem: QpProblem, path):
-    """Plain-text dump (matrix-market style blocks) for offline inspection."""
-    def block(fh, name, arr):
-        arr = np.atleast_2d(arr)
-        fh.write(f"%%block {name} array real general\n")
-        fh.write(f"{arr.shape[0]} {arr.shape[1]}\n")
-        for row in arr:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-    with open(path, "w") as fh:
-        fh.write("%%qp dense\n")
-        fh.write(f"% n={problem.n} n_eq={problem.n_eq} n_ineq={problem.n_ineq} "
-                 f"offset={problem.offset!r}\n")
-        block(fh, "quadratic_term", problem.quadratic_term)
-        block(fh, "linear_term", problem.linear_term)
-        block(fh, "eq_matrix", problem.eq_matrix)
-        block(fh, "eq_rhs", problem.eq_rhs)
-        block(fh, "ineq_matrix", problem.ineq_matrix)
-        block(fh, "ineq_rhs", problem.ineq_rhs)
-        block(fh, "lower", problem.lower)
-        block(fh, "upper", problem.upper)

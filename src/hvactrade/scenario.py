@@ -163,12 +163,16 @@ class _TraceReader:
     def resolve(self, spec, where: str, user_id: int = 0) -> np.ndarray:
         h = self.grid.horizon_len
         if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-            return np.full(h, float(spec))
+            return np.full(h, _float(spec, where))
         if isinstance(spec, (list, tuple)):
             if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                        for v in spec):
                 raise ScenarioError(f"{where}: inline trace must be numeric")
-            return np.array(spec, dtype=np.float64)
+            try:
+                return np.array(spec, dtype=np.float64)
+            except OverflowError:
+                raise ScenarioError(f"{where}: inline trace value is too "
+                                    f"large for a float") from None
         if isinstance(spec, dict) and "file" in spec:
             extra = set(spec) - {"file", "column"}
             if extra:
@@ -194,6 +198,7 @@ class _TraceReader:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise ScenarioError(f"{where}: synth knob {k!r} must be "
                                         f"a number, got {v!r}")
+                _float(v, f"{where}: synth knob {k!r}")
             try:
                 return synth_traces(self.seed, self.grid, spec["synth"],
                                     user_id=user_id, **knobs)
@@ -204,6 +209,14 @@ class _TraceReader:
             f"{{synth: kind}}, got {type(spec).__name__}")
 
 
+def _float(v, what: str) -> float:
+    """float(v) of a number read from YAML, which has ints of any size."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise ScenarioError(f"{what} is too large for a float") from None
+
+
 def _number(block: dict, key: str, where: str, default=None) -> float:
     if key not in block:
         if default is None:
@@ -212,7 +225,7 @@ def _number(block: dict, key: str, where: str, default=None) -> float:
     v = block[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ScenarioError(f"{where}: field {key!r} must be a number")
-    return float(v)
+    return _float(v, f"{where}: field {key!r}")
 
 
 def _integer(block: dict, key: str, where: str, default=None) -> int:
@@ -288,7 +301,7 @@ def load_scenario(path, seed=None) -> ScenarioConfig:
     try:
         loader = type("Loader", (_UniqueKeys, _YamlLoader), {})
         raw = yaml.load(path.read_text(), Loader=loader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # a too-long int or a bad date
         mark = getattr(exc, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ScenarioError(f"{path}: parse error{loc}: {exc}") from exc

@@ -450,3 +450,51 @@ def test_validate_non_numeric_trace_value_exits_13(tmp_path, capsys, old, new,
     bad.write_text(text.replace(old, new, 1))
     assert main(["validate", str(bad)]) == 13
     assert message in capsys.readouterr().err
+
+
+_HUGE = "1" + "0" * 400  # an int YAML reads whole, too large for a float
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("grid_cap: 4.0", f"grid_cap: {_HUGE}",
+     "user 1: field 'grid_cap' is too large for a float"),
+    ("max_iter: 1000", f"max_iter: {_HUGE}",
+     "admm: field 'max_iter' is too large for a float"),
+    ("renewable_avail: [3.5, 4.2, 4.8, 4.6, 3.8, 2.5]",
+     f"renewable_avail: [3.5, {_HUGE}, 4.8, 4.6, 3.8, 2.5]",
+     "user 1: renewable_avail: inline trace value is too large for a float"),
+    ("trade_price: 0.125", f"trade_price: {_HUGE}",
+     "tariff: trade_price is too large for a float"),
+    ("renewable_avail: [3.5, 4.2, 4.8, 4.6, 3.8, 2.5]",
+     f"renewable_avail: {{synth: solar, scale: {_HUGE}}}",
+     "user 1: renewable_avail: synth knob 'scale' is too large for a float"),
+], ids=["scalar-field", "admm-field", "inline-trace", "scalar-trace",
+        "synth-knob"])
+def test_validate_number_too_large_for_a_float_exits_13(tmp_path, capsys, old,
+                                                        new, message):
+    """YAML reads a long run of digits as an int of any size; one that no
+    float can hold is refused naming the field, not left to end the
+    command as an internal error."""
+    text = Path(TWO_USER).read_text()
+    assert old in text
+    bad = tmp_path / "huge.yaml"
+    bad.write_text(text.replace(old, new, 1))
+    assert main(["validate", str(bad)]) == 13
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("grid_cap: 4.0", "grid_cap: 1" + "0" * 5000, "Exceeds the limit"),
+    ("name: two_user_complementary", "name: 2020-13-45", "month must be in"),
+], ids=["int-past-digit-limit", "bad-date"])
+def test_validate_scalar_yaml_cannot_construct_exits_13(tmp_path, capsys, old,
+                                                        new, message):
+    """A scalar the YAML loader itself fails to build is a parse error,
+    not an internal one."""
+    text = Path(TWO_USER).read_text()
+    assert old in text
+    bad = tmp_path / "unbuildable.yaml"
+    bad.write_text(text.replace(old, new, 1))
+    assert main(["validate", str(bad)]) == 13
+    err = capsys.readouterr().err
+    assert "parse error" in err and message in err

@@ -15,7 +15,6 @@ from hvactrade.qp import (
     QpStatus,
     Workspace,
     check_kkt,
-    dump_problem,
     solve,
 )
 from hvactrade.scenario import build_synth_scenario, load_scenario
@@ -989,16 +988,3 @@ def test_epigraph_prices_peak_flattening():
     assert sol.primal[m] == pytest.approx(0.5, abs=1e-6)
     assert np.allclose(sol.primal[list(x)], [0.5, 0.5], atol=1e-6)
 
-
-def test_dump_problem_writes_readable_file(tmp_path):
-    rng = np.random.default_rng(2)
-    prob = random_box_qp(rng, n=3)
-    path = tmp_path / "problem.txt"
-    dump_problem(prob, path)
-    text = path.read_text()
-    assert "%%qp dense" in text
-    assert "quadratic_term" in text
-    # dumped dimensions match the problem
-    assert f"n={prob.n}" in text
-    lines = [l for l in text.splitlines() if l.startswith("%%block")]
-    assert len(lines) >= 6
