@@ -14,27 +14,27 @@ the row's doubles (trades, or consensus then duals), and the codec
 reads or writes the whole block as one numpy structured array.
 
 Both transports take the agents `run` built, and every agent advances
-through `LocalAgent.step`, one call per round.  The in-process
-transport calls it directly in the coordinator's thread and hands each
-message object across as it is.  `SocketTransport.fork` makes one
-connected socket pair per agent, forks the agent over one end and keeps
-the other, so it knows each connection's user from the start; the
-agent calls `step` from `run_agent_loop`, and closing the transport
-ends the processes.  Each connection carries one frame a round in each
-direction, and both ends read it whole with `read_frame`: the length
-prefix, then exactly the body it announces.  The socket transport
-captures every frame it sends or receives in `wire_frames` for
-auditing.  The in-process transport encodes nothing and its
-`wire_frames` stays empty: the codec carries float64 exactly, so the
-message an agent gets is the one a decode would have produced, and
-sharing one step keeps runs bit-identical across the transports.
-Checks sit where data enters: `decode` and the public constructors of
-`Rows` and both messages.  A round's own rows are built unchecked, and
-each receiver checks what it reads.
+through `LocalAgent.step`, one call per round.  The in-process transport
+calls it directly in the coordinator's thread and hands each message
+object across as it is.  `SocketTransport.fork` makes one connected
+socket pair per agent, forks the agent over one end and keeps the other,
+so it knows each connection's user from the start; the agent calls
+`step` from `run_agent_loop`, and closing the transport ends the
+processes.  Each connection carries one frame a round in each direction,
+and both ends read it whole with `read_frame`: the length prefix, then
+exactly the body it announces.  A round reads each user's proposal from
+that user's own connection, by user id, with no selector, so the frames
+the socket transport captures in `wire_frames` come in one order: each
+round's proposals, then its broadcasts.  The in-process transport encodes
+nothing and its `wire_frames` stays empty: the codec carries float64
+exactly, so the message an agent gets is the one a decode would have
+produced, and sharing one step keeps runs bit-identical across the
+transports.  Checks sit where data enters: `decode` and the public
+constructors of `Rows` and both messages.  A round's own rows are built
+unchecked, and each receiver checks what it reads.
 
-The socket stack (`multiprocessing`, `socket`, `selectors`) loads with
-the first socket run, not with the package: an in-process run never
-imports it.
+The socket stack (`multiprocessing`, `socket`) loads with the first
+socket run, not with the package: an in-process run never imports it.
 """
 
 from __future__ import annotations
@@ -61,9 +61,12 @@ TAG_BROADCAST = 2
 MAX_FRAME = 1 << 26
 # an agent's wait for each broadcast
 AGENT_RECV_TIMEOUT = 300.0
-# the coordinator's wait for a round's proposals, and for each read of
-# a frame or send of a broadcast on an agent's connection
+# the coordinator's wait for a round's proposals, and for each send of a
+# broadcast on an agent's connection
 BARRIER_TIMEOUT = 60.0
+# the least wait of a read, so one made after the round's deadline still
+# takes a frame already waiting (a socket timeout of 0 is non-blocking)
+READ_FLOOR = 0.01
 
 
 class Rows(Mapping):
@@ -322,7 +325,7 @@ class InProcTransport:
 
     Each agent takes its first step on construction.  `send_to` hands a
     broadcast to its agent, which answers at once with its next
-    proposal; `poll` returns the proposals in the order they were made.
+    proposal; `recv` returns the proposal a user's agent made last.
     Every message is handed over as the object itself, never encoded: a
     sender builds each message from fresh arrays, so the receiver shares
     nothing mutable with it.
@@ -332,7 +335,7 @@ class InProcTransport:
         self._agents = {a.user_id: a for a in agents}
         self.expected_ids = tuple(sorted(self._agents))
         self.wire_frames: list[bytes] = []
-        self._ready: list[TradeProposal] = []
+        self._ready: dict[int, TradeProposal] = {}
         for uid in self.expected_ids:
             self._step(uid, None)
 
@@ -343,10 +346,10 @@ class InProcTransport:
         except Exception as exc:
             raise HvacTradeError(f"agent for user {user_id} failed: {exc}") from exc
         if message is not None:
-            self._ready.append(message)
+            self._ready[user_id] = message
 
-    def poll(self, timeout: float):
-        return self._ready.pop(0) if self._ready else None
+    def recv(self, user_id: int, timeout: float):
+        return self._ready.pop(user_id, None)
 
     def send_to(self, user_id: int, broadcast: CoordinatorBroadcast):
         if int(user_id) not in self._agents:
@@ -387,17 +390,14 @@ class SocketTransport:
 
     Holds the coordinator's end of each user's connected socket pair,
     given as {user id: socket}, so every connection's user is known by
-    construction; broadcasts go back over the user's own connection.
-    `fork` builds one over agent processes it starts itself.
-    Single-threaded: `poll` waits on one selector over every connection,
-    registered once, and reads one whole frame from a connection that is
-    ready.  Each end times out after BARRIER_TIMEOUT, so a frame that
-    stops half-way, or a broadcast that cannot be sent, is a
-    SynchronizationTimeout naming the user rather than a hang.  A
-    proposal that names another user than its connection's, or a
-    connection that closes mid-run (as it does when the agent's process
-    exits), is a protocol violation; the transport remembers whose
-    connection it saw close.
+    construction: `recv` reads a user's proposal from that user's own
+    connection, and broadcasts go back over it.  `fork` builds one over
+    agent processes it starts itself.  Single-threaded, with no
+    selector: each read or send waits on one connection under a socket
+    timeout.  A proposal that names another user than its connection's,
+    or a connection that closes mid-run (as it does when the agent's
+    process exits), is a protocol violation; the transport remembers
+    whose connection it saw close.
     """
 
     def __init__(self, conns: Mapping[int, socket.socket]):
@@ -406,11 +406,6 @@ class SocketTransport:
         self.wire_frames: list[bytes] = []
         self._procs: dict[int, multiprocessing.Process] = {}
         self._dropped: set[int] = set()  # users whose connection closed
-        import selectors
-        self._sel = selectors.DefaultSelector()
-        for uid, conn in self._conns.items():
-            conn.settimeout(BARRIER_TIMEOUT)
-            self._sel.register(conn, selectors.EVENT_READ, uid)
 
     @classmethod
     def fork(cls, agents) -> "SocketTransport":
@@ -447,32 +442,30 @@ class SocketTransport:
         tr._procs = procs
         return tr
 
-    def poll(self, timeout: float):
-        for key, _ in self._sel.select(timeout=max(timeout, 0.0)):
-            uid = key.data
-            try:
-                frame = read_frame(key.fileobj,
-                                   f"connection closed by user {uid}")
-            except TimeoutError:
-                raise SynchronizationTimeout(
-                    f"user {uid} stopped in the middle of a frame for "
-                    f"{key.fileobj.gettimeout()}s", missing=(uid,))
-            except DecodeError:
-                raise
-            except ProtocolViolation:  # the connection closed
-                self._dropped.add(uid)
-                raise
-            self.wire_frames.append(frame)
-            message = decode(frame)
-            if not isinstance(message, TradeProposal):
-                raise ProtocolViolation(
-                    f"expected a trade proposal, got {type(message).__name__}")
-            if message.user_id != uid:
-                raise ProtocolViolation(
-                    f"connection of user {uid} sent a proposal for user "
-                    f"{message.user_id}")
-            return message
-        return None
+    def recv(self, user_id: int, timeout: float):
+        """The proposal in the next frame on the user's connection, or
+        None if a read of it waits `timeout` seconds."""
+        conn = self._conns[user_id]
+        conn.settimeout(timeout)
+        try:
+            frame = read_frame(conn, f"connection closed by user {user_id}")
+        except TimeoutError:
+            return None
+        except DecodeError:
+            raise
+        except ProtocolViolation:  # the connection closed
+            self._dropped.add(user_id)
+            raise
+        self.wire_frames.append(frame)
+        message = decode(frame)
+        if not isinstance(message, TradeProposal):
+            raise ProtocolViolation(
+                f"expected a trade proposal, got {type(message).__name__}")
+        if message.user_id != user_id:
+            raise ProtocolViolation(
+                f"connection of user {user_id} sent a proposal for user "
+                f"{message.user_id}")
+        return message
 
     def send_to(self, user_id: int, broadcast: CoordinatorBroadcast):
         conn = self._conns.get(int(user_id))
@@ -480,12 +473,13 @@ class SocketTransport:
             raise ProtocolViolation(f"unknown user id {user_id}")
         frame = encode(broadcast)
         self.wire_frames.append(frame)
+        conn.settimeout(BARRIER_TIMEOUT)
         try:
             conn.sendall(frame)
         except TimeoutError:
             raise SynchronizationTimeout(
                 f"round {broadcast.iteration}: user {user_id} took no "
-                f"broadcast for {conn.gettimeout()}s", missing=(int(user_id),))
+                f"broadcast for {BARRIER_TIMEOUT}s", missing=(int(user_id),))
         except OSError:
             self._dropped.add(int(user_id))
             raise
@@ -515,7 +509,6 @@ class SocketTransport:
         failed = {uid: pr.exitcode for uid, pr in procs.items()
                   if pr.exitcode not in (0, None)}
         _terminate(procs.values())
-        self._sel.close()
         for conn in self._conns.values():
             conn.close()
         if failed:
@@ -537,40 +530,32 @@ def barrier_collect(transport, iteration: int) -> list[TradeProposal]:
     """Collect exactly one proposal from each of `transport.expected_ids`
     for the given round, in ascending user id.
 
-    A proposal from a user the transport does not expect, one tagged for
-    another round, or a second proposal from one user, is a protocol
-    violation: a connection neither loses nor reorders frames, so an
-    agent that answers each broadcast once never sends either.  Running
-    out of BARRIER_TIMEOUT names the silent users.
+    Reads each user's own agent under one BARRIER_TIMEOUT deadline; a
+    read that times out leaves its user missing and the rest are still
+    read, so the timeout names every silent user.  A proposal tagged for
+    another round is a protocol violation: a connection neither loses
+    nor reorders frames, so an agent never sends one.
     """
     expected = transport.expected_ids
-    timeout = BARRIER_TIMEOUT
-    proposals: dict[int, TradeProposal] = {}
-    deadline = time.monotonic() + timeout
-    while len(proposals) < len(expected):
-        left = deadline - time.monotonic()
-        if left <= 0:
-            missing = tuple(u for u in expected if u not in proposals)
-            raise SynchronizationTimeout(
-                f"round {iteration}: {len(missing)} of {len(expected)} "
-                f"proposals missing after {timeout}s (users {list(missing)})",
-                missing=missing)
-        message = transport.poll(left)
+    deadline = time.monotonic() + BARRIER_TIMEOUT
+    proposals, missing = [], []
+    for uid in expected:
+        left = max(deadline - time.monotonic(), READ_FLOOR)
+        message = transport.recv(uid, left)
         if message is None:
-            continue
-        uid = message.user_id
-        if uid not in expected:
-            raise ProtocolViolation(
-                f"round {iteration}: proposal from unknown user {uid}")
-        if uid in proposals:
-            raise ProtocolViolation(
-                f"round {iteration}: duplicate proposal from user {uid}")
-        if message.iteration != iteration:
+            missing.append(uid)
+        elif message.iteration != iteration:
             raise ProtocolViolation(
                 f"round {iteration}: user {uid} sent a proposal tagged for "
                 f"round {message.iteration}")
-        proposals[uid] = message
-    return [proposals[u] for u in expected]
+        else:
+            proposals.append(message)
+    if missing:
+        raise SynchronizationTimeout(
+            f"round {iteration}: {len(missing)} of {len(expected)} "
+            f"proposals missing after {BARRIER_TIMEOUT}s (users {missing})",
+            missing=tuple(missing))
+    return proposals
 
 
 def run_agent_loop(agent, channel):

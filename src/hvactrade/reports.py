@@ -39,9 +39,11 @@ class UserResult:
 class ScenarioReport:
     """Complete outcome of one scenario run.
 
-    `wire_frames` holds every frame a socket run sent or received, in
-    arrival order; an in-process run encodes nothing and leaves it
-    empty.  It is never written to the report files."""
+    `wire_frames` holds every frame a socket run sent or received: each
+    round's proposals, then its broadcasts, by user id, so two runs of
+    one scenario capture the same bytes.  An in-process run encodes
+    nothing and leaves it empty.  It is never written to the report
+    files."""
 
     scenario_name: str
     n_users: int

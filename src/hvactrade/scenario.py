@@ -19,6 +19,7 @@ import yaml
 from .coordinator import AdmmConfig
 from .errors import ScenarioError
 from .model import USER_TRACES, Tariff, TimeGrid, UserParams
+from .protocol import MAX_FRAME
 
 # libyaml's parser and emitter where PyYAML was built with it: the same
 # documents, error positions and output bytes, several times faster than
@@ -51,6 +52,21 @@ class _UniqueKeys:
 
 
 _KIND_CODES = {"solar": 1, "wind": 2, "load": 3, "weather": 4}
+
+# the most slots one counterparty row of a broadcast frame can hold: a
+# frame body of at most MAX_FRAME bytes holds a tag byte, a 21-byte head
+# and, per row, a u32 id and a consensus and a dual double per slot
+MAX_HORIZON = (MAX_FRAME - 1 - 21 - 4) // 16
+
+
+def _check_horizon(horizon: int) -> None:
+    """Refuse a horizon no broadcast frame can carry, before any trace
+    of that length is built."""
+    if horizon > MAX_HORIZON:
+        raise ScenarioError(f"grid: horizon of {horizon} slots exceeds "
+                            f"{MAX_HORIZON}, the most one broadcast frame "
+                            f"carries")
+
 
 # relative household demand by hour of day, mean 1.0
 _LOAD_SHAPE = np.array([
@@ -324,6 +340,7 @@ def load_scenario(path, seed=None) -> ScenarioConfig:
                                            default=1.0))
     except ValueError as exc:
         raise ScenarioError(f"grid: {exc}") from exc
+    _check_horizon(grid.horizon_len)
 
     seed = check_seed(raw.get("seed", 0) if seed is None else seed)
 
@@ -400,6 +417,7 @@ def build_synth_scenario(n_users: int, horizon: int, seed: int = 0,
         raise ScenarioError("n_users must be at least 1")
     if horizon < 1:
         raise ScenarioError("horizon must be at least 1")
+    _check_horizon(horizon)
     seed = check_seed(seed)
     try:
         grid = TimeGrid(horizon_len=int(horizon), slot_hours=float(slot_hours))

@@ -483,6 +483,31 @@ def test_validate_number_too_large_for_a_float_exits_13(tmp_path, capsys, old,
     assert message in capsys.readouterr().err
 
 
+def test_validate_horizon_past_one_broadcast_frame_exits_13(tmp_path, capsys):
+    """A horizon longer than a broadcast frame can carry is refused
+    before any trace is built, not left to end the command as an
+    internal error when terabytes fail to allocate."""
+    text = Path(TWO_USER).read_text()
+    assert "horizon: 6" in text
+    bad = tmp_path / "long.yaml"
+    bad.write_text(text.replace("horizon: 6", "horizon: 1.0e+12", 1))
+    assert main(["validate", str(bad)]) == 13
+    assert "grid: horizon of 1000000000000 slots exceeds 4194302" in \
+        capsys.readouterr().err
+
+
+def test_synth_horizon_past_one_broadcast_frame_is_a_usage_error(tmp_path,
+                                                                 capsys):
+    out = tmp_path / "big.yaml"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", str(out), "--users", "2", "--horizon",
+              "1000000000000"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "hvactrade synth: error: grid: horizon of 1000000000000" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("old, new, message", [
     ("grid_cap: 4.0", "grid_cap: 1" + "0" * 5000, "Exceeds the limit"),
     ("name: two_user_complementary", "name: 2020-13-45", "month must be in"),

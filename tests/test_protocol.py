@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import os
 import socket
@@ -386,33 +387,33 @@ def pair_agents():
 
 def test_inproc_agents_take_their_first_step_on_construction():
     tr = InProcTransport(pair_agents())
-    got = [tr.poll(0.0), tr.poll(0.0)]
+    got = [tr.recv(1, 0.0), tr.recv(2, 0.0)]
     assert all(isinstance(m, TradeProposal) for m in got)
     assert [(m.user_id, m.iteration) for m in got] == [(1, 1), (2, 1)]
-    assert tr.poll(0.0) is None
+    assert tr.recv(1, 0.0) is None and tr.recv(2, 0.0) is None
 
 
 def test_inproc_broadcast_is_answered_by_one_proposal():
     tr = InProcTransport(pair_agents())
-    tr.poll(0.0), tr.poll(0.0)  # the first round
+    tr.recv(1, 0.0), tr.recv(2, 0.0)  # the first round
     tr.send_to(1, broadcast(iteration=1, ids=(2,), h=2, rho=0.5))
-    answer = tr.poll(0.0)
+    answer = tr.recv(1, 0.0)
     assert isinstance(answer, TradeProposal)
     assert (answer.user_id, answer.iteration) == (1, 2)
     assert answer.trades.ids == (2,)
-    assert tr.poll(0.0) is None
+    assert tr.recv(1, 0.0) is None and tr.recv(2, 0.0) is None
 
 
 def test_inproc_done_broadcast_yields_no_proposal():
     tr = InProcTransport(pair_agents())
-    tr.poll(0.0), tr.poll(0.0)  # the first round
+    tr.recv(1, 0.0), tr.recv(2, 0.0)  # the first round
     tr.send_to(2, broadcast(iteration=1, ids=(1,), h=2, done=True))
-    assert tr.poll(0.0) is None
+    assert tr.recv(2, 0.0) is None
     # only the user told it is done stops
     tr.send_to(1, broadcast(iteration=1, ids=(2,), h=2))
-    answer = tr.poll(0.0)
+    answer = tr.recv(1, 0.0)
     assert (answer.user_id, answer.iteration) == (1, 2)
-    assert tr.poll(0.0) is None
+    assert tr.recv(1, 0.0) is None and tr.recv(2, 0.0) is None
 
 
 def test_inproc_agent_exception_names_the_user(monkeypatch):
@@ -445,7 +446,7 @@ def test_inproc_run_neither_encodes_nor_decodes(monkeypatch):
 def test_inproc_messages_share_no_array_with_their_sender():
     agents = pair_agents()
     tr = InProcTransport(agents)
-    first = tr.poll(0.0)
+    first = tr.recv(1, 0.0)
     assert not np.shares_memory(first.trades[2], agents[0].last_trades)
     reply = broadcast(iteration=1, ids=(2,), h=2, rho=0.5)
     tr.send_to(1, reply)
@@ -475,28 +476,28 @@ def close_all(tr, agent_ends):
         end.close()
 
 
-def test_socket_poll_raises_when_a_bound_agent_disconnects():
+def test_socket_recv_raises_when_a_bound_agent_disconnects():
     tr, agents = socket_transport()
     try:
         agents[1].sendall(encode(proposal(uid=1)))
-        assert tr.poll(5.0).user_id == 1
+        assert tr.recv(1, 5.0).user_id == 1
         agents[1].close()
         t0 = time.monotonic()
         with pytest.raises(ProtocolViolation, match="closed by user 1"):
-            tr.poll(5.0)
+            tr.recv(1, 5.0)
         assert time.monotonic() - t0 < 1.0
     finally:
         close_all(tr, agents)
 
 
-def test_socket_poll_raises_when_an_unbound_agent_disconnects():
+def test_socket_recv_raises_when_an_unbound_agent_disconnects():
     """An agent that closes before any proposal is named by its pair."""
     tr, agents = socket_transport()
     try:
         agents[2].close()
         t0 = time.monotonic()
         with pytest.raises(ProtocolViolation, match="closed by user 2"):
-            tr.poll(5.0)
+            tr.recv(2, 5.0)
         assert time.monotonic() - t0 < 1.0
     finally:
         close_all(tr, agents)
@@ -524,7 +525,7 @@ def test_socket_rejects_a_proposal_for_another_user():
         agents[2].sendall(encode(proposal(uid=1)))
         with pytest.raises(ProtocolViolation,
                            match="user 2 sent a proposal for user 1"):
-            tr.poll(5.0)
+            tr.recv(2, 5.0)
     finally:
         close_all(tr, agents)
 
@@ -532,37 +533,31 @@ def test_socket_rejects_a_proposal_for_another_user():
 # --- collection barrier -----------------------------------------------------
 
 class ScriptedTransport:
-    """Feeds a fixed poll script, then nothing."""
+    """Feeds each user's agent a fixed script, then nothing: the messages
+    in `script` are dealt to their senders' queues in order."""
 
     def __init__(self, script, expected_ids=(1, 2)):
-        self.script = list(script)
         self.expected_ids = tuple(expected_ids)
+        self.script = {u: [] for u in self.expected_ids}
+        for m in script:
+            self.script[m.user_id].append(m)
 
-    def poll(self, timeout):
-        return self.script.pop(0) if self.script else None
+    def recv(self, user_id, timeout):
+        queue = self.script[user_id]
+        return queue.pop(0) if queue else None
 
 
-def p_for(uid, iteration):
-    return TradeProposal(uid, iteration, {3 - uid: np.zeros(1)})
+def p_for(uid, iteration, partner=None):
+    partner = 3 - uid if partner is None else partner
+    return TradeProposal(uid, iteration, {partner: np.zeros(1)})
 
 
 def test_barrier_sorts_by_user_id():
-    tr = ScriptedTransport([p_for(2, 1), p_for(1, 1)])
-    got = barrier_collect(tr, 1)
-    assert [m.user_id for m in got] == [1, 2]
-
-
-def test_barrier_flags_duplicates():
-    tr = ScriptedTransport([p_for(1, 1), p_for(1, 1)])
-    with pytest.raises(ProtocolViolation, match="duplicate"):
-        barrier_collect(tr, 1)
-
-
-def test_barrier_rejects_an_unknown_sender():
-    tr = ScriptedTransport([p_for(1, 1), TradeProposal(7, 1, {1: np.zeros(1)})])
-    with pytest.raises(ProtocolViolation,
-                       match="round 1: proposal from unknown user 7"):
-        barrier_collect(tr, 1)
+    for order in itertools.permutations((1, 2, 3)):
+        tr = ScriptedTransport([p_for(u, 1, partner=4) for u in order],
+                               expected_ids=(1, 2, 3))
+        got = barrier_collect(tr, 1)
+        assert [m.user_id for m in got] == [1, 2, 3]
 
 
 def test_barrier_second_stale_message_is_fatal():
@@ -571,7 +566,7 @@ def test_barrier_second_stale_message_is_fatal():
     tr = ScriptedTransport([p_for(1, 1), p_for(1, 1)])
     with pytest.raises(ProtocolViolation, match="round 1"):
         barrier_collect(tr, 2)
-    assert len(tr.script) == 1
+    assert len(tr.script[1]) == 1
 
 
 def test_barrier_stale_without_replay_is_fatal():
@@ -580,7 +575,7 @@ def test_barrier_stale_without_replay_is_fatal():
     tr = ScriptedTransport([p_for(2, 2), p_for(1, 1), p_for(1, 2)])
     with pytest.raises(ProtocolViolation, match="tagged for round 1"):
         barrier_collect(tr, 2)
-    assert len(tr.script) == 1
+    assert len(tr.script[1]) == 1
 
 
 def test_barrier_timeout_names_silent_users(monkeypatch):
@@ -592,9 +587,21 @@ def test_barrier_timeout_names_silent_users(monkeypatch):
     assert "users [2]" in str(exc.value)
 
 
+def test_barrier_timeout_names_every_silent_user(monkeypatch):
+    """Once user 2's read has used up the round's time, user 3 is still
+    read, and found silent too."""
+    monkeypatch.setattr(protocol, "BARRIER_TIMEOUT", 0.05)
+    tr = ScriptedTransport([p_for(1, 1, partner=2)], expected_ids=(1, 2, 3))
+    with pytest.raises(SynchronizationTimeout) as exc:
+        barrier_collect(tr, 1)
+    assert exc.value.missing == (2, 3)
+    assert "2 of 3 proposals missing" in str(exc.value)
+
+
 def test_barrier_names_a_user_stopped_mid_frame(monkeypatch):
-    """Half a frame and then silence ends the round within about twice
-    the barrier timeout: the read of the rest times out on its own."""
+    """Half a frame and then silence ends the round once the barrier
+    timeout is spent: the read of the rest times out, and user 2's whole
+    proposal, read after the deadline, still arrives."""
     monkeypatch.setattr(protocol, "BARRIER_TIMEOUT", 0.2)
     tr, agents = socket_transport()
     # ends a read that would otherwise wait for ever, failing the test
@@ -602,8 +609,9 @@ def test_barrier_names_a_user_stopped_mid_frame(monkeypatch):
     watchdog.start()
     try:
         agents[1].sendall(encode(proposal(uid=1))[:7])
+        agents[2].sendall(encode(proposal(uid=2, trades={1: np.zeros(2)})))
         t0 = time.monotonic()
-        with pytest.raises(SynchronizationTimeout, match="user 1") as exc:
+        with pytest.raises(SynchronizationTimeout, match="users \\[1\\]") as exc:
             barrier_collect(tr, 1)
         assert time.monotonic() - t0 < 2 * 0.2
         assert exc.value.missing == (1,)
@@ -693,6 +701,15 @@ def test_socket_run_matches_inproc_run():
     dump = lambda r: json.dumps(r.to_dict(), sort_keys=True)
     assert dump(a) == dump(b)
     assert a.iterations == b.iterations
+
+
+def test_socket_capture_is_the_same_from_run_to_run():
+    """Each round reads the proposals by user id, so two socket runs of
+    one scenario capture the same frames in the same order."""
+    scenario = load_scenario(FIXTURES / "two_user_complementary.yaml")
+    first = run(scenario, transport="socket").wire_frames
+    assert first
+    assert run(scenario, transport="socket").wire_frames == first
 
 
 @pytest.mark.parametrize("make", [

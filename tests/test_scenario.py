@@ -9,7 +9,9 @@ from hvactrade import scenario
 from hvactrade.agent import solve_emp
 from hvactrade.errors import ScenarioError
 from hvactrade.model import TimeGrid, UserParams
+from hvactrade.protocol import MAX_FRAME
 from hvactrade.scenario import (
+    MAX_HORIZON,
     build_synth_scenario,
     load_scenario,
     save_scenario,
@@ -334,6 +336,15 @@ def test_build_synth_scenario_validates_sizes():
         build_synth_scenario(2, 4, slot_hours=float("nan"))
     with pytest.raises(ScenarioError, match="seed must be a non-negative"):
         build_synth_scenario(2, 4, seed=-1)
+
+
+def test_horizon_cap_is_the_most_slots_one_broadcast_row_holds():
+    """A broadcast body of one row of MAX_HORIZON slots fits MAX_FRAME
+    and one more slot would not; a horizon past the cap is refused."""
+    body = 1 + 21 + 4 + 16 * MAX_HORIZON  # tag, head, id, two runs
+    assert body <= MAX_FRAME < body + 16
+    with pytest.raises(ScenarioError, match="grid: horizon of 4194303 slots"):
+        build_synth_scenario(1, MAX_HORIZON + 1)
 
 
 # --- persistence -------------------------------------------------------------
