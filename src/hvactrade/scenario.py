@@ -155,24 +155,35 @@ class _TraceReader:
         if path not in self._csv_cache:
             if not path.exists():
                 raise ScenarioError(f"trace file not found: {path}")
-            with open(path, newline="") as fh:
-                reader = csv.DictReader(fh)
-                if reader.fieldnames is None:
-                    raise ScenarioError(f"trace file {path} has no header row")
-                cols = {name: [] for name in reader.fieldnames}
-                for row_no, row in enumerate(reader, start=2):
-                    for name in cols:
-                        raw = row.get(name)
-                        if raw is None or raw == "":
-                            raise ScenarioError(
-                                f"{path}:{row_no}: missing value in column "
-                                f"{name!r}")
-                        try:
-                            cols[name].append(float(raw))
-                        except ValueError:
-                            raise ScenarioError(
-                                f"{path}:{row_no}: {raw!r} in column "
-                                f"{name!r} is not a number") from None
+            # a byte-order mark is dropped; bytes that are not UTF-8, or a
+            # field past the csv module's size limit, are the file's fault
+            try:
+                with open(path, newline="", encoding="utf-8-sig") as fh:
+                    reader = csv.DictReader(fh)
+                    header, rows = reader.fieldnames, list(reader)
+            except UnicodeDecodeError as exc:
+                raise ScenarioError(
+                    f"trace file {path} is not UTF-8 text ({exc})") from None
+            except csv.Error as exc:
+                # the DictReader's own line_num lags by the row that failed
+                raise ScenarioError(
+                    f"{path}:{reader.reader.line_num}: {exc}") from None
+            if header is None:
+                raise ScenarioError(f"trace file {path} has no header row")
+            cols = {name: [] for name in header}
+            for row_no, row in enumerate(rows, start=2):
+                for name in cols:
+                    raw = row.get(name)
+                    if raw is None or raw == "":
+                        raise ScenarioError(
+                            f"{path}:{row_no}: missing value in column "
+                            f"{name!r}")
+                    try:
+                        cols[name].append(float(raw))
+                    except ValueError:
+                        raise ScenarioError(
+                            f"{path}:{row_no}: {raw!r} in column "
+                            f"{name!r} is not a number") from None
             self._csv_cache[path] = cols
         return self._csv_cache[path]
 

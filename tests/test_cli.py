@@ -312,6 +312,27 @@ def test_validate_missing_file_exits_13(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    (b"27.5", b"27.5\xb0", "is not UTF-8 text"),
+    (b"27.5", b"2" * 131073, ":2: field larger than field limit"),
+], ids=["not-utf8", "field-over-limit"])
+def test_validate_unreadable_trace_csv_exits_13(tmp_path, capsys, old, new,
+                                               message):
+    """A trace CSV in another encoding, or with a field longer than the
+    csv module reads, is refused naming the file, not left to end the
+    command as an internal error."""
+    (tmp_path / "traces").mkdir()
+    raw = (FIXTURES / "traces" / "suburb_day.csv").read_bytes()
+    assert old in raw
+    csv_path = tmp_path / "traces" / "suburb_day.csv"
+    csv_path.write_bytes(raw.replace(old, new, 1))
+    scn = tmp_path / "csv_reference.yaml"
+    scn.write_text((FIXTURES / "csv_reference.yaml").read_text())
+    assert main(["validate", str(scn)]) == 13
+    err = capsys.readouterr().err
+    assert str(csv_path) in err and message in err
+
+
 def test_validate_negative_seed_in_the_file_exits_13(tmp_path, capsys):
     bad = tmp_path / "seed.yaml"
     bad.write_text("seed: -1\n" + INFEASIBLE)

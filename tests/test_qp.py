@@ -484,7 +484,8 @@ def assert_warm_refinement_matches(ws, rng, scale):
     """Re-solve on the set `ws` accepted last, after a small change in
     the linear term, and compare with four steps from zero."""
     active = ws._active
-    assert active is not None and active.tobytes() in ws._polish_start
+    assert active is not None
+    assert ws._polish_cache[active.tobytes()].start is not None
     prob = ws.problem
     ws.update(linear_term=prob.linear_term
               + scale * rng.normal(size=prob.n))
@@ -580,7 +581,7 @@ def check_every_gate(monkeypatch):
     gaps relative to kkt_scale, check_kkt of the candidates, and check_kkt
     of the accepted ones."""
     gaps, residuals, accepted = [], [], []
-    candidate, adopt = Workspace._polish_candidate, Workspace._adopt
+    candidate, polish = Workspace._polish_candidate, Workspace._polish
 
     def checked(ws, active):
         cand = candidate(ws, active)
@@ -594,12 +595,14 @@ def check_every_gate(monkeypatch):
                             / kkt_scale(ws.problem, cand))
         return cand
 
-    def adopted(ws, cand, active):
-        accepted.append(check_kkt(ws.problem, cand))
-        return adopt(ws, cand, active)
+    def walked(ws, *args):
+        cand = polish(ws, *args)
+        if cand is not None:
+            accepted.append(check_kkt(ws.problem, cand))
+        return cand
 
     monkeypatch.setattr(Workspace, "_polish_candidate", checked)
-    monkeypatch.setattr(Workspace, "_adopt", adopted)
+    monkeypatch.setattr(Workspace, "_polish", walked)
     return gaps, residuals, accepted
 
 
@@ -769,7 +772,7 @@ def test_splitting_after_a_failed_walk_starts_cold_and_keeps_nothing(
     def failing_polish(self, *args):
         if fail_walk:  # the warm walk, the solve's first polish
             fail_walk.pop()
-            return None, None
+            return None
         return polish(self, *args)
 
     def recorded_step(self, *args):
@@ -873,7 +876,8 @@ def test_bound_eliminated_polish_matches_the_full_kkt_polish(seed):
 @pytest.mark.parametrize("seed", [None, 0])
 def test_cached_polish_factor_keeps_no_copy_of_the_kkt_system(seed):
     """Besides its core inverse, a cached active set holds index lists,
-    its rows and vectors: no array larger than its rows `g`."""
+    its rows and vectors, its start point among them: no array larger
+    than its rows `g`."""
     if seed is None:
         prob = pinned_epigraph_qp()
     else:
@@ -886,10 +890,36 @@ def test_cached_polish_factor_keeps_no_copy_of_the_kkt_system(seed):
     assert first.status == second.status == QpStatus.OPTIMAL
     factors = [f for f in ws._polish_cache.values() if f is not None]
     assert factors
+    assert any(f.start is not None for f in factors)
     for f in factors:
         for name, value in f._asdict().items():
-            if name != "inverse":
+            if name == "start":
+                for part in value or ():
+                    assert part.size <= f.g.size, name
+            elif name != "inverse":
                 assert value.size <= f.g.size, name
+
+
+def test_a_workspace_keeps_at_most_six_active_sets():
+    """Re-solves under large changes in the linear term visit more than
+    six active sets, but the workspace keeps at most six records, and
+    the set it accepted last is among them, holding the point it
+    accepted there."""
+    rng = np.random.default_rng(3)
+    prob = random_box_qp(rng, n=8, general_rows=3, n_eq=1, box_rows=False)
+    ws = Workspace(prob)
+    seen = set()
+    for _ in range(40):
+        ws.update(linear_term=rng.normal(size=prob.n) * 20.0)
+        sol = ws.solve()
+        assert sol.status is QpStatus.OPTIMAL
+        assert len(ws._polish_cache) <= 6
+        seen.update(ws._polish_cache)
+        if ws._active is not None:
+            start = ws._polish_cache[ws._active.tobytes()].start
+            assert start is not None
+            assert start[0] == pytest.approx(sol.primal, abs=1e-8)
+    assert len(seen) > 6
 
 
 def test_solve_puts_a_primal_within_tol_of_a_bound_on_it(monkeypatch):
