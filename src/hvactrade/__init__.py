@@ -2,8 +2,12 @@
 
 Each user schedules renewables, grid draw, and HVAC power against a
 two-part tariff and a comfort band.  Users then trade energy pairwise
-through a consensus loop run by a coordinator that only ever sees trade
-quantities, never private parameters or schedules.
+through a consensus loop run by a coordinator.  The messages between
+the coordinator and the agents carry only pairwise trade quantities,
+their dual prices and the penalty, never private parameters or
+schedules (acceptance criterion 8).  `run` itself reads the whole
+scenario: it computes each home's standalone baseline and, once the
+homes agree, the home's schedule for the report.
 """
 
 from .agent import LocalAgent, build_user_qp, solve_emp

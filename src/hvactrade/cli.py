@@ -14,8 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import blas, coordinator, reports, scenario
-from .agent import solve_emp
+from . import coordinator, reports, scenario
 from .errors import (
     HvacTradeError,
     InfeasibleError,
@@ -81,19 +80,13 @@ def cmd_baseline(args) -> int:
     scn = _load(args)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    schedules = []
+    emp = coordinator.baselines(scn)
+    total = sum(cost for _, _, cost in emp)
     cost_lines = ["user,emp_cost"]
-    total = 0.0
-    # the thread count `coordinator.run` uses, so these costs match the
-    # baselines in report.json bit for bit
-    with blas.single_thread():
-        for user in scn.users:
-            schedule, cost = solve_emp(user, scn.tariff, scn.grid)
-            total += cost
-            cost_lines.append(f"{user.id},{repr(float(cost))}")
-            schedules.append((user.id, schedule))
+    cost_lines += [f"{u.id},{repr(float(cost))}" for u, _, cost in emp]
     cost_lines.append(f"system,{repr(float(total))}")
-    reports.write_schedules(schedules, out / "schedules.csv")
+    reports.write_schedules([(u.id, sched) for u, sched, _ in emp],
+                            out / "schedules.csv")
     (out / "costs.csv").write_text("\n".join(cost_lines) + "\n")
     print(f"{scn.name}: system baseline cost {total:.4f} "
           f"({len(scn.users)} users, no trading)")

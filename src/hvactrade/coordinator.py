@@ -58,17 +58,14 @@ class CoordinatorState:
     iteration: int = 0
     history: list[tuple[int, float, float]] = field(default_factory=list)
     index: dict[int, int] = field(init=False, repr=False)
-    counterparties: list[tuple[tuple[int, ...], np.ndarray]] = field(
-        init=False, repr=False)
+    partners: list[tuple[int, ...]] = field(init=False, repr=False)
     off_diagonal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.index = {u: i for i, u in enumerate(self.ids)}
-        # per user: the other users' ids, ascending, and their positions
-        everyone = np.arange(len(self.ids))
-        self.counterparties = [(self.ids[:i] + self.ids[i + 1:],
-                                np.delete(everyone, i))
-                               for i in range(len(self.ids))]
+        # per user: the other users' ids, ascending
+        self.partners = [self.ids[:i] + self.ids[i + 1:]
+                         for i in range(len(self.ids))]
         # every pair (i, j) with j != i, user after user
         self.off_diagonal = ~np.eye(len(self.ids), dtype=bool)
 
@@ -101,7 +98,7 @@ def proposal_tensor(proposals, state: CoordinatorState) -> np.ndarray:
     for msg in proposals:
         i = state.index[msg.user_id]
         trades = msg.trades
-        partners = state.counterparties[i][0]
+        partners = state.partners[i]
         if trades.ids != partners:
             raise ProtocolViolation(
                 f"user {msg.user_id}: proposal covers counterparties "
@@ -124,8 +121,7 @@ def _refuse_non_finite(blocks, state: CoordinatorState):
     """Name the first sender, counterparty and slot of a non-finite trade:
     it would reach every update and, through the next broadcast, the
     counterparty's own solve."""
-    for uid, block, (partners, _) in zip(state.ids, blocks,
-                                          state.counterparties):
+    for uid, block, partners in zip(state.ids, blocks, state.partners):
         bad = np.argwhere(~np.isfinite(block))
         if bad.size:
             row, slot = bad[0]
@@ -266,57 +262,55 @@ def convergence_error(state: CoordinatorState, p: np.ndarray) -> float:
     return float(np.abs(state.aux_trades - p).sum())
 
 
-def _reconstruct_schedules(scenario, state: CoordinatorState, prev_aux,
-                           prev_duals):
-    """Re-solve every user's final-round subproblem from a cold start.
+def baselines(scenario) -> list[tuple]:
+    """Each home's standalone schedule and cost, with no trading:
+    [(user, schedule, cost)] in ascending user id.  Solved on one BLAS
+    thread, the count `run` uses, so `hvactrade baseline` writes the
+    baseline costs of report.json bit for bit."""
+    with blas.single_thread():
+        return [(u, *solve_emp(u, scenario.tariff, scenario.grid))
+                for u in sorted(scenario.users, key=lambda u: u.id)]
 
-    Uses exactly the coupling values each agent held in the last round,
-    so the result is deterministic and transport-independent."""
-    schedules = {}
-    for u in scenario.users:
-        i = state.index[u.id]
-        partners, cols = state.counterparties[i]
-        agent = LocalAgent(u, scenario.tariff, scenario.grid,
-                           partner_ids=partners, rho=state.rho)
-        agent.set_coupling(prev_aux[i, cols], prev_duals[i, cols])
-        schedules[u.id] = agent.solve_llp()
-    return schedules
+
+def _reduction(base: float, cost: float) -> float:
+    return 0.0 if abs(base) < 1e-12 else 100.0 * (base - cost) / base
 
 
 def _assemble_report(scenario, cfg: AdmmConfig, state: CoordinatorState,
-                     emp_costs, schedules, converged: bool) -> ScenarioReport:
+                     emp, agents, prev_aux, prev_duals) -> ScenarioReport:
+    """Price every home at agreement.  Each fresh agent re-solves its
+    final-round subproblem from a cold start, with exactly the coupling
+    values it held in the last round, so the schedules are deterministic
+    and transport-independent."""
     sh = scenario.grid.slot_hours
+    aux_rows, dual_rows = state.user_rows(prev_aux), state.user_rows(prev_duals)
+    trade_rows = state.user_rows(state.aux_trades)
     users = []
-    for u in scenario.users:
-        i = state.index[u.id]
-        partners, cols = state.counterparties[i]
-        trades = state.aux_trades[i, cols]
+    for i, ((u, _, base), agent) in enumerate(zip(emp, agents)):
+        agent.set_coupling(aux_rows[i], dual_rows[i])
+        schedule = agent.solve_llp()
+        trades = trade_rows[i]
         payment = trading_payment(trades, scenario.tariff, sh)
-        coop = operating_cost(schedules[u.id], u, scenario.tariff, sh) + payment
-        base = emp_costs[u.id]
-        reduction = 0.0 if abs(base) < 1e-12 else 100.0 * (base - coop) / base
+        coop = operating_cost(schedule, u, scenario.tariff, sh) + payment
         net = trades.sum(axis=0)
         arb = tuple(int(t) for t in range(scenario.grid.horizon_len)
-                    if schedules[u.id].grid_draw[t] > 1e-6 and net[t] < -1e-6
+                    if schedule.grid_draw[t] > 1e-6 and net[t] < -1e-6
                     and scenario.tariff.trade_price[t] > scenario.tariff.energy_price)
         users.append(UserResult(
             user_id=u.id, baseline_cost=base, cooperative_cost=coop,
-            reduction_pct=reduction, payment=payment,
-            schedule=schedules[u.id], trades=trades, partner_ids=partners,
+            reduction_pct=_reduction(base, coop), payment=payment,
+            schedule=schedule, trades=trades, partner_ids=state.partners[i],
             arbitrage_slots=arb))
     system_base = sum(r.baseline_cost for r in users)
     system_cost = sum(r.cooperative_cost for r in users)
-    system_red = (0.0 if abs(system_base) < 1e-12
-                  else 100.0 * (system_base - system_cost) / system_base)
     return ScenarioReport(
         scenario_name=scenario.name, n_users=len(state.ids),
         horizon=scenario.grid.horizon_len, slot_hours=sh,
         rho0=cfg.rho0, tolerance=cfg.tolerance, max_iter=cfg.max_iter,
-        converged=converged, iterations=state.iteration,
-        final_error=state.history[-1][1] if state.history else 0.0,
-        history=list(state.history), users=users,
-        system_baseline=system_base, system_cost=system_cost,
-        system_reduction_pct=system_red,
+        converged=True, iterations=state.iteration,
+        final_error=state.history[-1][1], history=list(state.history),
+        users=users, system_baseline=system_base, system_cost=system_cost,
+        system_reduction_pct=_reduction(system_base, system_cost),
         payment_total=sum(r.payment for r in users))
 
 
@@ -352,23 +346,19 @@ def _negotiate(scenario, config, transport) -> ScenarioReport:
     except KeyError:
         raise ValueError(f"unknown transport {transport!r}") from None
     cfg = config if config is not None else scenario.admm
-    users = sorted(scenario.users, key=lambda u: u.id)
+    emp = baselines(scenario)
+    users = [u for u, _, _ in emp]
     ids = tuple(u.id for u in users)
-    horizon = scenario.grid.horizon_len
-
-    emp_costs = {}
-    for u in users:
-        _, cost = solve_emp(u, scenario.tariff, scenario.grid)
-        emp_costs[u.id] = cost
-
-    state = CoordinatorState.initial(ids, horizon)
+    state = CoordinatorState.initial(ids, scenario.grid.horizon_len)
     state.rho = cfg.rho0  # every round runs at this penalty
     accel = Anderson()
-    converged = False
 
-    tr = start([LocalAgent(u, scenario.tariff, scenario.grid,
+    def agents():
+        return [LocalAgent(u, scenario.tariff, scenario.grid,
                            partner_ids=partners, rho=state.rho)
-                for u, (partners, _) in zip(users, state.counterparties)])
+                for u, partners in zip(users, state.partners)]
+
+    tr = start(agents())
     try:
         for k in range(1, cfg.max_iter + 1):
             # the updates replace these arrays and never write into them
@@ -392,27 +382,25 @@ def _negotiate(scenario, config, transport) -> ScenarioReport:
                     (2,) + state.aux_trades.shape)
             aux_rows = state.user_rows(state.aux_trades)
             dual_rows = state.user_rows(state.duals)
-            for i, (partners, _) in enumerate(state.counterparties):
+            for i, partners in enumerate(state.partners):
                 tr.send_to(ids[i], CoordinatorBroadcast(
                     iteration=k, aux_row=Rows._trusted(partners, aux_rows[i]),
                     dual_row=Rows._trusted(partners, dual_rows[i]),
                     rho=state.rho, done=done))
             if err <= cfg.tolerance:
-                converged = True
                 break
     except BaseException:
         tr.close(finished=False)
         raise
     tr.close()
 
-    if not converged:
+    if not err <= cfg.tolerance:  # also at a NaN
         raise NonConvergenceError(
             f"no agreement within {cfg.max_iter} rounds "
-            f"(final disagreement {state.history[-1][1]:.3e}, "
+            f"(final disagreement {err:.3e}, "
             f"tolerance {cfg.tolerance:.3e})", history=list(state.history))
 
-    schedules = _reconstruct_schedules(scenario, state, prev_aux, prev_duals)
-    report = _assemble_report(scenario, cfg, state, emp_costs, schedules,
-                              converged)
+    report = _assemble_report(scenario, cfg, state, emp, agents(), prev_aux,
+                              prev_duals)
     report.wire_frames = tr.wire_frames
     return report

@@ -160,7 +160,9 @@ class _TraceReader:
             try:
                 with open(path, newline="", encoding="utf-8-sig") as fh:
                     reader = csv.DictReader(fh)
-                    header, rows = reader.fieldnames, list(reader)
+                    # each row with its file line: blank lines are skipped
+                    rows = [(reader.line_num, row) for row in reader]
+                    header = reader.fieldnames
             except UnicodeDecodeError as exc:
                 raise ScenarioError(
                     f"trace file {path} is not UTF-8 text ({exc})") from None
@@ -171,7 +173,7 @@ class _TraceReader:
             if header is None:
                 raise ScenarioError(f"trace file {path} has no header row")
             cols = {name: [] for name in header}
-            for row_no, row in enumerate(rows, start=2):
+            for row_no, row in rows:
                 for name in cols:
                     raw = row.get(name)
                     if raw is None or raw == "":

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from hvactrade import coordinator
+from hvactrade import blas, coordinator
 from hvactrade.agent import LocalAgent, solve_emp
 from hvactrade.cli import _build_parser, main
 from hvactrade.scenario import load_scenario
@@ -191,6 +191,29 @@ def test_baseline_writes_costs_matching_direct_solves(tmp_path):
     assert len(sched) == 1 + 2 * scenario.grid.horizon_len
 
 
+
+def test_run_and_baseline_solve_each_home_through_one_pass(tmp_path,
+                                                          monkeypatch):
+    """`run` and `hvactrade baseline` take each home's standalone solve
+    from the coordinator's one baseline pass, once per home, each on one
+    BLAS thread (a fake thread-count pair stands in for OpenBLAS's)."""
+    threads = [4]
+    monkeypatch.setattr(blas, "numpy_openblas", lambda: (
+        lambda: threads[0], lambda count: threads.__setitem__(0, count)))
+    seen = []
+    solve = coordinator.solve_emp
+
+    def counting(*args, **kwargs):
+        seen.append(threads[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(coordinator, "solve_emp", counting)
+    coordinator.run(load_scenario(TWO_USER))
+    assert seen == [1, 1]
+    assert main(["baseline", TWO_USER, "--out", str(tmp_path)]) == 0
+    assert seen == [1, 1, 1, 1]
+    assert threads == [4]
+
 # --- compare -------------------------------------------------------------------
 
 def test_compare_prints_reduction_table(tmp_path, capsys):
@@ -331,6 +354,81 @@ def test_validate_unreadable_trace_csv_exits_13(tmp_path, capsys, old, new,
     assert main(["validate", str(scn)]) == 13
     err = capsys.readouterr().err
     assert str(csv_path) in err and message in err
+
+
+def test_validate_trace_csv_error_names_its_file_line_after_a_blank_line(
+        tmp_path, capsys):
+    """The csv module skips a blank line, so the message names the bad
+    row by the file line it was read from, not by its count of rows."""
+    (tmp_path / "traces").mkdir()
+    lines = (FIXTURES / "traces" / "suburb_day.csv").read_text().splitlines()
+    lines.insert(2, "")  # after the first data row
+    assert lines[4] == "2,3.2,1.4,33.0"
+    lines[4] = "2,3.2,1.4,abc"  # file line 5
+    csv_path = tmp_path / "traces" / "suburb_day.csv"
+    csv_path.write_text("\n".join(lines) + "\n")
+    scn = tmp_path / "csv_reference.yaml"
+    scn.write_text((FIXTURES / "csv_reference.yaml").read_text())
+    assert main(["validate", str(scn)]) == 13
+    err = capsys.readouterr().err
+    assert f"{csv_path}:5: 'abc' in column 'temp' is not a number" in err
+
+
+COMPLEMENTARY = (FIXTURES / "two_user_complementary.yaml").read_text()
+USER_2_TRACES = """\
+    renewable_avail: [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    inflexible_load: [1.1, 1.3, 1.5, 1.4, 1.2, 1.0]
+    outdoor_temp: [31.0, 32.0, 33.0, 33.5, 32.5, 31.0]
+"""
+USER_2_SHORT_TRACES = """\
+    renewable_avail: [0.0, 0.0, 0.0, 0.0, 0.0]
+    inflexible_load: [1.1, 1.3, 1.5, 1.4, 1.2]
+    outdoor_temp: [31.0, 32.0, 33.0, 33.5, 32.5]
+"""
+USER_1_SOLAR = "[3.5, 4.2, 4.8, 4.6, 3.8, 2.5]"
+
+
+# (text replaced once, its replacement, a line of the findings)
+@pytest.mark.parametrize("old, new, message", [
+    ("users:\n", "users:\n  - 7\n", "user entry must be a mapping"),
+    ("- id: 1", "- idx: 1", "user entry missing field 'id'"),
+    ("- id: 2", "- id: -2", "must be a nonnegative integer"),
+    ("    hvac_cap: 10.0\n", "    hvac_cap: 10.0\n    fan_speed: 3\n",
+     "unknown fields ['fan_speed']"),
+    ("    outdoor_temp: [31.0, 32.0, 33.0, 33.5, 32.5, 31.0]\n  - id: 2",
+     "  - id: 2", "missing field 'outdoor_temp'"),
+    ("grid_cap: 4.0", "grid_cap: five", "field 'grid_cap' must be a number"),
+    (USER_2_TRACES, USER_2_SHORT_TRACES, "traces cover 5 slots, grid has 6"),
+    ("grid:\n  horizon: 6\n  slot_hours: 1.0\n", "",
+     "missing or malformed 'grid' block"),
+    ("slot_hours: 1.0", "slot_hours: -1.0",
+     "slot_hours must be positive and finite"),
+    ("tariff:\n  energy_price: 0.25\n  peak_price: 0.6\n  trade_price: 0.125\n",
+     "tariff: 0.25\n", "missing or malformed 'tariff' block"),
+    ("  trade_price: 0.125\n", "  trade_price: 0.125\n  feed_in: 0.05\n",
+     "unknown fields ['feed_in']"),
+    ("trade_price: 0.125", "trade_price: [0.1, 0.1]",
+     "trade_price covers 2 slots, grid has 6"),
+    ("admm:\n  rho0: 1.0\n  tolerance: 1.0e-6\n  max_iter: 1000\n",
+     "admm: [1]\n", "'admm' block must be a mapping"),
+    (COMPLEMENTARY[COMPLEMENTARY.index("users:\n"):], "users: []\n",
+     "'users' must be a nonempty list"),
+    (USER_1_SOLAR, "{file: t.csv}", "file reference needs a column"),
+    (USER_1_SOLAR, "{file: t.csv, column: a, sheet: 1}",
+     "unknown keys ['sheet']"),
+    ("name:", "? [a, b]\n: 1\nname:", "parse error"),
+], ids=["user-not-mapping", "no-id", "negative-id", "unknown-user-field",
+        "missing-trace", "non-numeric-field", "short-traces", "no-grid",
+        "negative-slot-hours", "tariff-not-mapping", "unknown-tariff-field",
+        "short-trade-price", "admm-not-mapping", "no-users",
+        "file-without-column", "unknown-file-key", "unhashable-key"])
+def test_validate_malformed_scenario_names_the_field_and_exits_13(
+        tmp_path, capsys, old, new, message):
+    assert old in COMPLEMENTARY
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(COMPLEMENTARY.replace(old, new, 1))
+    assert main(["validate", str(bad)]) == 13
+    assert message in capsys.readouterr().err
 
 
 def test_validate_negative_seed_in_the_file_exits_13(tmp_path, capsys):

@@ -834,7 +834,7 @@ def test_agent_sees_its_own_connection_close_at_once():
                                      scenario.grid.horizon_len)
     tr = SocketTransport.fork(
         [LocalAgent(u, scenario.tariff, scenario.grid, partner_ids=partners)
-         for u, (partners, _) in zip(users, state.counterparties)])
+         for u, partners in zip(users, state.partners)])
     assert len(barrier_collect(tr, 1)) == 2
     tr._conns[1].close()
     tr._procs[1].join(timeout=1.0)
